@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -128,9 +127,6 @@ def _cmd_mmgp_fit(args, parser) -> int:
         parser.error(f"config file not found: {config_path}")
     dataset = load_dataset(train_dir, lazy=True)
     config = load_config(config_path)
-    if args.transfer_tol is not None:
-        config = replace(config, transfer_tol=args.transfer_tol)
-        config.validate()
     threads = resolve_threads(args.threads)
     model = mmgp_fit(dataset, dataset.problem, config, threads=threads)
     save_model(model, args.model)
@@ -220,10 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--train", required=True, help="training dataset directory")
     q.add_argument("--config", required=True, help="key = value config file")
     q.add_argument("--model", required=True, help="output model directory")
-    q.add_argument("--transfer-tol", type=float, default=None,
-                   dest="transfer_tol",
-                   help="override the snap tolerance (fraction of the "
-                        "bounding-box diagonal) for pipeline transfers")
     q.add_argument("--threads", type=int, default=None)
     q.set_defaults(func=_cmd_mmgp_fit)
 

@@ -49,13 +49,9 @@ from .storage import (
     _load_yaml,
     _write_text,
 )
-from .transfer import apply_transfer, build_transfer
+from .transfer import (DEFAULT_SNAP_TOL, apply_transfer, boundary_edges,
+                       build_transfer)
 from .tree import ElementType, ZoneType
-
-#: snap tolerance used for pipeline transfers; discrete morphed boundaries
-#: are inscribed polygons of the unit circle, so nodes of one mesh fall
-#: outside another by O(h^2) and need a generous snap band
-PIPELINE_TRANSFER_TOL = 0.05
 
 _KERNEL_ALIASES = {"matern52": "Matern52", "rbf": "RBF"}
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
@@ -70,15 +66,14 @@ class MmgpConfig:
     kernel: str = "Matern52"
     train_split: str = "train"
     jitter: float = DEFAULT_JITTER
-    transfer_tol: float = PIPELINE_TRANSFER_TOL
 
     def validate(self) -> None:
         if self.shape_modes < 1 or self.field_modes < 1:
             raise ConfigInvalid("mode counts must be at least 1")
         if self.kernel not in ("Matern52", "RBF"):
             raise ConfigInvalid(f"unknown kernel '{self.kernel}'")
-        if self.jitter <= 0 or self.transfer_tol <= 0:
-            raise ConfigInvalid("jitter and transfer_tol must be positive")
+        if self.jitter <= 0:
+            raise ConfigInvalid("jitter must be positive")
 
 
 def parse_config_text(text: str) -> MmgpConfig:
@@ -108,8 +103,8 @@ def parse_config_text(text: str) -> MmgpConfig:
                     config, kernel=_KERNEL_ALIASES.get(value.lower(), value))
             elif key == "train_split":
                 config = replace(config, train_split=value)
-            elif key in ("jitter", "transfer_tol"):
-                config = replace(config, **{key: float(value)})
+            elif key == "jitter":
+                config = replace(config, jitter=float(value))
             else:
                 raise ConfigInvalid(f"unknown config key '{key}'")
         except (ValueError, TypeError) as exc:
@@ -211,10 +206,6 @@ class MmgpModel:
     scalar_regressors: dict[str, Regressor] = field(default_factory=dict)
 
     @property
-    def n_common_vertices(self) -> int:
-        return self.common_nodes.shape[0]
-
-    @property
     def n_regressors(self) -> int:
         return (sum(len(v) for v in self.field_regressors.values())
                 + len(self.scalar_regressors))
@@ -224,17 +215,41 @@ class MmgpModel:
         return self.shape_basis.n_modes + len(self.in_scalars)
 
 
-def _preprocess_sample(coords, triangles, morphing, common_nodes, tol):
-    """Morph, locate, and return (shape_vector, transfer_op or None)."""
+def _preprocess_sample(coords, triangles, morphing, common_nodes,
+                       common_triangles=None):
+    """Shape vector of one sample, the transfer onto the common mesh and,
+    given ``common_triangles``, the one back (both None without morphing).
+
+    Fit and predict share this path; it alone sets the snap allowance.
+    """
     if not morphing:
-        return np.concatenate([coords[:, 0], coords[:, 1]]), None
+        if coords.shape[0] != len(common_nodes):
+            raise ShapeMismatch(
+                f"morphing is off: a sample has {coords.shape[0]} nodes, "
+                f"the common mesh {len(common_nodes)}")
+        return np.concatenate([coords[:, 0], coords[:, 1]]), None, None
+
+    def transfer(nodes, tris, targets):
+        # both boundaries are polygons inscribed in the unit circle, so no
+        # target lies farther outside the source than the sagitta of its
+        # longest boundary chord L, plus rounding slack
+        owner, slot = boundary_edges(tris)
+        chord = np.linalg.norm(nodes[tris[owner, slot]]
+                               - nodes[tris[owner, (slot + 1) % 3]],
+                               axis=1).max()
+        sagitta = 1.0 - np.sqrt(max(0.0, 1.0 - (chord / 2) ** 2))
+        bbox_diag = np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))
+        return build_transfer(nodes, tris, targets,
+                              tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL)
+
     surface = build_surface_mesh(coords, triangles)
-    morphed = tutte_embed(surface)
-    op = build_transfer(morphed.positions, surface.triangles, common_nodes,
-                        tol=tol)
-    shape_vec = np.concatenate([apply_transfer(op, coords[:, 0]),
-                                apply_transfer(op, coords[:, 1])])
-    return shape_vec, op
+    morphed = tutte_embed(surface).positions
+    op_to = transfer(morphed, surface.triangles, common_nodes)
+    op_from = (None if common_triangles is None else
+               transfer(common_nodes, common_triangles, morphed))
+    shape_vec = np.concatenate([apply_transfer(op_to, coords[:, 0]),
+                                apply_transfer(op_to, coords[:, 1])])
+    return shape_vec, op_to, op_from
 
 
 def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
@@ -257,22 +272,18 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
         common_nodes = first_morphed.positions
         common_triangles = first_surface.triangles
     else:
-        counts = {g[0].shape[0] for g in geometries}
-        if len(counts) != 1:
-            raise ShapeMismatch(
-                f"morphing is off but vertex counts differ: {sorted(counts)}")
         common_nodes, common_triangles = geometries[0]
 
     pre = parallel_map(
         lambda g: _preprocess_sample(g[0], g[1], config.morphing,
-                                     common_nodes, config.transfer_tol),
+                                     common_nodes),
         geometries, threads=threads)
-    shape_snapshots = np.stack([vec for vec, _ in pre])
-    ops = [op for _, op in pre]
+    shape_snapshots = np.stack([vec for vec, _, _ in pre])
+    ops = [op for _, op, _ in pre]
 
     shape_basis = _fit_basis_clamped(shape_snapshots, config.shape_modes)
     shape_coeffs = np.stack([pod_project(shape_basis, vec)
-                             for vec, _ in pre])
+                             for vec in shape_snapshots])
     scalar_inputs = np.array(
         [[s.get_scalar(name) for name in problem.in_scalars_names]
          for s in samples])
@@ -327,22 +338,9 @@ def mmgp_predict(model: MmgpModel, sample: Sample
                  ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Predict output scalars and fields on the sample's own mesh."""
     coords, triangles = extract_triangle_geometry(sample)
-    tol = model.config.transfer_tol
-
-    if model.config.morphing:
-        surface = build_surface_mesh(coords, triangles)
-        morphed = tutte_embed(surface)
-        op_fwd = build_transfer(morphed.positions, surface.triangles,
-                                model.common_nodes, tol=tol)
-        shape_vec = np.concatenate([apply_transfer(op_fwd, coords[:, 0]),
-                                    apply_transfer(op_fwd, coords[:, 1])])
-    else:
-        if coords.shape[0] != model.n_common_vertices:
-            raise ShapeMismatch(
-                f"model was trained without morphing on "
-                f"{model.n_common_vertices}-node meshes; sample has "
-                f"{coords.shape[0]} nodes")
-        shape_vec = np.concatenate([coords[:, 0], coords[:, 1]])
+    shape_vec, _, op_back = _preprocess_sample(
+        coords, triangles, model.config.morphing, model.common_nodes,
+        model.common_triangles)
 
     scalars_in = [sample.get_scalar(name) for name in model.in_scalars]
     x = np.concatenate([pod_project(model.shape_basis, shape_vec),
@@ -354,13 +352,11 @@ def mmgp_predict(model: MmgpModel, sample: Sample
                            for reg in model.field_regressors[name]])
         common_fields[name] = pod_reconstruct(model.field_bases[name], coeffs)
 
-    if model.config.morphing:
-        op_back = build_transfer(model.common_nodes, model.common_triangles,
-                                 morphed.positions, tol=tol)
+    if op_back is None:
+        fields_out = common_fields
+    else:
         fields_out = {name: apply_transfer(op_back, values)
                       for name, values in common_fields.items()}
-    else:
-        fields_out = common_fields
 
     scalars_out = {name: float(model.scalar_regressors[name].predict(x)[0])
                    for name in model.out_scalars}
@@ -409,7 +405,6 @@ def save_model(model: MmgpModel, root_path) -> None:
             "kernel": model.config.kernel,
             "train_split": model.config.train_split,
             "jitter": format_real(model.config.jitter),
-            "transfer_tol": format_real(model.config.transfer_tol),
         },
         "in_scalars": list(model.in_scalars),
         "out_fields": list(model.out_fields),
@@ -468,7 +463,6 @@ def load_model(root_path) -> MmgpModel:
         kernel=cfg["kernel"],
         train_split=cfg["train_split"],
         jitter=parse_real(cfg["jitter"]),
-        transfer_tol=parse_real(cfg["transfer_tol"]),
     )
     try:
         model = MmgpModel(

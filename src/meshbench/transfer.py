@@ -2,12 +2,14 @@
 
 For every target point the containing source triangle is located through a
 uniform-grid spatial index and linear (P1) barycentric weights are stored.
-Points that fall outside the source mesh by no more than a tolerance
-(expressed as a fraction of the source bounding-box diagonal) are snapped
-to the closest point of the nearest triangle with clamped weights; anything
-farther out is an error.  Applying the operator to a per-vertex field then
-evaluates the source's piecewise-linear interpolant at each target, which
-reproduces affine fields exactly.
+The point of a triangulated region nearest to an outside point lies on one
+of its boundary edges (the edges of exactly one triangle), so a target no
+triangle contains is snapped onto the nearest boundary edge: it gets the
+weights ``(1 - t, t)`` on that edge's two vertices.  A target farther out
+than a tolerance (a fraction of the source bounding-box diagonal) is an
+error.  Applying the operator to a per-vertex field then evaluates the
+source's piecewise-linear interpolant at each target, which reproduces
+affine fields exactly.
 """
 
 from __future__ import annotations
@@ -65,17 +67,21 @@ class _UniformGrid:
         rel = (points - self.lo) / self.cell_size
         return np.clip(rel.astype(np.int64), 0, self.ncell - 1)
 
-    def candidates(self, point: np.ndarray, radius: float = 0.0) -> np.ndarray:
-        lo = self._cell_of((point - radius)[None, :])[0]
-        hi = self._cell_of((point + radius)[None, :])[0]
-        chunks = [
-            self.items[self.offsets[ix * self.ncell + iy]:
-                       self.offsets[ix * self.ncell + iy + 1]]
-            for ix in range(lo[0], hi[0] + 1)
-            for iy in range(lo[1], hi[1] + 1)]
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.unique(np.concatenate(chunks))
+    def candidates(self, point: np.ndarray) -> np.ndarray:
+        ix, iy = self._cell_of(point[None, :])[0]
+        cell = ix * self.ncell + iy
+        return self.items[self.offsets[cell]:self.offsets[cell + 1]]
+
+
+def boundary_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of exactly one triangle as (owner ids, slots), owner-sorted;
+    slot ``j`` joins the owner's local vertices ``j`` and ``(j + 1) % 3``."""
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1]
+    _, inverse, counts = np.unique(key, return_inverse=True,
+                                   return_counts=True)
+    single = np.flatnonzero(counts[inverse] == 1)
+    return single // 3, single % 3
 
 
 def _barycentric(nodes, triangles, tri_ids, points):
@@ -97,20 +103,6 @@ def _barycentric(nodes, triangles, tri_ids, points):
         w = (d00 * d21 - d01 * d20) / denom
     u = 1.0 - v - w
     return np.stack([u, v, w], axis=1)
-
-
-def _closest_point_on_triangle(p, a, b, c):
-    """Closest point to p on triangle abc (2-D, works for boundary cases)."""
-    best = None
-    for q0, q1 in ((a, b), (b, c), (c, a)):
-        d = q1 - q0
-        denom = float(d @ d)
-        t = 0.0 if denom == 0.0 else float(np.clip((p - q0) @ d / denom, 0.0, 1.0))
-        cp = q0 + t * d
-        dist2 = float((p - cp) @ (p - cp))
-        if best is None or dist2 < best[0]:
-            best = (dist2, cp)
-    return best
 
 
 def build_transfer(source_nodes, source_triangles, targets,
@@ -157,26 +149,40 @@ def build_transfer(source_nodes, source_triangles, targets,
         element_ids[idx] = best[idx]
         weights[idx] = _barycentric(nodes, triangles, best[idx], pts[idx])
 
-    for i in np.flatnonzero(~found):
-        candidates = np.sort(grid.candidates(pts[i], radius=snap_dist))
-        best_dist2 = np.inf
-        best_tri = -1
-        best_cp = None
-        for t in candidates:
-            a, b, c = nodes[triangles[t, 0]], nodes[triangles[t, 1]], nodes[triangles[t, 2]]
-            dist2, cp = _closest_point_on_triangle(pts[i], a, b, c)
-            if dist2 < best_dist2:
-                best_dist2, best_tri, best_cp = dist2, int(t), cp
-        if best_tri < 0 or np.sqrt(best_dist2) > snap_dist:
-            raise PointOutsideDomain(
-                f"target {i} at {pts[i].tolist()} lies "
-                f"{np.sqrt(best_dist2) if best_tri >= 0 else np.inf:.3e} "
-                f"from the source mesh (allowed {snap_dist:.3e})")
-        bary = _barycentric(nodes, triangles, np.array([best_tri]),
-                            best_cp[None, :])[0]
-        bary = np.clip(bary, 0.0, None)
-        weights[i] = bary / bary.sum()
-        element_ids[i] = best_tri
+    # snap the rest onto the nearest boundary edge; ties between edges go to
+    # the smallest owning triangle id, and (1 - t) q0 + t q1 is exact at
+    # t = 0 and 1, so edges whose nearest point is a shared vertex tie
+    missing = np.flatnonzero(~found)
+    if missing.size:
+        owner, slot = boundary_edges(triangles)
+        if owner.size == 0:
+            raise PointOutsideDomain("the source mesh has no triangles")
+        q0 = nodes[triangles[owner, slot]]
+        q1 = nodes[triangles[owner, (slot + 1) % 3]]
+        edge = q1 - q0
+        length2 = np.einsum("ij,ij->i", edge, edge)
+        step = max(1, (1 << 18) // owner.size)  # bounds (target, edge) pairs
+        for start in range(0, missing.size, step):
+            rows = missing[start:start + step]
+            p = pts[rows, None, :]
+            dot = np.einsum("rek,ek->re", p - q0, edge)
+            t = np.clip(np.divide(dot, length2, out=np.zeros_like(dot),
+                                  where=length2 > 0), 0.0, 1.0)
+            gap = p - ((1.0 - t)[..., None] * q0 + t[..., None] * q1)
+            dist2 = np.einsum("rek,rek->re", gap, gap)
+            near = np.argmin(dist2, axis=1)
+            r = np.arange(rows.size)
+            dist = np.sqrt(dist2[r, near])
+            if (dist > snap_dist).any():
+                j = int(np.argmax(dist > snap_dist))
+                raise PointOutsideDomain(
+                    f"target {rows[j]} at {pts[rows[j]].tolist()} lies "
+                    f"{dist[j]:.3e} from the source mesh "
+                    f"(allowed {snap_dist:.3e})")
+            weights[rows] = 0.0
+            weights[rows, slot[near]] = 1.0 - t[r, near]
+            weights[rows, (slot[near] + 1) % 3] = t[r, near]
+            element_ids[rows] = owner[near]
 
     vertex_ids = triangles[element_ids]
     weights.setflags(write=False)

@@ -228,3 +228,8 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--frobnicate"])
     assert err.value.code == 2
+    # the snap allowance follows from the meshes; no flag sets it
+    with pytest.raises(SystemExit) as err:
+        main(["mmgp", "fit", "--train", "ds", "--config", "mmgp.cfg",
+              "--model", "model", "--transfer-tol", "0.05"])
+    assert err.value.code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,16 @@ from meshbench import (
     save_model,
     total_error,
 )
-from meshbench.errors import ConfigInvalid, NoSuchSplit, ShapeMismatch
+from meshbench.errors import (
+    ConfigInvalid,
+    NoSuchSplit,
+    PointOutsideDomain,
+    ShapeMismatch,
+)
 from meshbench.mmgp import extract_triangle_geometry, parse_config_text
+from meshbench.morphing import build_surface_mesh, tutte_embed
 from meshbench.pod import pod_project, pod_reconstruct
+from meshbench.synthetic import build_plate_sample
 from meshbench.tree import Zone, zone_with
 
 
@@ -50,6 +59,8 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("shape_modes = many")
     with pytest.raises(ConfigInvalid):
         parse_config_text("kernel = cubic")
+    with pytest.raises(ConfigInvalid):
+        parse_config_text("transfer_tol = 0.05")
 
 
 def test_missing_train_split():
@@ -199,6 +210,35 @@ def test_model_round_trip_preserves_predictions(tmp_path):
         assert np.float64(s1[k]).tobytes() == np.float64(s2[k]).tobytes()
     for k in f1:
         assert f1[k].tobytes() == f2[k].tobytes()
+
+
+def test_coarsest_plates_predict_and_far_targets_stay_rejected():
+    ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=6,
+                              max_nodes_per_side=10))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    coarse = {res: build_plate_sample(
+        SynthConfig(seed=5, min_nodes_per_side=res, max_nodes_per_side=res), 0)
+        for res in (2, 3)}
+    for res, sample in coarse.items():
+        scalars, fields = mmgp_predict(model, sample)
+        assert np.isfinite(list(scalars.values())).all()
+        assert sorted(fields) == sorted(ds.problem.out_fields_names)
+        for values in fields.values():
+            assert values.shape == (res * res,)
+            assert np.isfinite(values).all()
+
+    # a common node pushed radially out of the unit disk by more than the
+    # sagitta of the 2x2 plate's longest morphed boundary chord lies at
+    # least that far from the plate's morphed polygon, and is rejected
+    surface = build_surface_mesh(*extract_triangle_geometry(coarse[2]))
+    loop = tutte_embed(surface).positions[surface.boundary_loop]
+    chord = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1).max()
+    sagitta = 1.0 - np.sqrt(1.0 - (chord / 2) ** 2)
+    nodes = model.common_nodes.copy()
+    on_circle = int(np.argmax(np.linalg.norm(nodes, axis=1)))
+    nodes[on_circle] *= 1.0 + 1.01 * sagitta
+    with pytest.raises(PointOutsideDomain):
+        mmgp_predict(replace(model, common_nodes=nodes), coarse[2])
 
 
 def test_full_pipeline_determinism():

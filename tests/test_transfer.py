@@ -27,6 +27,72 @@ def oracle_locate(nodes, tris, point):
     raise AssertionError("oracle found no containing triangle")
 
 
+def closest_point_on_triangle(p, a, b, c):
+    """Closest point to an outside point p on triangle abc, with its
+    squared distance."""
+    best = None
+    for q0, q1 in ((a, b), (b, c), (c, a)):
+        d = q1 - q0
+        t = float(np.clip((p - q0) @ d / (d @ d), 0.0, 1.0))
+        cp = q0 + t * d
+        dist2 = float((p - cp) @ (p - cp))
+        if best is None or dist2 < best[0]:
+            best = (dist2, cp)
+    return best
+
+
+def oracle_snap_value(nodes, tris, point, field):
+    """Brute-force scan of every triangle: the field at the nearest point."""
+    nearest = [closest_point_on_triangle(point, *nodes[tri]) for tri in tris]
+    t = int(np.argmin([dist2 for dist2, _ in nearest]))
+    _, bary = oracle_locate(nodes, tris[t:t + 1], nearest[t][1])
+    bary = np.clip(bary, 0.0, None)
+    return (bary / bary.sum()) @ field[tris[t]]
+
+
+def probes_outside_unit_square(rng, n):
+    """Points up to 0.05 outside each side of the unit square, and beyond
+    its corners."""
+    along = rng.uniform(0.0, 1.0, n)
+    out = rng.uniform(1e-6, 0.05, n)
+    sides = [np.stack([along, -out], axis=1),
+             np.stack([1.0 + out, along], axis=1),
+             np.stack([along, 1.0 + out], axis=1),
+             np.stack([-out, along], axis=1)]
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    beyond = corners + np.sign(corners - 0.5) * rng.uniform(1e-6, 0.03,
+                                                             (4, 2))
+    return np.vstack(sides + [beyond])
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_snap_matches_bruteforce_oracle(seed):
+    nodes, tris = square_triangulation(seed=seed, n_interior=40)
+    rng = np.random.default_rng(seed)
+    probes = probes_outside_unit_square(rng, 10)
+    field = rng.normal(size=len(nodes))
+    op = build_transfer(nodes, tris, probes, tol=0.05)
+    out = apply_transfer(op, field)
+    for i, p in enumerate(probes):
+        expected = oracle_snap_value(nodes, tris, p, field)
+        assert abs(out[i] - expected) < 1e-12
+
+
+def test_snap_to_boundary_vertex_takes_smallest_owner_id():
+    nodes, tris = square_triangulation(seed=24, n_interior=30)
+    vertex = 4  # (1/6, 0), inside the bottom side
+    probe = nodes[vertex] + [0.0, -0.01]
+    # the two bottom-side edges meeting at the vertex are equally near
+    owners = [t for t, tri in enumerate(tris)
+              if vertex in tri and sum(nodes[j][1] == 0.0 for j in tri) == 2]
+    assert len(owners) == 2
+    op = build_transfer(nodes, tris, [probe], tol=0.05)
+    assert op.element_ids[0] == min(owners)
+    at_vertex = op.vertex_ids[0] == vertex
+    assert op.weights[0][at_vertex].tolist() == [1.0]
+    assert (op.weights[0][~at_vertex] == 0.0).all()
+
+
 def test_vertex_target_gets_unit_weight():
     nodes, tris = four_triangle_mesh()
     op = build_transfer(nodes, tris, [[0.5, 0.5]])
