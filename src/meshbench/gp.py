@@ -6,7 +6,10 @@ so predictions are invariant under affine re-scaling of the raw targets.
 The kernel variance and per-dimension lengthscales maximize the log
 marginal likelihood through coordinate-wise log-space grid refinement with
 a fixed budget and fixed ordering: the same data always yields the same
-model, on any machine and thread count.
+model, on any machine and thread count.  Each candidate's likelihood is
+evaluated from the lower triangle of the kernel matrix alone, built and
+factorised in place, and memoised within the fit; it picks the same
+hyperparameters as a dense evaluation.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -61,13 +64,28 @@ def _scaled_sq_dists(x1: np.ndarray, x2: np.ndarray,
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _kernel_values(kind: str, variance, r2: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Kernel values at squared scaled distances ``r2`` (overwritten), into
+    ``out``.  Every step writes into a given buffer, in one fixed operation
+    order, so an entry rounds the same wherever it is computed."""
+    if kind == "RBF":
+        np.multiply(r2, -0.5, out=out)
+        np.exp(out, out=out)
+        return np.multiply(out, variance, out=out)
+    sqrt5_r = np.sqrt(np.maximum(r2, 0.0, out=scratch), out=scratch)
+    np.multiply(sqrt5_r, np.sqrt(5.0), out=sqrt5_r)
+    np.add(sqrt5_r, 1.0, out=out)
+    np.add(out, np.multiply(r2, 5.0 / 3.0, out=r2), out=out)
+    np.multiply(out, variance, out=out)
+    np.exp(np.negative(sqrt5_r, out=sqrt5_r), out=sqrt5_r)
+    return np.multiply(out, sqrt5_r, out=out)
+
+
 def kernel_matrix(kernel: Kernel, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     r2 = _scaled_sq_dists(x1, x2, kernel.lengthscales)
-    if kernel.kind == "RBF":
-        return kernel.variance * np.exp(-0.5 * r2)
-    r = np.sqrt(np.clip(r2, 0.0, None))
-    sqrt5_r = np.sqrt(5.0) * r
-    return kernel.variance * (1.0 + sqrt5_r + (5.0 / 3.0) * r2) * np.exp(-sqrt5_r)
+    return _kernel_values(kernel.kind, kernel.variance, r2,
+                          np.empty_like(r2), np.empty_like(r2))
 
 
 def kernel_eval(kernel: Kernel, x, x_other) -> float:
@@ -116,31 +134,49 @@ def _chol_with_escalation(k_matrix: np.ndarray, jitter: float):
         jitter = min(jitter * 10.0, MAX_JITTER)
 
 
-def _log_marginal_likelihood(theta: np.ndarray, kind: str, x: np.ndarray,
-                             y: np.ndarray, jitter: float,
-                             sq_dists_unit: np.ndarray) -> float:
-    """LML at log-parameters theta = (log s2, log l_1..d).
+def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
+    """The LML at log-parameters theta = (log s2, log l_1..d), memoised.
 
-    ``sq_dists_unit`` holds per-dimension squared differences so candidate
-    rescalings avoid recomputing pairwise geometry.
+    The per-dimension squared differences of the n(n+1)/2 lower-triangle
+    pairs are computed once.  Each new theta fills only the lower triangle
+    of one reused Fortran-ordered buffer, which the lower Cholesky
+    factorises in place, and needs one triangular solve.
     """
-    variance = np.exp(theta[0])
-    inv_l2 = np.exp(-2.0 * theta[1:])
-    r2 = np.tensordot(inv_l2, sq_dists_unit, axes=1)
-    if kind == "RBF":
-        k_matrix = variance * np.exp(-0.5 * r2)
-    else:
-        r = np.sqrt(np.clip(r2, 0.0, None))
-        sqrt5_r = np.sqrt(5.0) * r
-        k_matrix = variance * (1.0 + sqrt5_r + (5.0 / 3.0) * r2) * np.exp(-sqrt5_r)
     n = len(y)
-    try:
-        lower = cholesky(k_matrix + jitter * np.eye(n), lower=True)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    alpha = cho_solve((lower, True), y)
-    return float(-0.5 * (y @ alpha) - np.sum(np.log(np.diag(lower)))
-                 - 0.5 * n * np.log(2.0 * np.pi))
+    cols, rows = np.triu_indices(n)  # lower-triangle pairs, column by column
+    diff = x[rows] - x[cols]
+    # zero-padded to whole 4-entry blocks: OpenBLAS's gemv sums the last
+    # (length mod 4) entries in another order, and without the padding those
+    # would round differently from the same entries of an n x n product
+    sq_dists_unit = np.zeros((x.shape[1], -(-len(rows) // 4) * 4))
+    sq_dists_unit[:, :len(rows)] = (diff * diff).T
+    r2, values, scratch = (np.empty(sq_dists_unit.shape[1]) for _ in range(3))
+    flat = np.zeros(n * n)
+    k_matrix = flat.reshape(n, n, order="F")
+    lower_index = rows + n * cols
+    diag_index = np.arange(n) * (n + 1)
+    memo: dict[bytes, float] = {}
+
+    def evaluate(theta: np.ndarray) -> float:
+        np.dot(np.exp(-2.0 * theta[1:]), sq_dists_unit, out=r2)
+        _kernel_values(kind, np.exp(theta[0]), r2, values, scratch)
+        flat[lower_index] = values[:len(rows)]
+        flat[diag_index] += jitter
+        try:
+            lower = cholesky(k_matrix, lower=True, overwrite_a=True)
+        except np.linalg.LinAlgError:
+            return -np.inf
+        z = solve_triangular(lower, y, lower=True)
+        return float(-0.5 * (z @ z) - np.sum(np.log(np.diag(lower)))
+                     - 0.5 * n * np.log(2.0 * np.pi))
+
+    def lml(theta: np.ndarray) -> float:
+        key = theta.tobytes()
+        if key not in memo:
+            memo[key] = evaluate(theta)
+        return memo[key]
+
+    return lml
 
 
 def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpModel:
@@ -169,9 +205,7 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
     y_scale = float(np.std(y))
     y_std = (y - y_mean) / y_scale
 
-    # per-dimension squared differences, reused across all candidates
-    diff = x_std[:, None, :] - x_std[None, :, :]
-    sq_dists_unit = np.ascontiguousarray(np.moveaxis(diff * diff, 2, 0))
+    log_marginal_likelihood = _lml_evaluator(kind, x_std, y_std, jitter)
 
     lower_b = np.concatenate([[_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
     upper_b = np.concatenate([[_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
@@ -190,8 +224,7 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
             best_lml = -np.inf
             for offset in np.linspace(-span, span, _GRID_POINTS):
                 trial = np.clip(theta + offset * direction, lower_b, upper_b)
-                lml = _log_marginal_likelihood(trial, kind, x_std, y_std,
-                                               jitter, sq_dists_unit)
+                lml = log_marginal_likelihood(trial)
                 if lml > best_lml:
                     best_lml = lml
                     best_theta = trial
@@ -207,18 +240,23 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
                    jitter=final_jitter)
 
 
-def gp_predict(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance (clamped at zero) per query point."""
+def gp_mean(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean per query point, and the (n, q) train-query
+    covariance it was computed from."""
     xq = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
     if xq.shape[1] != model.x_train.shape[1]:
         raise ShapeMismatch(
             f"query dim {xq.shape[1]} vs model dim {model.x_train.shape[1]}")
     xq_std = (xq - model.x_mean) / model.x_std
-    k_star = kernel_matrix(model.kernel, model.x_train, xq_std)  # (n, q)
-    mean_std = k_star.T @ model.alpha
+    k_star = kernel_matrix(model.kernel, model.x_train, xq_std)
+    return model.y_mean + model.y_std * (k_star.T @ model.alpha), k_star
+
+
+def gp_predict(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance (clamped at zero) per query point."""
+    mean, k_star = gp_mean(model, x_query)
     v = solve_triangular(model.chol_lower, k_star, lower=True)
     var_std = model.kernel.variance - np.einsum("ij,ij->j", v, v)
     var_std = np.clip(var_std, 0.0, None)
-    mean = model.y_mean + model.y_std * mean_std
     var = (model.y_std ** 2) * var_std
     return mean, var

@@ -27,7 +27,7 @@ import yaml
 
 from .dataset import Dataset, ProblemDefinition
 from .errors import ConfigInvalid, FormatError, NoSuchSplit, ShapeMismatch
-from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_predict
+from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
 from .metrics import find_reference_field
 from .morphing import build_surface_mesh, tutte_embed
 from .parallel import parallel_map
@@ -166,7 +166,7 @@ class Regressor:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.gp is not None:
-            return gp_predict(self.gp, x)[0]
+            return gp_mean(self.gp, x)[0]
         return np.full(len(np.atleast_2d(x)), self.constant)
 
     @property
@@ -215,12 +215,20 @@ class MmgpModel:
         return self.shape_basis.n_modes + len(self.in_scalars)
 
 
+def _morph(coords, triangles):
+    """The mesh embedded onto the unit disk, as (positions, triangles)."""
+    surface = build_surface_mesh(coords, triangles)
+    return tutte_embed(surface).positions, surface.triangles
+
+
 def _preprocess_sample(coords, triangles, morphing, common_nodes,
-                       common_triangles=None):
+                       common_triangles=None, morphed=None):
     """Shape vector of one sample, the transfer onto the common mesh and,
     given ``common_triangles``, the one back (both None without morphing).
 
-    Fit and predict share this path; it alone sets the snap allowance.
+    ``morphed`` is the sample's ``_morph`` result if the caller has it
+    already.  Fit and predict share this path; it alone sets the snap
+    allowance.
     """
     if not morphing:
         if coords.shape[0] != len(common_nodes):
@@ -242,11 +250,11 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
         return build_transfer(nodes, tris, targets,
                               tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL)
 
-    surface = build_surface_mesh(coords, triangles)
-    morphed = tutte_embed(surface).positions
-    op_to = transfer(morphed, surface.triangles, common_nodes)
+    positions, disk_triangles = (_morph(coords, triangles) if morphed is None
+                                 else morphed)
+    op_to = transfer(positions, disk_triangles, common_nodes)
     op_from = (None if common_triangles is None else
-               transfer(common_nodes, common_triangles, morphed))
+               transfer(common_nodes, common_triangles, positions))
     shape_vec = np.concatenate([apply_transfer(op_to, coords[:, 0]),
                                 apply_transfer(op_to, coords[:, 1])])
     return shape_vec, op_to, op_from
@@ -265,19 +273,19 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     geometries = parallel_map(extract_triangle_geometry, samples,
                               threads=threads)
 
+    first = None
     if config.morphing:
         # the common mesh is the first training sample morphed to the disk
-        first_surface = build_surface_mesh(*geometries[0])
-        first_morphed = tutte_embed(first_surface)
-        common_nodes = first_morphed.positions
-        common_triangles = first_surface.triangles
+        first = _morph(*geometries[0])
+        common_nodes, common_triangles = first
     else:
         common_nodes, common_triangles = geometries[0]
 
     pre = parallel_map(
-        lambda g: _preprocess_sample(g[0], g[1], config.morphing,
-                                     common_nodes),
-        geometries, threads=threads)
+        lambda i: _preprocess_sample(*geometries[i], config.morphing,
+                                     common_nodes,
+                                     morphed=first if i == 0 else None),
+        range(len(geometries)), threads=threads)
     shape_snapshots = np.stack([vec for vec, _, _ in pre])
     ops = [op for _, op, _ in pre]
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 
 from meshbench import Kernel, gp_fit, gp_predict, kernel_eval
 from meshbench.errors import (
@@ -10,7 +11,15 @@ from meshbench.errors import (
     ShapeMismatch,
     SingularKernel,
 )
-from meshbench.gp import _chol_with_escalation
+from meshbench.gp import (
+    _GRID_POINTS,
+    _LS_BOUNDS,
+    _SWEEP_SPANS,
+    _VAR_BOUNDS,
+    _chol_with_escalation,
+    _lml_evaluator,
+    gp_mean,
+)
 
 
 def oracle_matern52(x, z, variance, lengthscales):
@@ -193,3 +202,103 @@ def test_duplicate_inputs_survive_via_jitter():
     model = gp_fit(X, y)
     mean, _ = gp_predict(model, np.array([[0.75]]))
     assert np.isfinite(mean).all()
+
+
+def test_gp_mean_is_gp_predict_mean():
+    rng = np.random.default_rng(27)
+    X = rng.uniform(0, 1, size=(12, 2))
+    model = gp_fit(X, np.sin(4.0 * X[:, 0]) + X[:, 1])
+    Xq = rng.uniform(0, 1, size=(5, 2))
+    mean, k_star = gp_mean(model, Xq)
+    assert mean.tobytes() == gp_predict(model, Xq)[0].tobytes()
+    assert k_star.shape == (12, 5)
+
+
+# ---------------------------------------------------------------------------
+# log marginal likelihood: the in-place evaluator against a dense oracle
+
+def dense_lml(theta, kind, x, y, jitter):
+    """The LML from the full kernel matrix, two-sided Cholesky solve."""
+    diff = x[:, None, :] - x[None, :, :]
+    sq_dists_unit = np.ascontiguousarray(np.moveaxis(diff * diff, 2, 0))
+    variance = np.exp(theta[0])
+    inv_l2 = np.exp(-2.0 * theta[1:])
+    r2 = np.tensordot(inv_l2, sq_dists_unit, axes=1)
+    if kind == "RBF":
+        k_matrix = variance * np.exp(-0.5 * r2)
+    else:
+        r = np.sqrt(np.clip(r2, 0.0, None))
+        sqrt5_r = np.sqrt(5.0) * r
+        k_matrix = variance * (1.0 + sqrt5_r + (5.0 / 3.0) * r2) * np.exp(-sqrt5_r)
+    n = len(y)
+    try:
+        lower = cholesky(k_matrix + jitter * np.eye(n), lower=True)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    alpha = cho_solve((lower, True), y)
+    return float(-0.5 * (y @ alpha) - np.sum(np.log(np.diag(lower)))
+                 - 0.5 * n * np.log(2.0 * np.pi))
+
+
+def dense_search(kind, x, y, jitter=1e-10):
+    """The coordinate grid search of ``gp_fit``, driven by the oracle."""
+    d = x.shape[1]
+    lower_b = np.concatenate([[_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
+    upper_b = np.concatenate([[_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
+    directions = [np.eye(1 + d)[c] for c in range(1 + d)]
+    directions.append(np.concatenate([[2.0], np.ones(d)]))
+    theta = np.zeros(1 + d)
+    for span in _SWEEP_SPANS:
+        for direction in directions:
+            best_theta, best_lml = theta, -np.inf
+            for offset in np.linspace(-span, span, _GRID_POINTS):
+                trial = np.clip(theta + offset * direction, lower_b, upper_b)
+                lml = dense_lml(trial, kind, x, y, jitter)
+                if lml > best_lml:
+                    best_lml, best_theta = lml, trial
+            theta = best_theta
+    return theta
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_lml_evaluator_matches_dense_oracle(kind):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(40, 3))
+    y = np.sin(x @ np.array([1.0, -0.5, 0.3])) + 0.1 * rng.normal(size=40)
+    lml = _lml_evaluator(kind, x, y, 1e-10)
+    finite = 0
+    for _ in range(20):
+        theta = np.concatenate([rng.uniform(*_VAR_BOUNDS, size=1),
+                                rng.uniform(*_LS_BOUNDS, size=3)])
+        want = dense_lml(theta, kind, x, y, 1e-10)
+        got = lml(theta)
+        if np.isinf(want):
+            assert got == -np.inf
+        else:
+            finite += 1
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert lml(theta) == got  # memoised
+    assert finite >= 5
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_lml_evaluator_failed_factorisation_is_minus_inf(kind):
+    # duplicated inputs at the variance and lengthscale upper bounds: the
+    # jitter is below the rounding of the near-constant kernel matrix
+    x = np.concatenate([np.linspace(0.0, 1.0, 8), [0.0, 0.2]])[:, None]
+    y = np.sin(3.0 * x[:, 0])
+    theta = np.array([_VAR_BOUNDS[1], _LS_BOUNDS[1]])
+    assert dense_lml(theta, kind, x, y, 1e-10) == -np.inf
+    assert _lml_evaluator(kind, x, y, 1e-10)(theta) == -np.inf
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_fit_hyperparameters_equal_dense_search(kind):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1, 1, size=(30, 3))
+    y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
+    model = gp_fit(X, y, kind=kind)
+    x_std = (X - X.mean(axis=0)) / X.std(axis=0)
+    theta = dense_search(kind, x_std, (y - y.mean()) / y.std())
+    assert model.kernel.variance == float(np.exp(theta[0]))
+    assert model.kernel.lengthscales.tobytes() == np.exp(theta[1:]).tobytes()

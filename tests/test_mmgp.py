@@ -83,6 +83,20 @@ def test_regressor_count_matches_config_arithmetic():
     assert model.gp_input_dim == config.shape_modes + 2  # scalars a, p
 
 
+def test_fit_morphs_each_training_sample_once(monkeypatch):
+    calls = []
+
+    def counted(surface):
+        calls.append(surface)
+        return tutte_embed(surface)
+
+    monkeypatch.setattr("meshbench.mmgp.tutte_embed", counted)
+    ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
+                              max_nodes_per_side=7))
+    mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    assert len(calls) == len(ds.problem.splits["train"])
+
+
 def test_training_sample_error_bounded_by_pod_truncation():
     # no morphing: constant connectivity, transfer is the identity, so the
     # only field error at a training input is POD truncation plus GP noise
