@@ -28,29 +28,19 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import yaml
 
+from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
+                    format_real, parse_real, read_blob_array, read_yaml,
+                    write_yaml)
 from .dataset import PRIVATE, PUBLIC, Dataset, ProblemDefinition
 from .errors import (
-    AmbiguousQuery,
     DegenerateReference,
-    FormatError,
     MissingOutput,
     NoPartition,
     NoSuchSplit,
-    NotFound,
     ShapeMismatch,
 )
-from .sample import Sample
-from .storage import (
-    BlobWriter,
-    FORMAT_VERSION,
-    format_real,
-    parse_real,
-    read_blob_array,
-    _load_yaml,
-    _write_text,
-)
+from .sample import find_reference_field
 
 DEGENERATE_NORM = 1e-30
 
@@ -166,27 +156,6 @@ def rrmse_scalar(refs, preds) -> float:
 # ---------------------------------------------------------------------------
 # dataset-level scoring
 
-def find_reference_field(sample: Sample, name: str) -> np.ndarray:
-    """Locate the unique field named ``name`` in the sample's default tree.
-
-    Scans every base/zone/location; exactly one match is required, which
-    also pins the entity count used as N in the field RRMSE.
-    """
-    tree = sample.get_mesh(apply_links=True)
-    matches = []
-    for b in tree.bases:
-        for z in b.zones:
-            for f in z.fields:
-                if f.name == name:
-                    matches.append((b.name, z.name, f))
-    if not matches:
-        raise NotFound(f"reference sample defines no field '{name}'")
-    if len(matches) > 1:
-        where = [(b, z) for b, z, _ in matches]
-        raise AmbiguousQuery(f"field '{name}' appears in several zones: {where}")
-    return matches[0][2].values
-
-
 def total_error(problem: ProblemDefinition, reference: Dataset,
                 bundle: PredictionBundle,
                 ids: Optional[Sequence[int]] = None) -> ScoreReport:
@@ -270,30 +239,23 @@ def save_bundle(bundle: PredictionBundle, root_path) -> None:
             "fields": {name: writer.write(entry.fields[name])
                        for name in sorted(entry.fields)},
         })
-    text = yaml.safe_dump({"format_version": FORMAT_VERSION, "samples": docs},
-                          sort_keys=True, allow_unicode=True)
-    _write_text(root / "bundle.manifest", text)
+    write_yaml(root / "bundle.manifest",
+               {"format_version": FORMAT_VERSION, "samples": docs})
 
 
 def load_bundle(root_path) -> PredictionBundle:
-    root = Path(root_path)
-    manifest = root / "bundle.manifest"
-    doc = _load_yaml(manifest)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"bundle format_version {version!r} unsupported",
-                          path=manifest)
+    manifest = Path(root_path) / "bundle.manifest"
+    doc = read_yaml(manifest)
+    check_version(doc, manifest)
     bundle = PredictionBundle()
-    for entry in doc.get("samples", []):
-        try:
+    with decoding(manifest):
+        for entry in doc.get("samples", []):
             sid = int(entry["id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed bundle entry: {exc}", path=manifest)
-        for name, value in (entry.get("scalars") or {}).items():
-            bundle.set_scalar(sid, name, parse_real(value))
-        for name, array_entry in (entry.get("fields") or {}).items():
-            bundle.prediction_for(sid).fields[name] = \
-                read_blob_array(root, array_entry, manifest)
+            for name, value in (entry.get("scalars") or {}).items():
+                bundle.set_scalar(sid, name, parse_real(value))
+            for name, array_entry in (entry.get("fields") or {}).items():
+                bundle.prediction_for(sid).fields[name] = \
+                    read_blob_array(array_entry, manifest)
     return bundle
 
 

@@ -18,17 +18,18 @@ Everything is deterministic for a fixed config, whatever the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
+from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
+                    format_real, parse_real, read_blob_array, read_yaml,
+                    write_yaml)
 from .dataset import Dataset, ProblemDefinition
 from .errors import ConfigInvalid, FormatError, NoSuchSplit, ShapeMismatch
 from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
-from .metrics import find_reference_field
 from .morphing import build_surface_mesh, tutte_embed
 from .parallel import parallel_map
 from .pod import (
@@ -39,16 +40,7 @@ from .pod import (
     pod_project,
     pod_reconstruct,
 )
-from .sample import Sample
-from .storage import (
-    BlobWriter,
-    FORMAT_VERSION,
-    format_real,
-    parse_real,
-    read_blob_array,
-    _load_yaml,
-    _write_text,
-)
+from .sample import Sample, find_reference_field
 from .transfer import (DEFAULT_SNAP_TOL, apply_transfer, boundary_edges,
                        build_transfer)
 from .tree import ElementType, ZoneType
@@ -406,14 +398,8 @@ def save_model(model: MmgpModel, root_path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "mmgp-model",
-        "config": {
-            "morphing": model.config.morphing,
-            "shape_modes": model.config.shape_modes,
-            "field_modes": model.config.field_modes,
-            "kernel": model.config.kernel,
-            "train_split": model.config.train_split,
-            "jitter": format_real(model.config.jitter),
-        },
+        "config": {**asdict(model.config),
+                   "jitter": format_real(model.config.jitter)},
         "in_scalars": list(model.in_scalars),
         "out_fields": list(model.out_fields),
         "out_scalars": list(model.out_scalars),
@@ -430,19 +416,18 @@ def save_model(model: MmgpModel, root_path) -> None:
             name: regressor_doc(r)
             for name, r in sorted(model.scalar_regressors.items())},
     }
-    _write_text(root / "model.manifest",
-                yaml.safe_dump(doc, sort_keys=True, allow_unicode=True))
+    write_yaml(root / "model.manifest", doc)
 
 
 def load_model(root_path) -> MmgpModel:
-    root = Path(root_path)
-    manifest = root / "model.manifest"
-    doc = _load_yaml(manifest)
-    if doc.get("format_version") != FORMAT_VERSION or doc.get("kind") != "mmgp-model":
-        raise FormatError("not a supported model manifest", path=manifest)
+    manifest = Path(root_path) / "model.manifest"
+    doc = read_yaml(manifest)
+    check_version(doc, manifest)
+    if doc.get("kind") != "mmgp-model":
+        raise FormatError("not an mmgp model manifest", path=manifest)
 
     def read(entry):
-        return read_blob_array(root, entry, manifest)
+        return read_blob_array(entry, manifest)
 
     def basis_from(doc_b) -> PodBasis:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
@@ -463,18 +448,17 @@ def load_model(root_path) -> MmgpModel:
                      jitter=parse_real(doc_r["jitter"]))
         return Regressor(gp=gp)
 
-    cfg = doc["config"]
-    config = MmgpConfig(
-        morphing=bool(cfg["morphing"]),
-        shape_modes=int(cfg["shape_modes"]),
-        field_modes=int(cfg["field_modes"]),
-        kernel=cfg["kernel"],
-        train_split=cfg["train_split"],
-        jitter=parse_real(cfg["jitter"]),
-    )
-    try:
+    with decoding(manifest):
+        cfg = doc["config"]
         model = MmgpModel(
-            config=config,
+            config=MmgpConfig(
+                morphing=bool(cfg["morphing"]),
+                shape_modes=int(cfg["shape_modes"]),
+                field_modes=int(cfg["field_modes"]),
+                kernel=cfg["kernel"],
+                train_split=cfg["train_split"],
+                jitter=parse_real(cfg["jitter"]),
+            ),
             in_scalars=list(doc["in_scalars"]),
             out_fields=list(doc["out_fields"]),
             out_scalars=list(doc["out_scalars"]),
@@ -488,6 +472,29 @@ def load_model(root_path) -> MmgpModel:
             scalar_regressors={name: regressor_from(r)
                                for name, r in doc["scalar_regressors"].items()},
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed model manifest: {exc}", path=manifest)
+        _check_shapes(model, manifest)
     return model
+
+
+def _check_shapes(model: MmgpModel, manifest: Path) -> None:
+    """Raise FormatError unless the model's parts fit together."""
+    def require(ok, message):
+        if not ok:
+            raise FormatError(f"inconsistent model: {message}", path=manifest)
+
+    n_nodes = len(model.common_nodes)
+    require(sorted(model.field_bases) == sorted(model.out_fields)
+            and sorted(model.scalar_regressors) == sorted(model.out_scalars),
+            "bases or regressors do not match the output names")
+    require(model.shape_basis.modes.shape[0] == 2 * n_nodes,
+            f"shape basis rows are not 2 x {n_nodes} common nodes")
+    for name, basis in model.field_bases.items():
+        require(basis.modes.shape[0] == n_nodes,
+                f"field basis '{name}' rows are not {n_nodes} common nodes")
+        require(len(model.field_regressors.get(name, ())) == basis.n_modes,
+                f"field '{name}' has not one regressor per mode")
+    regressors = [*model.scalar_regressors.values()]
+    regressors += [r for regs in model.field_regressors.values() for r in regs]
+    require(all(r.gp.x_train.shape[1] == model.gp_input_dim
+                for r in regressors if r.is_gp),
+            f"GP inputs are not {model.gp_input_dim} columns wide")

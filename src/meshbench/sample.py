@@ -261,6 +261,27 @@ class Sample:
         return {t.name: t.ids for t in zone.tags if t.kind is TagKind.NodalTag}
 
 
+def find_reference_field(sample: Sample, name: str) -> np.ndarray:
+    """Locate the unique field named ``name`` in the sample's default tree.
+
+    Scans every base/zone/location; exactly one match is required, which
+    also pins the entity count used as N in the field RRMSE.
+    """
+    tree = sample.get_mesh(apply_links=True)
+    matches = []
+    for b in tree.bases:
+        for z in b.zones:
+            for f in z.fields:
+                if f.name == name:
+                    matches.append((b.name, z.name, f))
+    if not matches:
+        raise NotFound(f"reference sample defines no field '{name}'")
+    if len(matches) > 1:
+        where = [(b, z) for b, z, _ in matches]
+        raise AmbiguousQuery(f"field '{name}' appears in several zones: {where}")
+    return matches[0][2].values
+
+
 def samples_equal(a: Sample, b: Sample) -> bool:
     """Structural equality, bit-exact on arrays and scalar values."""
     if sorted(a.trees) != sorted(b.trees):

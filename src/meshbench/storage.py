@@ -1,4 +1,4 @@
-"""Bit-exact on-disk dataset format: text manifests plus raw binary blobs.
+"""Dataset directories: mesh trees, samples and dataset roots.
 
 Layout under a dataset root::
 
@@ -14,26 +14,22 @@ Layout under a dataset root::
         meshes/mesh_{9-digit}.manifest    # tree structure (YAML)
         meshes/mesh_{9-digit}_{NNN}.blob  # raw little-endian arrays
 
-Arrays are stored as raw little-endian IEEE-754 doubles or signed 64-bit
-integers; the manifest records dtype, shape and blob filename, so every
-array round-trips losslessly.  Real scalars embedded in text files use the
-shortest decimal form that restores the exact double (Python ``repr``).
-All text files are UTF-8 with LF line endings.  Node indices are written
-0-based; the manifest header declares the base.
+Every file uses the :mod:`meshbench.codec` encoding.  Node indices are
+written 0-based; the manifest header declares the base.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import copy
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-import yaml
-
+from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
+                    format_real, parse_real, read_blob_array, read_table,
+                    read_yaml, write_table, write_yaml)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
-from .errors import FormatError, InvalidDataset, IoFailure, VersionMismatch
+from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
 from .tree import (
     Base,
@@ -48,69 +44,12 @@ from .tree import (
     Zone,
     ZoneType,
     build_tree,
+    zone_with,
 )
 
-FORMAT_VERSION = 1
-
-_DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
-
-
-def format_real(x: float) -> str:
-    """Shortest decimal string restoring the exact double."""
-    return repr(float(x))
-
-
-def parse_real(s: str) -> float:
-    return float(s)
-
-
-# ---------------------------------------------------------------------------
-# blob codec
-
-class BlobWriter:
-    """Writes arrays as sibling blob files with deterministic names."""
-
-    def __init__(self, directory: Path, prefix: str):
-        self.directory = directory
-        self.prefix = prefix
-        self.counter = 0
-
-    def write(self, array: np.ndarray) -> dict:
-        if array.dtype == np.float64:
-            dtype = "float64"
-        elif array.dtype == np.int64:
-            dtype = "int64"
-        else:
-            raise IoFailure(f"unsupported array dtype {array.dtype}")
-        name = f"{self.prefix}_{self.counter:03d}.blob"
-        self.counter += 1
-        data = np.ascontiguousarray(array, dtype=_DTYPES[dtype]).tobytes()
-        (self.directory / name).write_bytes(data)
-        return {"blob": name, "dtype": dtype, "shape": list(array.shape)}
-
-
-def read_blob_array(directory: Path, entry: dict, manifest_path: Path) -> np.ndarray:
-    """Load one manifest array entry; validates dtype, size and shape."""
-    try:
-        blob_name = entry["blob"]
-        dtype_name = entry["dtype"]
-        shape = tuple(int(s) for s in entry["shape"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed array entry: {exc}", path=manifest_path)
-    if dtype_name not in _DTYPES:
-        raise FormatError(f"unknown dtype '{dtype_name}'", path=manifest_path)
-    blob_path = directory / blob_name
-    if not blob_path.is_file():
-        raise FormatError("referenced blob missing", path=blob_path)
-    data = blob_path.read_bytes()
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
-    if len(data) != expected:
-        raise FormatError(
-            f"blob holds {len(data)} bytes, expected {expected}",
-            path=blob_path, offset=min(len(data), expected))
-    array = np.frombuffer(data, dtype=_DTYPES[dtype_name]).reshape(shape)
-    array.setflags(write=False)
-    return array
+_TIME_SERIES_HEADER = ("name", "time", "value")
+_SPLIT_HEADER = ("split_name", "sample_id")
+_PARTITION_HEADER = ("sample_id", "subset")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +67,7 @@ def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
             for l in tree.links],
         "bases": [_base_doc(b, writer) for b in tree.bases],
     }
-    text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=False,
-                          allow_unicode=True)
-    _write_text(meshes_dir / f"{prefix}.manifest", text)
+    write_yaml(meshes_dir / f"{prefix}.manifest", doc, sort_keys=False)
 
 
 def _base_doc(base: Base, writer: BlobWriter) -> dict:
@@ -168,9 +105,8 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
 
 
 def read_tree(manifest_path: Path) -> MeshTree:
-    doc = _load_yaml(manifest_path)
-    directory = manifest_path.parent
-    try:
+    doc = read_yaml(manifest_path)
+    with decoding(manifest_path):
         if int(doc.get("index_base", 0)) != 0:
             raise FormatError("only 0-based node indices are supported",
                               path=manifest_path)
@@ -178,38 +114,34 @@ def read_tree(manifest_path: Path) -> MeshTree:
         links = [LinkSpec(parse_real(l["target_time"]),
                           tuple(l["target_paths"]))
                  for l in doc.get("links", [])]
-        bases = [_base_from_doc(b, directory, manifest_path)
+        bases = [_base_from_doc(b, manifest_path)
                  for b in doc.get("bases", [])]
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"malformed tree manifest: {exc}", path=manifest_path)
     return build_tree(bases, time, links)
 
 
-def _base_from_doc(doc: dict, directory: Path, manifest_path: Path) -> Base:
-    zones = tuple(_zone_from_doc(z, directory, manifest_path)
+def _base_from_doc(doc: dict, manifest_path: Path) -> Base:
+    zones = tuple(_zone_from_doc(z, manifest_path)
                   for z in doc.get("zones", []))
     return Base(doc["name"], int(doc["cell_dim"]), int(doc["phys_dim"]), zones)
 
 
-def _zone_from_doc(doc: dict, directory: Path, manifest_path: Path) -> Zone:
+def _zone_from_doc(doc: dict, manifest_path: Path) -> Zone:
     coords_entry = doc.get("coordinates")
-    coordinates = (read_blob_array(directory, coords_entry, manifest_path)
+    coordinates = (read_blob_array(coords_entry, manifest_path)
                    if coords_entry is not None else None)
     blocks = tuple(
         ElementBlock(
             ElementType(b["element_type"]),
-            read_blob_array(directory, b["connectivity"], manifest_path),
+            read_blob_array(b["connectivity"], manifest_path),
             tuple(int(x) for x in b["global_range"]))
         for b in doc.get("element_blocks", []))
     fields = tuple(
         FieldArray(f["name"], Location(f["location"]),
-                   read_blob_array(directory, f["values"], manifest_path))
+                   read_blob_array(f["values"], manifest_path))
         for f in doc.get("fields", []))
     tags = tuple(
         TagSet(t["name"], TagKind(t["kind"]),
-               read_blob_array(directory, t["ids"], manifest_path))
+               read_blob_array(t["ids"], manifest_path))
         for t in doc.get("tags", []))
     dims = doc.get("structured_dims")
     return Zone(
@@ -230,23 +162,14 @@ def _zone_from_doc(doc: dict, directory: Path, manifest_path: Path) -> Zone:
 def write_sample(sample: Sample, sample_dir: Path) -> None:
     sample_dir.mkdir(parents=True, exist_ok=True)
     names = sorted(sample.scalars)
-    if names:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(names)
-        w.writerow([format_real(sample.scalars[n]) for n in names])
-        _write_text(sample_dir / "scalars.csv", buf.getvalue())
-    else:
-        _write_text(sample_dir / "scalars.csv", "")
+    write_table(sample_dir / "scalars.csv", names,
+                [[format_real(sample.scalars[n]) for n in names]])
 
     if sample.time_series:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["name", "time", "value"])
-        for name in sorted(sample.time_series):
-            for t, v in sample.time_series[name]:
-                w.writerow([name, format_real(t), format_real(v)])
-        _write_text(sample_dir / "time_series.csv", buf.getvalue())
+        write_table(sample_dir / "time_series.csv", _TIME_SERIES_HEADER,
+                    [[name, format_real(t), format_real(v)]
+                     for name in sorted(sample.time_series)
+                     for t, v in sample.time_series[name]])
 
     meshes_dir = sample_dir / "meshes"
     meshes_dir.mkdir(exist_ok=True)
@@ -270,35 +193,20 @@ def read_sample(sample_dir: Path) -> Sample:
 
 
 def _read_scalars(path: Path) -> dict[str, float]:
-    if not path.is_file():
-        return {}
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        return {}
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+    names, rows = read_table(path) or ([], [])
+    if len(rows) != (1 if names else 0):
         raise FormatError("scalars table must be a header row plus one value row",
                           path=path)
-    try:
-        return {name: parse_real(value) for name, value in zip(rows[0], rows[1])}
-    except ValueError as exc:
-        raise FormatError(f"unparsable scalar value: {exc}", path=path)
+    with decoding(path):
+        return {name: parse_real(value) for name, value in zip(names, *rows)}
 
 
 def _read_time_series(path: Path) -> dict[str, list[tuple[float, float]]]:
-    if not path.is_file():
-        return {}
-    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
-    if not rows:
-        return {}
-    if rows[0] != ["name", "time", "value"]:
-        raise FormatError("time series header must be name,time,value", path=path)
     series: dict[str, list[tuple[float, float]]] = {}
-    try:
-        for name, t, v in rows[1:]:
+    _, rows = read_table(path, _TIME_SERIES_HEADER) or (None, [])
+    with decoding(path):
+        for name, t, v in rows:
             series.setdefault(name, []).append((parse_real(t), parse_real(v)))
-    except ValueError as exc:
-        raise FormatError(f"unparsable time series row: {exc}", path=path)
     return series
 
 
@@ -323,9 +231,8 @@ def save_dataset(dataset: Dataset, root_path) -> None:
                              f"({len(report.violations)} violation(s) total)")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _write_text(root / "infos.yaml", yaml.safe_dump(
-            {"format_version": FORMAT_VERSION, "infos": dataset.infos},
-            sort_keys=True, allow_unicode=True))
+        write_yaml(root / "infos.yaml", {"format_version": FORMAT_VERSION,
+                                         "infos": dataset.infos})
 
         problem_dir = root / "problem_definition"
         problem_dir.mkdir()
@@ -340,29 +247,19 @@ def save_dataset(dataset: Dataset, root_path) -> None:
 
 
 def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
-    _write_text(problem_dir / "problem_infos.yaml", yaml.safe_dump(
-        {"task": problem.task,
-         "in_scalars_names": list(problem.in_scalars_names),
-         "out_scalars_names": list(problem.out_scalars_names),
-         "in_fields_names": list(problem.in_fields_names),
-         "out_fields_names": list(problem.out_fields_names)},
-        sort_keys=True, allow_unicode=True))
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["split_name", "sample_id"])
-    for name in sorted(problem.splits):
-        for sid in problem.splits[name]:
-            w.writerow([name, sid])
-    _write_text(problem_dir / "split.csv", buf.getvalue())
-
+    write_yaml(problem_dir / "problem_infos.yaml", {
+        "task": problem.task,
+        "in_scalars_names": list(problem.in_scalars_names),
+        "out_scalars_names": list(problem.out_scalars_names),
+        "in_fields_names": list(problem.in_fields_names),
+        "out_fields_names": list(problem.out_fields_names)})
+    write_table(problem_dir / "split.csv", _SPLIT_HEADER,
+                [[name, sid] for name in sorted(problem.splits)
+                 for sid in problem.splits[name]])
     if problem.hidden_partition is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["sample_id", "subset"])
-        for sid in sorted(problem.hidden_partition):
-            w.writerow([sid, problem.hidden_partition[sid]])
-        _write_text(problem_dir / "hidden_partition.csv", buf.getvalue())
+        write_table(problem_dir / "hidden_partition.csv", _PARTITION_HEADER,
+                    [[sid, problem.hidden_partition[sid]]
+                     for sid in sorted(problem.hidden_partition)])
 
 
 def load_dataset(root_path, lazy: bool = False) -> Dataset:
@@ -373,13 +270,8 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
     """
     root = Path(root_path)
     infos_path = root / "infos.yaml"
-    if not infos_path.is_file():
-        raise FormatError("infos.yaml missing", path=infos_path)
-    infos_doc = _load_yaml(infos_path)
-    version = infos_doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"format_version {version!r} not supported (expected {FORMAT_VERSION})")
+    infos_doc = read_yaml(infos_path)
+    check_version(infos_doc, infos_path)
     infos = infos_doc.get("infos", {}) or {}
 
     problem = _read_problem(root / "problem_definition")
@@ -400,48 +292,32 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
 
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
-    if not infos_path.is_file():
-        raise FormatError("problem_infos.yaml missing", path=infos_path)
-    doc = _load_yaml(infos_path)
+    doc = read_yaml(infos_path)
 
     splits: dict[str, list[int]] = {}
     split_path = problem_dir / "split.csv"
-    if split_path.is_file():
-        rows = list(csv.reader(io.StringIO(split_path.read_text(encoding="utf-8"))))
-        if not rows or rows[0] != ["split_name", "sample_id"]:
-            raise FormatError("split.csv header must be split_name,sample_id",
-                              path=split_path)
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise FormatError(f"malformed split row {row!r}", path=split_path)
-            try:
-                splits.setdefault(row[0], []).append(int(row[1]))
-            except ValueError:
-                raise FormatError(f"non-integer sample id {row[1]!r}",
-                                  path=split_path)
+    _, rows = read_table(split_path, _SPLIT_HEADER) or (None, [])
+    with decoding(split_path):
+        for name, sid in rows:
+            splits.setdefault(name, []).append(int(sid))
 
     hidden: Optional[dict[int, str]] = None
     hidden_path = problem_dir / "hidden_partition.csv"
-    if hidden_path.is_file():
-        rows = list(csv.reader(io.StringIO(hidden_path.read_text(encoding="utf-8"))))
-        if not rows or rows[0] != ["sample_id", "subset"]:
-            raise FormatError("hidden_partition.csv header must be sample_id,subset",
-                              path=hidden_path)
-        hidden = {}
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise FormatError(f"malformed partition row {row!r}", path=hidden_path)
-            hidden[int(row[0])] = row[1]
+    table = read_table(hidden_path, _PARTITION_HEADER)
+    if table is not None:
+        with decoding(hidden_path):
+            hidden = {int(sid): subset for sid, subset in table[1]}
 
-    return ProblemDefinition(
-        task=doc.get("task", "Regression"),
-        in_scalars_names=list(doc.get("in_scalars_names", [])),
-        out_scalars_names=list(doc.get("out_scalars_names", [])),
-        in_fields_names=list(doc.get("in_fields_names", [])),
-        out_fields_names=list(doc.get("out_fields_names", [])),
-        splits=splits,
-        hidden_partition=hidden,
-    )
+    with decoding(infos_path):
+        return ProblemDefinition(
+            task=doc.get("task", "Regression"),
+            in_scalars_names=list(doc.get("in_scalars_names", [])),
+            out_scalars_names=list(doc.get("out_scalars_names", [])),
+            in_fields_names=list(doc.get("in_fields_names", [])),
+            out_fields_names=list(doc.get("out_fields_names", [])),
+            splits=splits,
+            hidden_partition=hidden,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -468,44 +344,15 @@ def participant_export(dataset: Dataset) -> Dataset:
         scalars = {k: v for k, v in sample.scalars.items() if k not in out_scalars}
         trees = {}
         for t, tree in sample.trees.items():
-            bases = []
-            for b in tree.bases:
-                zones = tuple(
-                    Zone(z.name, z.zone_type, z.n_vertices, z.coordinates,
-                         z.element_blocks,
-                         tuple(f for f in z.fields if f.name not in out_fields),
-                         z.tags, z.structured_dims)
-                    for z in b.zones)
-                bases.append(Base(b.name, b.cell_dim, b.phys_dim, zones))
+            bases = [
+                Base(b.name, b.cell_dim, b.phys_dim, tuple(
+                    zone_with(z, fields=[f for f in z.fields
+                                         if f.name not in out_fields])
+                    for z in b.zones))
+                for b in tree.bases]
             trees[t] = build_tree(bases, tree.time, tree.links)
         samples.append(Sample(trees=trees, scalars=scalars,
                               time_series=sample.time_series))
 
-    stripped = ProblemDefinition(
-        task=problem.task,
-        in_scalars_names=list(problem.in_scalars_names),
-        out_scalars_names=list(problem.out_scalars_names),
-        in_fields_names=list(problem.in_fields_names),
-        out_fields_names=list(problem.out_fields_names),
-        splits={k: list(v) for k, v in problem.splits.items()},
-        hidden_partition=None,
-    )
+    stripped = replace(copy.deepcopy(problem), hidden_partition=None)
     return Dataset(samples=samples, infos=dict(dataset.infos), problem=stripped)
-
-
-# ---------------------------------------------------------------------------
-# shared low-level helpers
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _load_yaml(path: Path):
-    if not path.is_file():
-        raise FormatError("file missing", path=path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise FormatError(f"invalid YAML: {exc}", path=path)

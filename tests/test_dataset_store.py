@@ -1,18 +1,29 @@
+import shutil
 import threading
 
 import numpy as np
 import pytest
+import yaml
 
 from meshbench import (
     Base,
     Dataset,
+    MmgpConfig,
+    PredictionBundle,
     ProblemDefinition,
     Sample,
+    SynthConfig,
     build_tree,
     datasets_equal,
+    generate,
+    load_bundle,
     load_dataset,
+    load_model,
+    mmgp_fit,
     participant_export,
+    save_bundle,
     save_dataset,
+    save_model,
     validate_dataset,
 )
 from meshbench.dataset import CONSTANT_MESH_KEY
@@ -254,3 +265,161 @@ def test_lazy_cache_single_population(tmp_path, two_base_sample):
         t.join()
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
+
+
+# ---------------------------------------------------------------------------
+# corrupt artifacts: every malformed file fails with a typed error naming it
+
+_MANIFESTS = {
+    "dataset": "dataset/samples/sample_000000000/meshes/mesh_000000000.manifest",
+    "bundle": "bundle.manifest",
+    "model": "model.manifest",
+}
+_LOADERS = {"dataset": load_dataset, "bundle": load_bundle, "model": load_model}
+
+
+@pytest.fixture(scope="module")
+def saved_artifacts(tmp_path_factory):
+    """A saved prediction bundle and a saved mmgp model."""
+    root = tmp_path_factory.mktemp("artifacts")
+    bundle = PredictionBundle()
+    bundle.set_field(3, "u", [0.5, 1.0 / 3.0, -2.0])
+    bundle.set_scalar(3, "u_max", 1.25)
+    save_bundle(bundle, root / "bundle")
+    ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=7,
+                              max_nodes_per_side=10))
+    save_model(mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2)),
+               root / "model")
+    return root
+
+
+def _write(name, text):
+    def corrupt(root):
+        (root / name).write_text(text)
+        return root / name
+    return corrupt
+
+
+def _replace(name, old, new):
+    def corrupt(root):
+        path = root / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        return path
+    return corrupt
+
+
+def _edit(name, edit):
+    def corrupt(root):
+        path = root / name
+        doc = yaml.safe_load(path.read_text())
+        edit(doc)
+        path.write_text(yaml.safe_dump(doc))
+        return path
+    return corrupt
+
+
+def _truncate_blob(root):
+    blob = sorted(root.rglob("*.blob"))[0]
+    blob.write_bytes(blob.read_bytes()[:-3])
+    return blob
+
+
+def _reshape_blob(locate, change):
+    """Replace one model array by ``change(array)``, keeping its manifest
+    entry readable."""
+    def corrupt(root):
+        path = root / "model.manifest"
+        doc = yaml.safe_load(path.read_text())
+        entry = locate(doc)
+        blob = root / entry["blob"]
+        array = np.frombuffer(blob.read_bytes(), dtype=entry["dtype"])
+        array = np.ascontiguousarray(change(array.reshape(entry["shape"])))
+        blob.write_bytes(array.tobytes())
+        entry["shape"] = list(array.shape)
+        path.write_text(yaml.safe_dump(doc))
+        return path
+    return corrupt
+
+
+def _first_field(doc, key):
+    return doc[key][sorted(doc[key])[0]]
+
+
+def _first_gp(doc):
+    return next(r for regs in doc["field_regressors"].values() for r in regs
+                if r["kind"] == "gp")
+
+
+_CORRUPTIONS = []
+for _kind in ("dataset", "bundle", "model"):
+    _CORRUPTIONS += [
+        pytest.param(_kind, _truncate_blob, FormatError,
+                     id=f"{_kind}-truncated_blob"),
+        pytest.param(_kind, _replace(_MANIFESTS[_kind], "dtype: float64",
+                                     "dtype: float32"),
+                     FormatError, id=f"{_kind}-blob_dtype"),
+    ]
+_CORRUPTIONS += [
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d.pop("time")),
+                 FormatError, id="dataset-missing_key"),
+    pytest.param("dataset", _replace(_MANIFESTS["dataset"], "n_vertices: 4",
+                                     "n_vertices: .inf"),
+                 FormatError, id="dataset-infinite_count"),
+    pytest.param("dataset", _replace("infos.yaml", "format_version: 1\n",
+                                     "format_version: 2\n"),
+                 VersionMismatch, id="dataset-format_version"),
+    pytest.param("dataset", _write("infos.yaml", ""), FormatError,
+                 id="dataset-empty_infos"),
+    pytest.param("dataset", _write("problem_definition/problem_infos.yaml", ""),
+                 FormatError, id="dataset-empty_problem_infos"),
+    pytest.param("dataset", _write("problem_definition/hidden_partition.csv",
+                                   "sample_id,subset\none,Public\n2,Private\n"),
+                 FormatError, id="dataset-partition_id"),
+    pytest.param("bundle", _edit("bundle.manifest",
+                                 lambda d: d["samples"][0].pop("id")),
+                 FormatError, id="bundle-missing_key"),
+    pytest.param("bundle", _replace("bundle.manifest", "format_version: 1\n",
+                                    "format_version: 2\n"),
+                 VersionMismatch, id="bundle-format_version"),
+    pytest.param("bundle", _write("bundle.manifest", ""), FormatError,
+                 id="bundle-empty_manifest"),
+    pytest.param("bundle", _edit("bundle.manifest", lambda d: d["samples"][0][
+        "scalars"].update(u_max="fast")), FormatError, id="bundle-scalar_text"),
+    pytest.param("model", _edit("model.manifest", lambda d: d.pop("config")),
+                 FormatError, id="model-missing_config"),
+    pytest.param("model", _replace("model.manifest", "format_version: 1\n",
+                                   "format_version: 2\n"),
+                 VersionMismatch, id="model-format_version"),
+    pytest.param("model", _write("model.manifest", ""), FormatError,
+                 id="model-empty_manifest"),
+    pytest.param("model", _reshape_blob(lambda d: d["shape_basis"]["modes"],
+                                        lambda a: a[:-1]),
+                 FormatError, id="model-shape_basis_rows"),
+    pytest.param("model", _reshape_blob(
+        lambda d: _first_field(d, "field_bases")["modes"], lambda a: a[:-1]),
+        FormatError, id="model-field_basis_rows"),
+    pytest.param("model", _edit("model.manifest", lambda d: _first_field(
+        d, "field_regressors").pop()), FormatError, id="model-regressor_count"),
+    pytest.param("model", _reshape_blob(lambda d: _first_gp(d)["x_train"],
+                                        lambda a: a[:, :-1]),
+                 FormatError, id="model-gp_input_columns"),
+]
+
+
+@pytest.mark.parametrize("kind, corrupt, error", _CORRUPTIONS)
+def test_corrupt_artifact_raises_typed_error(tmp_path, two_base_sample,
+                                             saved_artifacts, kind, corrupt,
+                                             error):
+    root = tmp_path / kind
+    if kind == "dataset":
+        ds = small_dataset(two_base_sample)
+        ds.problem.hidden_partition = {1: "Public", 2: "Private"}
+        save_dataset(ds, root)
+    else:
+        shutil.copytree(saved_artifacts / kind, root)
+    path = corrupt(root)
+    with pytest.raises(error) as err:
+        _LOADERS[kind](root)
+    assert path.name in str(err.value)

@@ -1,0 +1,57 @@
+"""Import discipline of the meshbench package, checked on its source."""
+
+import ast
+from pathlib import Path
+
+import meshbench
+
+PACKAGE = Path(meshbench.__file__).parent
+
+#: a module may import only modules of a lower layer
+LAYERS = {
+    "errors": 0,
+    "tree": 1, "gp": 1, "morphing": 1, "parallel": 1, "pod": 1, "transfer": 1,
+    "sample": 2,
+    "dataset": 3,
+    "codec": 4, "synthetic": 4,
+    "storage": 5,
+    "metrics": 6, "mmgp": 6,
+    "cli": 7,
+    "__init__": 8,
+}
+
+
+def _internal_imports(path):
+    """(module, names) for every import of a sibling module in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module or "__init__", [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "meshbench"):
+            yield node.module.partition(".")[2] or "__init__", \
+                [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("meshbench"):
+                    yield alias.name.partition(".")[2] or "__init__", []
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(LAYERS)
+
+
+def test_imports_follow_the_layers_and_skip_private_names():
+    breaches = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, names in _internal_imports(path):
+            private = [n for n in names
+                       if n.startswith("_") and not n.startswith("__")]
+            if private:
+                breaches.append(f"{path.stem} imports private {private} "
+                                f"from {module}")
+            # the package root is read only for its metadata (__version__)
+            if module == "__init__" and all(n.startswith("__") for n in names):
+                continue
+            if LAYERS[module] >= LAYERS[path.stem]:
+                breaches.append(f"{path.stem} imports {module}")
+    assert breaches == []
