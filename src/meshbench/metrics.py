@@ -255,7 +255,7 @@ def load_bundle(root_path) -> PredictionBundle:
                 bundle.set_scalar(sid, name, parse_real(value))
             for name, array_entry in (entry.get("fields") or {}).items():
                 bundle.prediction_for(sid).fields[name] = \
-                    read_blob_array(array_entry, manifest)
+                    read_blob_array(array_entry, manifest, "float64")
     return bundle
 
 

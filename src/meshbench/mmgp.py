@@ -106,7 +106,12 @@ def parse_config_text(text: str) -> MmgpConfig:
 
 
 def load_config(path) -> MmgpConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                            f"{exc.start}") from None
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +314,7 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
             for i in range(len(samples))])
         basis = _fit_basis_clamped(snapshots, config.field_modes)
         model.field_bases[name] = basis
+        model.field_regressors[name] = []
         coeffs = np.stack([pod_project(basis, snapshots[i])
                            for i in range(len(samples))])
         for j in range(basis.n_modes):
@@ -326,7 +332,6 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     for (kind, key, _), regressor in zip(gp_tasks, fitted):
         if kind == "field":
             name, j = key
-            model.field_regressors.setdefault(name, [])
             assert len(model.field_regressors[name]) == j
             model.field_regressors[name].append(regressor)
         else:
@@ -348,8 +353,9 @@ def mmgp_predict(model: MmgpModel, sample: Sample
 
     common_fields = {}
     for name in model.out_fields:
+        # a saved model may lack the empty list of a rank-0 field
         coeffs = np.array([reg.predict(x)[0]
-                           for reg in model.field_regressors[name]])
+                           for reg in model.field_regressors.get(name, [])])
         common_fields[name] = pod_reconstruct(model.field_bases[name], coeffs)
 
     if op_back is None:
@@ -426,8 +432,8 @@ def load_model(root_path) -> MmgpModel:
     if doc.get("kind") != "mmgp-model":
         raise FormatError("not an mmgp model manifest", path=manifest)
 
-    def read(entry):
-        return read_blob_array(entry, manifest)
+    def read(entry, dtype="float64"):
+        return read_blob_array(entry, manifest, dtype)
 
     def basis_from(doc_b) -> PodBasis:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
@@ -463,7 +469,7 @@ def load_model(root_path) -> MmgpModel:
             out_fields=list(doc["out_fields"]),
             out_scalars=list(doc["out_scalars"]),
             common_nodes=read(doc["common_nodes"]),
-            common_triangles=read(doc["common_triangles"]),
+            common_triangles=read(doc["common_triangles"], "int64"),
             shape_basis=basis_from(doc["shape_basis"]),
             field_bases={name: basis_from(b)
                          for name, b in doc["field_bases"].items()},

@@ -127,21 +127,21 @@ def _base_from_doc(doc: dict, manifest_path: Path) -> Base:
 
 def _zone_from_doc(doc: dict, manifest_path: Path) -> Zone:
     coords_entry = doc.get("coordinates")
-    coordinates = (read_blob_array(coords_entry, manifest_path)
+    coordinates = (read_blob_array(coords_entry, manifest_path, "float64")
                    if coords_entry is not None else None)
     blocks = tuple(
         ElementBlock(
             ElementType(b["element_type"]),
-            read_blob_array(b["connectivity"], manifest_path),
+            read_blob_array(b["connectivity"], manifest_path, "int64"),
             tuple(int(x) for x in b["global_range"]))
         for b in doc.get("element_blocks", []))
     fields = tuple(
         FieldArray(f["name"], Location(f["location"]),
-                   read_blob_array(f["values"], manifest_path))
+                   read_blob_array(f["values"], manifest_path, "float64"))
         for f in doc.get("fields", []))
     tags = tuple(
         TagSet(t["name"], TagKind(t["kind"]),
-               read_blob_array(t["ids"], manifest_path))
+               read_blob_array(t["ids"], manifest_path, "int64"))
         for t in doc.get("tags", []))
     dims = doc.get("structured_dims")
     return Zone(

@@ -36,6 +36,21 @@ def _internal_imports(path):
                     yield alias.name.partition(".")[2] or "__init__", []
 
 
+def test_only_codec_imports_yaml():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.partition(".")[0] == "yaml" for n in names):
+                importers.add(path.stem)
+    assert importers == {"codec"}
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(LAYERS)
 

@@ -26,7 +26,8 @@ from meshbench.errors import (
     PointOutsideDomain,
     ShapeMismatch,
 )
-from meshbench.mmgp import extract_triangle_geometry, parse_config_text
+from meshbench.mmgp import (extract_triangle_geometry, load_config,
+                            parse_config_text)
 from meshbench.morphing import build_surface_mesh, tutte_embed
 from meshbench.pod import pod_project, pod_reconstruct
 from meshbench.synthetic import build_plate_sample
@@ -61,6 +62,13 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("kernel = cubic")
     with pytest.raises(ConfigInvalid):
         parse_config_text("transfer_tol = 0.05")
+
+
+def test_load_config_rejects_non_utf8(tmp_path):
+    path = tmp_path / "mmgp.cfg"
+    path.write_bytes(b"kernel = rbf  # \xff\n")
+    with pytest.raises(ConfigInvalid, match="mmgp.cfg"):
+        load_config(path)
 
 
 def test_missing_train_split():
@@ -166,6 +174,23 @@ def test_constant_output_field_predicted_constant(morphing, res):
     sid = ds.problem.splits["test"][0]
     _, fields = mmgp_predict(model, ds.sample_at(sid))
     assert np.abs(fields["u"] - 3.7).max() < 1e-8
+
+
+def test_rank_zero_output_field_predicts_its_mean():
+    # centred snapshots of u == 1 are exactly zero, so u keeps no POD mode
+    ds = generate(SynthConfig(n_samples=10, seed=6, min_nodes_per_side=5,
+                              max_nodes_per_side=5))
+    ds = _with_constant_field(ds, "u", 1.0)
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(morphing=False, shape_modes=2,
+                                                field_modes=2))
+    assert model.field_bases["u"].n_modes == 0
+    assert model.field_regressors["u"] == []
+    sample = ds.sample_at(ds.problem.splits["test"][0])
+    _, fields = mmgp_predict(model, sample)
+    assert np.all(fields["u"] == 1.0)
+    # a model without the field's (empty) regressor list predicts the same
+    del model.field_regressors["u"]
+    assert np.all(mmgp_predict(model, sample)[1]["u"] == 1.0)
 
 
 def test_affine_outputs_learned_to_high_accuracy():
