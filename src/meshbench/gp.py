@@ -1,15 +1,18 @@
 """Gaussian-process regression with ARD kernels and a deterministic,
 derivative-free hyperparameter search.
 
-Inputs are standardized per dimension and outputs standardized internally,
-so predictions are invariant under affine re-scaling of the raw targets.
-The kernel variance and per-dimension lengthscales maximize the log
-marginal likelihood through coordinate-wise log-space grid refinement with
-a fixed budget and fixed ordering: the same data always yields the same
-model, on any machine and thread count.  Each candidate's likelihood is
-evaluated from the lower triangle of the kernel matrix alone, built and
-factorised in place, and memoised within the fit; it picks the same
-hyperparameters as a dense evaluation.
+Targets are a vector (n,) or a matrix (n, k) of k outputs that share one
+kernel, as the POD coefficients of one field do.  Inputs are standardized
+per dimension; each target column is centred by its own mean and all of
+them are divided by one output scale, the largest column std, so
+predictions are invariant under affine re-scaling of the raw targets.  The
+kernel variance and per-dimension lengthscales maximize the log marginal
+likelihood summed over the columns through coordinate-wise log-space grid
+refinement with a fixed budget and fixed ordering: the same data always
+yields the same model, on any machine and thread count.  Each candidate's
+likelihood is evaluated from the lower triangle of the kernel matrix alone,
+built and factorised in place by LAPACK, and memoised within the fit; it
+picks the same hyperparameters as a dense evaluation.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, get_lapack_funcs, solve_triangular
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
@@ -103,13 +106,12 @@ def kernel_eval(kernel: Kernel, x, x_other) -> float:
 class GpModel:
     kernel: Kernel
     x_train: np.ndarray     # (n, d) standardized inputs
-    alpha: np.ndarray       # (n,) dual coefficients for standardized targets
-    chol_lower: np.ndarray  # (n, n) L with L L^T = K + jitter I
+    alpha: np.ndarray       # (n,) or (n, k) C-ordered dual coefficients
     x_mean: np.ndarray
     x_std: np.ndarray
-    y_mean: float
-    y_std: float
-    jitter: float
+    y_mean: float | np.ndarray  # scalar, or (k,) column means
+    y_std: float                # one output scale for every column
+    jitter: float               # K + jitter I was factorised
 
 
 def _standardize_inputs(x: np.ndarray):
@@ -135,14 +137,16 @@ def _chol_with_escalation(k_matrix: np.ndarray, jitter: float):
 
 
 def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
-    """The LML at log-parameters theta = (log s2, log l_1..d), memoised.
+    """The LML at log-parameters theta = (log s2, log l_1..d), memoised,
+    summed over the columns of ``y`` (n,) or (n, k).
 
     The per-dimension squared differences of the n(n+1)/2 lower-triangle
     pairs are computed once.  Each new theta fills only the lower triangle
-    of one reused Fortran-ordered buffer, which the lower Cholesky
-    factorises in place, and needs one triangular solve.
+    of one reused Fortran-ordered buffer, which LAPACK's lower Cholesky
+    factorises in place, and needs one (multi-RHS) triangular solve.
     """
     n = len(y)
+    k = 1 if y.ndim == 1 else y.shape[1]
     cols, rows = np.triu_indices(n)  # lower-triangle pairs, column by column
     diff = x[rows] - x[cols]
     # zero-padded to whole 4-entry blocks: OpenBLAS's gemv sums the last
@@ -155,6 +159,7 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
     k_matrix = flat.reshape(n, n, order="F")
     lower_index = rows + n * cols
     diag_index = np.arange(n) * (n + 1)
+    potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (k_matrix,))
     memo: dict[bytes, float] = {}
 
     def evaluate(theta: np.ndarray) -> float:
@@ -162,13 +167,12 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
         _kernel_values(kind, np.exp(theta[0]), r2, values, scratch)
         flat[lower_index] = values[:len(rows)]
         flat[diag_index] += jitter
-        try:
-            lower = cholesky(k_matrix, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError:
+        lower, info = potrf(k_matrix, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
             return -np.inf
-        z = solve_triangular(lower, y, lower=True)
-        return float(-0.5 * (z @ z) - np.sum(np.log(np.diag(lower)))
-                     - 0.5 * n * np.log(2.0 * np.pi))
+        z = trtrs(lower, y, lower=1)[0].ravel(order="F")
+        return float(-0.5 * (z @ z) - k * np.sum(np.log(np.diag(lower)))
+                     - 0.5 * k * n * np.log(2.0 * np.pi))
 
     def lml(theta: np.ndarray) -> float:
         key = theta.tobytes()
@@ -180,29 +184,30 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
 
 
 def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpModel:
-    """Fit a GP with maximum-marginal-likelihood hyperparameters.
+    """Fit a GP with maximum-marginal-likelihood hyperparameters to targets
+    ``y`` of shape (n,) or (n, k); the k columns share the kernel.
 
-    Raises DegenerateInputs for constant targets, fewer than two points or
-    non-finite entries; SingularKernel if factorization fails at the
-    maximum jitter escalation.
+    Raises DegenerateInputs when every target column is constant, for fewer
+    than two points or non-finite entries; SingularKernel if factorization
+    fails at the maximum jitter escalation.
     """
     if kind not in KERNEL_KINDS:
         raise ConfigInvalid(f"unknown kernel kind '{kind}'")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
     if n < 2:
         raise DegenerateInputs(f"need at least 2 training points, got {n}")
-    if y.shape[0] != n:
-        raise ShapeMismatch(f"{n} inputs vs {y.shape[0]} targets")
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise ShapeMismatch(f"{n} inputs vs targets of shape {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DegenerateInputs("training data contains non-finite entries")
-    if np.ptp(y) == 0.0:
+    if not np.ptp(y, axis=0).any():
         raise DegenerateInputs("targets are constant; nothing to regress")
 
     x_std, x_mean, x_scale = _standardize_inputs(x)
-    y_mean = float(np.mean(y))
-    y_scale = float(np.std(y))
+    y_mean = np.mean(y, axis=0)
+    y_scale = float(np.max(np.std(y, axis=0)))
     y_std = (y - y_mean) / y_scale
 
     log_marginal_likelihood = _lml_evaluator(kind, x_std, y_std, jitter)
@@ -219,11 +224,12 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
 
     theta = np.zeros(1 + d)  # start at s2 = 1, l_d = 1
     for span in _SWEEP_SPANS:
+        offsets = np.linspace(-span, span, _GRID_POINTS)[:, None]
         for direction in directions:
+            trials = np.clip(theta + offsets * direction, lower_b, upper_b)
             best_theta = theta
             best_lml = -np.inf
-            for offset in np.linspace(-span, span, _GRID_POINTS):
-                trial = np.clip(theta + offset * direction, lower_b, upper_b)
+            for trial in trials:
                 lml = log_marginal_likelihood(trial)
                 if lml > best_lml:
                     best_lml = lml
@@ -234,15 +240,15 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
                     lengthscales=np.exp(theta[1:]))
     k_matrix = kernel_matrix(kernel, x_std, x_std)
     lower, final_jitter = _chol_with_escalation(k_matrix, jitter)
-    alpha = cho_solve((lower, True), y_std)
-    return GpModel(kernel=kernel, x_train=x_std, alpha=alpha, chol_lower=lower,
-                   x_mean=x_mean, x_std=x_scale, y_mean=y_mean, y_std=y_scale,
-                   jitter=final_jitter)
+    alpha = np.ascontiguousarray(cho_solve((lower, True), y_std))
+    return GpModel(kernel=kernel, x_train=x_std, alpha=alpha, x_mean=x_mean,
+                   x_std=x_scale, y_mean=y_mean if y.ndim == 2 else float(y_mean),
+                   y_std=y_scale, jitter=final_jitter)
 
 
 def gp_mean(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean per query point, and the (n, q) train-query
-    covariance it was computed from."""
+    """Posterior mean per query point, (q,) or (q, k), and the (n, q)
+    train-query covariance it was computed from."""
     xq = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
     if xq.shape[1] != model.x_train.shape[1]:
         raise ShapeMismatch(
@@ -253,9 +259,13 @@ def gp_mean(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gp_predict(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance (clamped at zero) per query point."""
+    """Posterior mean and variance (clamped at zero, shared by all target
+    columns) per query point.  The fit's code refactors K + jitter I, so
+    the Cholesky factor has the bits of the fit's."""
     mean, k_star = gp_mean(model, x_query)
-    v = solve_triangular(model.chol_lower, k_star, lower=True)
+    k_matrix = kernel_matrix(model.kernel, model.x_train, model.x_train)
+    lower, _ = _chol_with_escalation(k_matrix, model.jitter)
+    v = solve_triangular(lower, k_star, lower=True)
     var_std = model.kernel.variance - np.einsum("ij,ij->j", v, v)
     var_std = np.clip(var_std, 0.0, None)
     var = (model.y_std ** 2) * var_std

@@ -6,12 +6,13 @@ count), its coordinate fields are interpolated onto a common mesh (the
 first training sample's, morphed), and snapshot POD over those transferred
 coordinate fields yields a compact shape embedding.  GP inputs concatenate
 shape coefficients with the problem's input scalars.  Each output field is
-transferred to the common mesh and POD-compressed; one GP is trained per
-retained coefficient, plus one GP per output scalar.
+transferred to the common mesh and POD-compressed; one GP per output field
+regresses all its retained coefficients with shared hyperparameters (one
+search on their summed likelihood), plus one GP per output scalar.
 
-Prediction embeds the query sample the same way, GP-predicts coefficients,
-reconstructs fields on the common mesh and evaluates them back at the
-sample's own (morphed) vertex positions.
+Prediction embeds the query sample the same way, GP-predicts coefficients
+(one kernel product per field), reconstructs fields on the common mesh and
+evaluates them back at the sample's own (morphed) vertex positions.
 
 Everything is deterministic for a fixed config, whatever the thread count.
 """
@@ -156,15 +157,17 @@ def _output_field(sample: Sample, name: str, n_vertices: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Regressor:
-    """GP regressor, or a constant when the targets carry no variance."""
+    """GP regressor, or a constant when the targets carry no variance: a
+    float for an output scalar, a (k,) vector for a field's k coefficients."""
 
     gp: Optional[GpModel] = None
-    constant: Optional[float] = None
+    constant: Optional[float | np.ndarray] = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.gp is not None:
             return gp_mean(self.gp, x)[0]
-        return np.full(len(np.atleast_2d(x)), self.constant)
+        return np.full((len(np.atleast_2d(x)),) + np.shape(self.constant),
+                       self.constant)
 
     @property
     def is_gp(self) -> bool:
@@ -173,8 +176,8 @@ class Regressor:
 
 def _fit_regressor(x: np.ndarray, y: np.ndarray, kind: str,
                    jitter: float) -> Regressor:
-    if np.ptp(y) == 0.0:
-        return Regressor(constant=float(y[0]))
+    if not np.ptp(y, axis=0).any():
+        return Regressor(constant=y[0].copy() if y.ndim == 2 else float(y[0]))
     return Regressor(gp=gp_fit(x, y, kind=kind, jitter=jitter))
 
 
@@ -199,13 +202,12 @@ class MmgpModel:
     common_triangles: np.ndarray    # (M, 3)
     shape_basis: PodBasis           # over stacked (x, y) coordinate fields
     field_bases: dict[str, PodBasis] = field(default_factory=dict)
-    field_regressors: dict[str, list[Regressor]] = field(default_factory=dict)
+    field_regressors: dict[str, Regressor] = field(default_factory=dict)
     scalar_regressors: dict[str, Regressor] = field(default_factory=dict)
 
     @property
     def n_regressors(self) -> int:
-        return (sum(len(v) for v in self.field_regressors.values())
-                + len(self.scalar_regressors))
+        return len(self.field_regressors) + len(self.scalar_regressors)
 
     @property
     def gp_input_dim(self) -> int:
@@ -304,7 +306,7 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
         shape_basis=shape_basis,
     )
 
-    gp_tasks: list[tuple[str, object, np.ndarray]] = []
+    gp_tasks: list[tuple[dict, str, np.ndarray]] = []  # (into, name, targets)
     for name in model.out_fields:
         snapshots = np.stack([
             (apply_transfer(ops[i], _output_field(samples[i], name,
@@ -314,28 +316,22 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
             for i in range(len(samples))])
         basis = _fit_basis_clamped(snapshots, config.field_modes)
         model.field_bases[name] = basis
-        model.field_regressors[name] = []
-        coeffs = np.stack([pod_project(basis, snapshots[i])
-                           for i in range(len(samples))])
-        for j in range(basis.n_modes):
-            gp_tasks.append(("field", (name, j), coeffs[:, j]))
+        if basis.n_modes:
+            coeffs = np.stack([pod_project(basis, snapshots[i])
+                               for i in range(len(samples))])
+            gp_tasks.append((model.field_regressors, name, coeffs))
 
     for name in model.out_scalars:
         targets = np.array([s.get_scalar(name) for s in samples])
-        gp_tasks.append(("scalar", name, targets))
+        gp_tasks.append((model.scalar_regressors, name, targets))
 
     fitted = parallel_map(
         lambda task: _fit_regressor(x_train, task[2], config.kernel,
                                     config.jitter),
         gp_tasks, threads=threads)
 
-    for (kind, key, _), regressor in zip(gp_tasks, fitted):
-        if kind == "field":
-            name, j = key
-            assert len(model.field_regressors[name]) == j
-            model.field_regressors[name].append(regressor)
-        else:
-            model.scalar_regressors[key] = regressor
+    for (regressors, name, _), regressor in zip(gp_tasks, fitted):
+        regressors[name] = regressor
     return model
 
 
@@ -353,9 +349,8 @@ def mmgp_predict(model: MmgpModel, sample: Sample
 
     common_fields = {}
     for name in model.out_fields:
-        # a saved model may lack the empty list of a rank-0 field
-        coeffs = np.array([reg.predict(x)[0]
-                           for reg in model.field_regressors.get(name, [])])
+        regressor = model.field_regressors.get(name)  # none for a rank-0 field
+        coeffs = np.empty(0) if regressor is None else regressor.predict(x)[0]
         common_fields[name] = pod_reconstruct(model.field_bases[name], coeffs)
 
     if op_back is None:
@@ -382,9 +377,13 @@ def save_model(model: MmgpModel, root_path) -> None:
                 "modes": writer.write(np.ascontiguousarray(basis.modes)),
                 "singular_values": writer.write(basis.singular_values)}
 
+    def real(value) -> object:
+        """A scalar regressor's float, or a field regressor's vector."""
+        return writer.write(value) if np.ndim(value) else format_real(value)
+
     def regressor_doc(reg: Regressor) -> dict:
         if not reg.is_gp:
-            return {"kind": "constant", "value": format_real(reg.constant)}
+            return {"kind": "constant", "value": real(reg.constant)}
         gp = reg.gp
         return {
             "kind": "gp",
@@ -393,10 +392,9 @@ def save_model(model: MmgpModel, root_path) -> None:
             "lengthscales": writer.write(gp.kernel.lengthscales),
             "x_train": writer.write(gp.x_train),
             "alpha": writer.write(gp.alpha),
-            "chol_lower": writer.write(gp.chol_lower),
             "x_mean": writer.write(gp.x_mean),
             "x_std": writer.write(gp.x_std),
-            "y_mean": format_real(gp.y_mean),
+            "y_mean": real(gp.y_mean),
             "y_std": format_real(gp.y_std),
             "jitter": format_real(gp.jitter),
         }
@@ -416,8 +414,8 @@ def save_model(model: MmgpModel, root_path) -> None:
         "field_bases": {name: basis_doc(b)
                         for name, b in sorted(model.field_bases.items())},
         "field_regressors": {
-            name: [regressor_doc(r) for r in regs]
-            for name, regs in sorted(model.field_regressors.items())},
+            name: regressor_doc(r)
+            for name, r in sorted(model.field_regressors.items())},
         "scalar_regressors": {
             name: regressor_doc(r)
             for name, r in sorted(model.scalar_regressors.items())},
@@ -439,22 +437,26 @@ def load_model(root_path) -> MmgpModel:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
                         singular_values=read(doc_b["singular_values"]))
 
-    def regressor_from(doc_r) -> Regressor:
+    def regressor_from(doc_r, real) -> Regressor:  # real: as in save_model
         if doc_r["kind"] == "constant":
-            return Regressor(constant=parse_real(doc_r["value"]))
+            return Regressor(constant=real(doc_r["value"]))
         kernel = Kernel(kind=doc_r["kernel"],
                         variance=parse_real(doc_r["variance"]),
                         lengthscales=read(doc_r["lengthscales"]))
         gp = GpModel(kernel=kernel, x_train=read(doc_r["x_train"]),
                      alpha=read(doc_r["alpha"]),
-                     chol_lower=read(doc_r["chol_lower"]),
                      x_mean=read(doc_r["x_mean"]), x_std=read(doc_r["x_std"]),
-                     y_mean=parse_real(doc_r["y_mean"]),
+                     y_mean=real(doc_r["y_mean"]),
                      y_std=parse_real(doc_r["y_std"]),
                      jitter=parse_real(doc_r["jitter"]))
         return Regressor(gp=gp)
 
     with decoding(manifest):
+        regressor_docs = [*doc["field_regressors"].values(),
+                          *doc["scalar_regressors"].values()]
+        if any(isinstance(r, list) or "chol_lower" in r for r in regressor_docs):
+            raise FormatError("older layout (a GP per POD mode, with its "
+                              "Cholesky factor); refit it", path=manifest)
         cfg = doc["config"]
         model = MmgpModel(
             config=MmgpConfig(
@@ -473,9 +475,9 @@ def load_model(root_path) -> MmgpModel:
             shape_basis=basis_from(doc["shape_basis"]),
             field_bases={name: basis_from(b)
                          for name, b in doc["field_bases"].items()},
-            field_regressors={name: [regressor_from(r) for r in regs]
-                              for name, regs in doc["field_regressors"].items()},
-            scalar_regressors={name: regressor_from(r)
+            field_regressors={name: regressor_from(r, read)
+                              for name, r in doc["field_regressors"].items()},
+            scalar_regressors={name: regressor_from(r, parse_real)
                                for name, r in doc["scalar_regressors"].items()},
         )
         _check_shapes(model, manifest)
@@ -488,7 +490,17 @@ def _check_shapes(model: MmgpModel, manifest: Path) -> None:
         if not ok:
             raise FormatError(f"inconsistent model: {message}", path=manifest)
 
+    def predicts(reg: Regressor, shape: tuple) -> bool:
+        """Whether ``reg`` predicts values of ``shape`` from the GP inputs."""
+        if not reg.is_gp:
+            return np.shape(reg.constant) == shape
+        gp = reg.gp
+        return (np.shape(gp.y_mean) == shape
+                and gp.alpha.shape == (len(gp.x_train),) + shape
+                and gp.x_train.shape[1] == model.gp_input_dim)
+
     n_nodes = len(model.common_nodes)
+    inputs = f"{model.gp_input_dim} GP inputs"
     require(sorted(model.field_bases) == sorted(model.out_fields)
             and sorted(model.scalar_regressors) == sorted(model.out_scalars),
             "bases or regressors do not match the output names")
@@ -497,10 +509,11 @@ def _check_shapes(model: MmgpModel, manifest: Path) -> None:
     for name, basis in model.field_bases.items():
         require(basis.modes.shape[0] == n_nodes,
                 f"field basis '{name}' rows are not {n_nodes} common nodes")
-        require(len(model.field_regressors.get(name, ())) == basis.n_modes,
-                f"field '{name}' has not one regressor per mode")
-    regressors = [*model.scalar_regressors.values()]
-    regressors += [r for regs in model.field_regressors.values() for r in regs]
-    require(all(r.gp.x_train.shape[1] == model.gp_input_dim
-                for r in regressors if r.is_gp),
-            f"GP inputs are not {model.gp_input_dim} columns wide")
+        regressor, modes = model.field_regressors.get(name), (basis.n_modes,)
+        require(regressor is None if modes == (0,) else
+                regressor is not None and predicts(regressor, modes),
+                f"field '{name}' regressor does not match its "
+                f"{basis.n_modes} modes and {inputs}")
+    require(all(predicts(r, ()) for r in model.scalar_regressors.values()),
+            f"an output scalar's regressor does not match one value and "
+            f"{inputs}")

@@ -392,9 +392,18 @@ def _first_field(doc, key):
 
 
 def _first_gp(doc):
-    return next(r for regs in doc["field_regressors"].values() for r in regs
+    return next(r for r in doc["field_regressors"].values()
                 if r["kind"] == "gp")
 
+
+# the layout before one GP per field: a list of per-mode regressors under
+# each field, each GP with its Cholesky factor
+_OLD_LAYOUTS = (
+    _edit("model.manifest", lambda d: d.update(field_regressors={
+        name: [r] for name, r in d["field_regressors"].items()})),
+    _edit("model.manifest", lambda d: d["scalar_regressors"]["u_max"].update(
+        chol_lower=_first_gp(d)["x_mean"])),
+)
 
 _CORRUPTIONS = []
 for _kind in ("dataset", "bundle", "model"):
@@ -452,8 +461,12 @@ _CORRUPTIONS += [
     pytest.param("model", _reshape_blob(
         lambda d: _first_field(d, "field_bases")["modes"], lambda a: a[:-1]),
         FormatError, id="model-field_basis_rows"),
-    pytest.param("model", _edit("model.manifest", lambda d: _first_field(
-        d, "field_regressors").pop()), FormatError, id="model-regressor_count"),
+    pytest.param("model", _reshape_blob(lambda d: _first_gp(d)["alpha"],
+                                        lambda a: a[:, :-1]),
+                 FormatError, id="model-regressor_count"),
+    pytest.param("model", _OLD_LAYOUTS[0], FormatError, id="model-old_layout"),
+    pytest.param("model", _OLD_LAYOUTS[1], FormatError,
+                 id="model-old_chol_lower"),
     pytest.param("model", _reshape_blob(lambda d: _first_gp(d)["x_train"],
                                         lambda a: a[:, :-1]),
                  FormatError, id="model-gp_input_columns"),
@@ -475,3 +488,12 @@ def test_corrupt_artifact_raises_typed_error(tmp_path, two_base_sample,
     with pytest.raises(error) as err:
         _LOADERS[kind](root)
     assert path.name in str(err.value)
+
+
+@pytest.mark.parametrize("corrupt", _OLD_LAYOUTS)
+def test_old_model_layout_asks_for_refit(tmp_path, saved_artifacts, corrupt):
+    root = tmp_path / "model"
+    shutil.copytree(saved_artifacts / "model", root)
+    corrupt(root)
+    with pytest.raises(FormatError, match="refit"):
+        load_model(root)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+import meshbench.gp as gp_module
 from meshbench import Kernel, gp_fit, gp_predict, kernel_eval
 from meshbench.errors import (
     ConfigInvalid,
@@ -19,6 +20,7 @@ from meshbench.gp import (
     _chol_with_escalation,
     _lml_evaluator,
     gp_mean,
+    kernel_matrix,
 )
 
 
@@ -81,6 +83,8 @@ def test_constant_targets_rejected():
     X = np.linspace(0, 1, 5)[:, None]
     with pytest.raises(DegenerateInputs):
         gp_fit(X, np.full(5, 3.3))
+    with pytest.raises(DegenerateInputs):  # every column constant
+        gp_fit(X, np.tile([3.3, -1.0], (5, 1)))
 
 
 def test_single_point_rejected():
@@ -214,6 +218,48 @@ def test_gp_mean_is_gp_predict_mean():
     assert k_star.shape == (12, 5)
 
 
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_gp_predict_refactors_the_fits_cholesky_factor(kind, monkeypatch):
+    factors = []
+
+    def recording(k_matrix, jitter):
+        lower, used = real(k_matrix, jitter)
+        factors.append(lower)
+        return lower, used
+
+    real = gp_module._chol_with_escalation
+    monkeypatch.setattr(gp_module, "_chol_with_escalation", recording)
+    rng = np.random.default_rng(28)
+    X = rng.uniform(0, 1, size=(25, 2))
+    Y = np.stack([np.sin(4.0 * X[:, 0]), X[:, 1] ** 2, X[:, 0] * X[:, 1]],
+                 axis=1)
+    model = gp_fit(X, Y, kind=kind)
+    Xq = rng.uniform(0, 1, size=(6, 2))
+    mean, var = gp_predict(model, Xq)
+    fit_factor, predict_factor = factors
+    assert predict_factor.tobytes() == fit_factor.tobytes()
+    # the variance a model storing the fit's factor computed
+    k_star = kernel_matrix(model.kernel, model.x_train,
+                           (Xq - model.x_mean) / model.x_std)
+    v = solve_triangular(fit_factor, k_star, lower=True)
+    want = model.y_std ** 2 * np.clip(
+        model.kernel.variance - np.einsum("ij,ij->j", v, v), 0.0, None)
+    assert var.tobytes() == want.tobytes()
+    assert mean.shape == (6, 3) and var.shape == (6,)
+
+
+def test_multi_output_fit_shares_one_output_scale():
+    rng = np.random.default_rng(29)
+    X = rng.uniform(-1, 1, size=(15, 2))
+    Y = np.stack([10.0 * np.sin(2.0 * X[:, 0]) + 4.0, X[:, 1] - 1.0], axis=1)
+    model = gp_fit(X, Y)
+    assert model.y_mean.tobytes() == Y.mean(axis=0).tobytes()
+    assert model.y_std == Y[:, 0].std()
+    assert model.alpha.shape == (15, 2) and model.alpha.flags.c_contiguous
+    mean, _ = gp_predict(model, X)
+    assert np.abs(mean - Y).max() < 1e-4 * np.abs(Y).max()
+
+
 # ---------------------------------------------------------------------------
 # log marginal likelihood: the in-place evaluator against a dense oracle
 
@@ -236,8 +282,10 @@ def dense_lml(theta, kind, x, y, jitter):
     except np.linalg.LinAlgError:
         return -np.inf
     alpha = cho_solve((lower, True), y)
-    return float(-0.5 * (y @ alpha) - np.sum(np.log(np.diag(lower)))
-                 - 0.5 * n * np.log(2.0 * np.pi))
+    k = 1 if y.ndim == 1 else y.shape[1]
+    fit = y @ alpha if y.ndim == 1 else np.sum(y * alpha)
+    return float(-0.5 * fit - k * np.sum(np.log(np.diag(lower)))
+                 - 0.5 * k * n * np.log(2.0 * np.pi))
 
 
 def dense_search(kind, x, y, jitter=1e-10):
@@ -260,11 +308,7 @@ def dense_search(kind, x, y, jitter=1e-10):
     return theta
 
 
-@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
-def test_lml_evaluator_matches_dense_oracle(kind):
-    rng = np.random.default_rng(30)
-    x = rng.normal(size=(40, 3))
-    y = np.sin(x @ np.array([1.0, -0.5, 0.3])) + 0.1 * rng.normal(size=40)
+def _check_evaluator_against_oracle(kind, x, y, rng):
     lml = _lml_evaluator(kind, x, y, 1e-10)
     finite = 0
     for _ in range(20):
@@ -279,6 +323,23 @@ def test_lml_evaluator_matches_dense_oracle(kind):
             assert abs(got - want) <= 1e-12 * abs(want)
         assert lml(theta) == got  # memoised
     assert finite >= 5
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_lml_evaluator_matches_dense_oracle(kind):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(40, 3))
+    y = np.sin(x @ np.array([1.0, -0.5, 0.3])) + 0.1 * rng.normal(size=40)
+    _check_evaluator_against_oracle(kind, x, y, rng)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_lml_evaluator_matches_dense_oracle_multi_output(kind, k):
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(40, 3))
+    y = np.sin(x @ rng.normal(size=(3, k))) + 0.1 * rng.normal(size=(40, k))
+    _check_evaluator_against_oracle(kind, x, y, rng)
 
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
@@ -298,6 +359,34 @@ def test_fit_hyperparameters_equal_dense_search(kind):
     X = rng.uniform(-1, 1, size=(30, 3))
     y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
     model = gp_fit(X, y, kind=kind)
+    x_std = (X - X.mean(axis=0)) / X.std(axis=0)
+    theta = dense_search(kind, x_std, (y - y.mean()) / y.std())
+    assert model.kernel.variance == float(np.exp(theta[0]))
+    assert model.kernel.lengthscales.tobytes() == np.exp(theta[1:]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_single_column_target_picks_the_vector_hyperparameters(kind):
+    rng = np.random.default_rng(34)
+    X = rng.uniform(-1, 1, size=(30, 3))
+    y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
+    vector, column = gp_fit(X, y, kind=kind), gp_fit(X, y[:, None], kind=kind)
+    assert column.kernel.variance == vector.kernel.variance
+    assert (column.kernel.lengthscales.tobytes()
+            == vector.kernel.lengthscales.tobytes())
+    assert column.alpha.shape == (30, 1)
+    assert column.alpha[:, 0].tobytes() == vector.alpha.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_fit_hyperparameters_equal_dense_search_at_the_bounds(kind):
+    # y ignores the last input, whose lengthscale the search drives to the
+    # upper bound, so trials are clipped
+    rng = np.random.default_rng(35)
+    X = rng.uniform(-1, 1, size=(25, 3))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
+    model = gp_fit(X, y, kind=kind)
+    assert model.kernel.lengthscales[2] == np.exp(_LS_BOUNDS[1])
     x_std = (X - X.mean(axis=0)) / X.std(axis=0)
     theta = dense_search(kind, x_std, (y - y.mean()) / y.std())
     assert model.kernel.variance == float(np.exp(theta[0]))

@@ -26,8 +26,8 @@ from meshbench.errors import (
     PointOutsideDomain,
     ShapeMismatch,
 )
-from meshbench.mmgp import (extract_triangle_geometry, load_config,
-                            parse_config_text)
+from meshbench.mmgp import (_fit_regressor, extract_triangle_geometry,
+                            load_config, parse_config_text)
 from meshbench.morphing import build_surface_mesh, tutte_embed
 from meshbench.pod import pod_project, pod_reconstruct
 from meshbench.synthetic import build_plate_sample
@@ -87,7 +87,13 @@ def test_regressor_count_matches_config_arithmetic():
     model = mmgp_fit(ds, ds.problem, config)
     n_fields = len(ds.problem.out_fields_names)
     n_scalars = len(ds.problem.out_scalars_names)
-    assert model.n_regressors == config.field_modes * n_fields + n_scalars
+    n_train = len(ds.problem.splits["train"])
+    # one GP per output field regresses all its field_modes coefficients
+    assert model.n_regressors == n_fields + n_scalars
+    for name in ds.problem.out_fields_names:
+        gp = model.field_regressors[name].gp
+        assert gp.alpha.shape == (n_train, config.field_modes)
+        assert gp.y_mean.shape == (config.field_modes,)
     assert model.gp_input_dim == config.shape_modes + 2  # scalars a, p
 
 
@@ -184,13 +190,34 @@ def test_rank_zero_output_field_predicts_its_mean():
     model = mmgp_fit(ds, ds.problem, MmgpConfig(morphing=False, shape_modes=2,
                                                 field_modes=2))
     assert model.field_bases["u"].n_modes == 0
-    assert model.field_regressors["u"] == []
+    assert "u" not in model.field_regressors
     sample = ds.sample_at(ds.problem.splits["test"][0])
     _, fields = mmgp_predict(model, sample)
     assert np.all(fields["u"] == 1.0)
-    # a model without the field's (empty) regressor list predicts the same
-    del model.field_regressors["u"]
-    assert np.all(mmgp_predict(model, sample)[1]["u"] == 1.0)
+
+
+def test_constant_coefficient_columns_fall_back_to_a_constant_vector(tmp_path):
+    x = np.random.default_rng(14).normal(size=(6, 3))
+    targets = np.tile([0.5, -2.0, 0.0], (6, 1))
+    regressor = _fit_regressor(x, targets, "Matern52", 1e-10)
+    assert not regressor.is_gp
+    assert regressor.predict(x[:2]).tobytes() == targets[:2].tobytes()
+
+    # a saved model keeps the field's constant vector
+    ds = generate(SynthConfig(n_samples=10, seed=6, min_nodes_per_side=5,
+                              max_nodes_per_side=5))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(morphing=False, shape_modes=2,
+                                                field_modes=2))
+    constant = _fit_regressor(x, targets[:, :2], "Matern52", 1e-10)
+    model = replace(model, field_regressors={**model.field_regressors,
+                                             "u": constant})
+    save_model(model, tmp_path / "model")
+    loaded = load_model(tmp_path / "model")
+    assert loaded.field_regressors["u"].constant.tobytes() == \
+        targets[0, :2].tobytes()
+    sample = ds.sample_at(ds.problem.splits["test"][0])
+    assert (mmgp_predict(loaded, sample)[1]["u"].tobytes()
+            == mmgp_predict(model, sample)[1]["u"].tobytes())
 
 
 def test_affine_outputs_learned_to_high_accuracy():
