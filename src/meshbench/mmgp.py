@@ -29,6 +29,7 @@ from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
                     format_real, parse_real, read_blob_array, read_yaml,
                     write_yaml)
 from .dataset import Dataset, ProblemDefinition
+from .edges import boundary_edges
 from .errors import ConfigInvalid, FormatError, NoSuchSplit, ShapeMismatch
 from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
 from .morphing import build_surface_mesh, tutte_embed
@@ -42,8 +43,7 @@ from .pod import (
     pod_reconstruct,
 )
 from .sample import Sample, find_reference_field
-from .transfer import (DEFAULT_SNAP_TOL, apply_transfer, boundary_edges,
-                       build_transfer)
+from .transfer import DEFAULT_SNAP_TOL, apply_transfer, build_transfer
 from .tree import ElementType, ZoneType
 
 _KERNEL_ALIASES = {"matern52": "Matern52", "rbf": "RBF"}

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .edges import directed_edges, edge_keys, unique_edges
 from .errors import NotDiskTopology, SolveFailure
 
 #: above this interior-node count the embedding solve switches from a
@@ -101,30 +102,32 @@ def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
     if len(triangles) == 0:
         raise NotDiskTopology("mesh has no triangles")
 
-    used = np.zeros(len(mesh.nodes), dtype=bool)
+    n = len(mesh.nodes)
+    used = np.zeros(n, dtype=bool)
     used[triangles.ravel()] = True
     if not used.all():
         raise NotDiskTopology(
             f"{int((~used).sum())} node(s) belong to no triangle")
 
-    directed = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                               triangles[:, [2, 0]]])
-    directed_set = set(map(tuple, directed.tolist()))
-    if len(directed_set) != len(directed):
+    src, dst = directed_edges(triangles)
+    keys = np.sort(edge_keys(src, dst, n))
+    if (keys[1:] == keys[:-1]).any():
         raise NotDiskTopology("duplicate directed edge (non-manifold or "
                               "inconsistent orientation)")
 
-    successor: dict[int, int] = {}
-    for a, b in directed_set:
-        if (b, a) in directed_set:
-            continue  # interior edge
-        if a in successor:
-            raise NotDiskTopology(f"node {a} is a pinch point (two boundary "
-                                  f"edges leave it)")
-        successor[a] = b
-    if not successor:
+    # boundary edges are those whose reverse is absent; keys are sorted, so
+    # their sources ascend
+    rev = edge_keys(keys % n, keys // n, n)
+    at = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
+    sources, targets = np.divmod(keys[keys[at] != rev], n)
+    pinch = sources[1:][sources[1:] == sources[:-1]]
+    if pinch.size:
+        raise NotDiskTopology(f"node {pinch[0]} is a pinch point (two "
+                              f"boundary edges leave it)")
+    if not sources.size:
         raise NotDiskTopology("mesh has no boundary (closed surface)")
 
+    successor = dict(zip(sources.tolist(), targets.tolist()))
     start = min(successor)
     loop = [start]
     node = successor[start]
@@ -141,15 +144,6 @@ def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
             f"multiple boundary loops: walked {len(loop)} of "
             f"{len(successor)} boundary edges")
     return np.asarray(loop, dtype=np.int64)
-
-
-def _adjacency(triangles: np.ndarray):
-    """Unique undirected edges as two aligned index arrays."""
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    edges = np.unique(edges, axis=0)
-    return edges[:, 0], edges[:, 1]
 
 
 def _boundary_circle_positions(mesh: SurfaceMesh2D) -> np.ndarray:
@@ -205,7 +199,7 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
 
 def _solve_interior(mesh: SurfaceMesh2D, positions, interior, is_boundary):
     n = len(mesh.nodes)
-    ei, ej = _adjacency(mesh.triangles)
+    ei, ej = unique_edges(mesh.triangles)
 
     index_of = np.full(n, -1, dtype=np.int64)
     index_of[interior] = np.arange(interior.size)

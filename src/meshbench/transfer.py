@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .edges import boundary_edges
 from .errors import PointOutsideDomain, ShapeMismatch
 
 #: default snap tolerance (fraction of the source bounding-box diagonal);
@@ -38,50 +39,52 @@ class TransferOperator:
     n_source_vertices: int
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group id and position within the group of every entry of
+    consecutive groups with the given sizes."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return group, np.arange(len(group)) - starts[group]
+
+
 class _UniformGrid:
-    """Bins triangles into a uniform grid over the source bounding box."""
+    """Bins triangles into a uniform grid over the source bounding box.
+
+    Compressed rows: cell ``c`` holds ``items[offsets[c]:offsets[c + 1]]``,
+    the ids of the triangles whose bounding box overlaps it, ascending.
+    """
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
         self.lo = nodes.min(axis=0)
         hi = nodes.max(axis=0)
         extent = np.maximum(hi - self.lo, 1e-300)
-        m = len(triangles)
-        self.ncell = max(1, int(np.sqrt(m)))
+        self.ncell = max(1, int(np.sqrt(len(triangles))))
         self.cell_size = extent / self.ncell
 
         tri_pts = nodes[triangles]                 # (m, 3, 2)
         lo_cells = self._cell_of(tri_pts.min(axis=1))
-        hi_cells = self._cell_of(tri_pts.max(axis=1))
-        pairs = []
-        for t in range(m):
-            for ix in range(lo_cells[t, 0], hi_cells[t, 0] + 1):
-                for iy in range(lo_cells[t, 1], hi_cells[t, 1] + 1):
-                    pairs.append((ix * self.ncell + iy, t))
-        pairs.sort()
-        flat = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        self.items = flat[:, 1]
-        self.offsets = np.searchsorted(flat[:, 0],
-                                       np.arange(self.ncell * self.ncell + 1))
+        span = self._cell_of(tri_pts.max(axis=1)) - lo_cells + 1
+        tri, j = _ragged(span[:, 0] * span[:, 1])
+        span_y = span[tri, 1]
+        keys = ((lo_cells[tri, 0] + j // span_y) * self.ncell
+                + lo_cells[tri, 1] + j % span_y)
+        # a stable sort keeps each cell's triangle ids ascending
+        self.items = tri[np.argsort(keys, kind="stable")]
+        self.offsets = np.concatenate([[0], np.cumsum(
+            np.bincount(keys, minlength=self.ncell * self.ncell))])
 
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
         rel = (points - self.lo) / self.cell_size
         return np.clip(rel.astype(np.int64), 0, self.ncell - 1)
 
-    def candidates(self, point: np.ndarray) -> np.ndarray:
-        ix, iy = self._cell_of(point[None, :])[0]
-        cell = ix * self.ncell + iy
-        return self.items[self.offsets[cell]:self.offsets[cell + 1]]
-
-
-def boundary_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of exactly one triangle as (owner ids, slots), owner-sorted;
-    slot ``j`` joins the owner's local vertices ``j`` and ``(j + 1) % 3``."""
-    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1]
-    _, inverse, counts = np.unique(key, return_inverse=True,
-                                   return_counts=True)
-    single = np.flatnonzero(counts[inverse] == 1)
-    return single // 3, single % 3
+    def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point ids, triangle ids) pairing every point with each triangle
+        of its own cell, point-major, triangle ids ascending."""
+        cells = self._cell_of(points)
+        cell = cells[:, 0] * self.ncell + cells[:, 1]
+        start = self.offsets[cell]
+        pair_t, j = _ragged(self.offsets[cell + 1] - start)
+        return pair_t, self.items[start[pair_t] + j]
 
 
 def _barycentric(nodes, triangles, tri_ids, points):
@@ -128,11 +131,7 @@ def build_transfer(source_nodes, source_triangles, targets,
     snap_dist = tol * bbox_diag
 
     # batched containment test against each target's own grid cell
-    chunks = [grid.candidates(pts[i]) for i in range(k)]
-    counts = np.array([len(c) for c in chunks], dtype=np.int64)
-    pair_t = np.repeat(np.arange(k), counts)
-    pair_tri = (np.concatenate(chunks) if pair_t.size
-                else np.empty(0, dtype=np.int64))
+    pair_t, pair_tri = grid.candidates(pts)
 
     best = np.full(k, m, dtype=np.int64)  # m = sentinel: not found
     if pair_t.size:

@@ -9,7 +9,7 @@ PACKAGE = Path(meshbench.__file__).parent
 
 #: a module may import only modules of a lower layer
 LAYERS = {
-    "errors": 0,
+    "edges": 0, "errors": 0,
     "tree": 1, "gp": 1, "morphing": 1, "parallel": 1, "pod": 1, "transfer": 1,
     "sample": 2,
     "dataset": 3,

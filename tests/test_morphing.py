@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meshbench import build_surface_mesh, extract_boundary_loop, tutte_embed
+from meshbench.edges import boundary_edges, unique_edges
 from meshbench.errors import NotDiskTopology
 from meshbench.morphing import SurfaceMesh2D, signed_areas
 
@@ -43,20 +44,22 @@ def test_mesh_with_hole_rejected():
         a, b = k, (k + 1) % 4
         tris.append([a, b, 4 + a])
         tris.append([b, 4 + b, 4 + a])
-    with pytest.raises(NotDiskTopology):
+    with pytest.raises(NotDiskTopology,
+                       match="multiple boundary loops: walked 4 of 8"):
         build_surface_mesh(nodes, tris)
 
 
 def test_bowtie_pinch_rejected():
     nodes = [[0, 0], [1, 1], [1, -1], [-1, 1], [-1, -1]]
     tris = [[0, 1, 3], [0, 4, 2]]
-    with pytest.raises(NotDiskTopology):
+    with pytest.raises(NotDiskTopology, match="node 0 is a pinch point"):
         build_surface_mesh(nodes, tris)
 
 
 def test_isolated_node_rejected():
     nodes = [[0, 0], [1, 0], [0, 1], [5, 5]]
-    with pytest.raises(NotDiskTopology):
+    with pytest.raises(NotDiskTopology,
+                       match=r"1 node\(s\) belong to no triangle"):
         build_surface_mesh(nodes, [[0, 1, 2]])
 
 
@@ -143,3 +146,66 @@ def test_extract_boundary_loop_on_plain_mesh_obj():
     tris = np.array([[0, 1, 2]])
     mesh = SurfaceMesh2D(nodes, tris, np.empty(0, dtype=np.int64))
     assert extract_boundary_loop(mesh).tolist() == [0, 1, 2]
+
+
+def test_pinch_message_names_the_smallest_pinch_node():
+    # three triangles in a row, touching at (1, 0) = node 4 and (2, 0) =
+    # node 0; a set of directed edges happens to reach node 4 first
+    nodes = [[2, 0], [0, 0], [0.5, 1], [1.5, 1], [1, 0], [3, 0], [2.5, 1]]
+    tris = [[1, 4, 2], [4, 0, 3], [0, 5, 6]]
+    with pytest.raises(NotDiskTopology, match="node 0 is a pinch point"):
+        build_surface_mesh(nodes, tris)
+
+
+def test_duplicate_directed_edge_rejected():
+    # two counter-clockwise triangles on the same side of edge 0 -> 1
+    nodes = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    with pytest.raises(NotDiskTopology, match="duplicate directed edge"):
+        build_surface_mesh(nodes, [[0, 1, 2], [0, 1, 3]])
+
+
+def test_closed_surface_rejected():
+    # the faces of a tetrahedron, consistently oriented: every edge is
+    # shared, so there is no boundary
+    nodes = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
+    tris = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    mesh = SurfaceMesh2D(nodes, tris, np.empty(0, dtype=np.int64))
+    with pytest.raises(NotDiskTopology, match="closed surface"):
+        extract_boundary_loop(mesh)
+
+
+def set_walk_boundary_loop(triangles):
+    """Boundary cycle from a Python set of directed edges, walked from the
+    lowest boundary node."""
+    directed = {(a, b) for tri in triangles.tolist()
+                for a, b in zip(tri, tri[1:] + tri[:1])}
+    successor = {a: b for a, b in directed if (b, a) not in directed}
+    loop = [min(successor)]
+    while successor[loop[-1]] != loop[0]:
+        loop.append(successor[loop[-1]])
+    return loop
+
+
+def test_edge_routines_match_set_and_structured_oracles():
+    rng = np.random.default_rng(77)
+    for _ in range(8):
+        pts, tris = random_disk_mesh(rng, int(rng.integers(10, 400)))
+        mesh = build_surface_mesh(pts, tris)
+        assert mesh.boundary_loop.tolist() == set_walk_boundary_loop(
+            mesh.triangles)
+
+        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                tris[:, [2, 0]]])
+        reference = np.unique(np.sort(edges, axis=1), axis=0)
+        a, b = unique_edges(tris)
+        assert a.tolist() == reference[:, 0].tolist()
+        assert b.tolist() == reference[:, 1].tolist()
+
+        owners = {}
+        for t, tri in enumerate(tris.tolist()):
+            for j in range(3):
+                owners.setdefault(frozenset((tri[j], tri[(j + 1) % 3])),
+                                  []).append((t, j))
+        single = sorted(o[0] for o in owners.values() if len(o) == 1)
+        owner, slot = boundary_edges(tris)
+        assert list(zip(owner.tolist(), slot.tolist())) == single

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from meshbench import apply_transfer, build_transfer
-from meshbench.errors import PointOutsideDomain, ShapeMismatch
+from scipy.spatial import Delaunay
 
-from conftest import square_triangulation
+from meshbench import (SynthConfig, apply_transfer, build_surface_mesh,
+                       build_transfer, tutte_embed)
+from meshbench.errors import PointOutsideDomain, ShapeMismatch
+from meshbench.mmgp import extract_triangle_geometry
+from meshbench.synthetic import build_plate_sample
+from meshbench.transfer import _barycentric, _UniformGrid
+
+from conftest import random_disk_mesh, square_triangulation
 
 
 def four_triangle_mesh():
@@ -206,3 +212,88 @@ def test_deterministic_tie_break_smallest_triangle_id():
     # point on the shared edge between triangles 0 and 1
     op = build_transfer(nodes, tris, [[0.75, 0.25]])
     assert op.element_ids[0] == 0
+
+
+def grid_rows_oracle(grid, nodes, tris):
+    """Per-triangle double loop over the cells its bounding box overlaps."""
+    rows = [[] for _ in range(grid.ncell * grid.ncell)]
+    for t, tri in enumerate(tris):
+        lo, hi = grid._cell_of(np.stack([nodes[tri].min(axis=0),
+                                         nodes[tri].max(axis=0)]))
+        for ix in range(lo[0], hi[0] + 1):
+            for iy in range(lo[1], hi[1] + 1):
+                rows[ix * grid.ncell + iy].append(t)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_grid_rows_match_per_triangle_bbox_loop(seed):
+    rng = np.random.default_rng(seed)
+    nodes, tris = random_disk_mesh(rng, int(rng.integers(20, 300)))
+    grid = _UniformGrid(nodes, tris.astype(np.int64))
+    assert grid.offsets[0] == 0
+    assert grid.offsets[-1] == len(grid.items)
+    for c, expected in enumerate(grid_rows_oracle(grid, nodes, tris)):
+        # the oracle appends ids in increasing order: rows must ascend
+        assert grid.items[grid.offsets[c]:grid.offsets[c + 1]].tolist() \
+            == expected
+
+    points = rng.uniform(-1.2, 1.2, size=(50, 2))
+    pair_t, pair_tri = grid.candidates(points)
+    cells = grid._cell_of(points)
+    expected = [(i, t) for i, (ix, iy) in enumerate(cells)
+                for t in grid.items[grid.offsets[ix * grid.ncell + iy]:
+                                    grid.offsets[ix * grid.ncell + iy + 1]]]
+    assert list(zip(pair_t.tolist(), pair_tri.tolist())) == expected
+
+
+def bruteforce_locate(nodes, tris, targets):
+    """Smallest id of a triangle containing each target (scanning every
+    triangle), or -1, and the weights in that triangle."""
+    k, m = len(targets), len(tris)
+    pair_tri = np.tile(np.arange(m), k)
+    bary = _barycentric(nodes, tris, pair_tri,
+                        np.repeat(targets, m, axis=0)).reshape(k, m, 3)
+    inside = (bary >= -1e-12).all(axis=2)
+    first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    return first, bary[np.arange(k), first]
+
+
+def assert_locator_matches_bruteforce(nodes, tris, targets, tol):
+    op = build_transfer(nodes, tris, targets, tol=tol)
+    first, weights = bruteforce_locate(nodes, tris, targets)
+    found = first >= 0
+    assert found.sum() > len(targets) // 2
+    assert op.element_ids[found].tolist() == first[found].tolist()
+    assert op.weights[found].tobytes() == weights[found].tobytes()
+    # the rest were snapped onto a boundary edge: one weight is exactly 0
+    assert (op.weights[~found] == 0.0).any(axis=1).all()
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43, 44])
+def test_locator_matches_bruteforce_on_random_disk_meshes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 300))
+    radius, angle = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+    nodes = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    tris = Delaunay(nodes).simplices
+    edges = tris[:, [0, 1]]
+    probes = np.vstack([
+        rng.uniform(-0.8, 0.8, size=(120, 2)),
+        nodes[rng.integers(0, n, 40)],                        # vertex ties
+        0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])[:40],  # edge ties
+        rng.uniform(-1.0, 1.0, size=(20, 2))])                 # some outside
+    assert_locator_matches_bruteforce(nodes, tris, probes, tol=1.0)
+
+
+@pytest.mark.parametrize("res_a, res_b", [(12, 17), (20, 9)])
+def test_locator_matches_bruteforce_on_tutte_embedded_plates(res_a, res_b):
+    embedded = []
+    for sid, res in enumerate((res_a, res_b)):
+        config = SynthConfig(seed=7, min_nodes_per_side=res,
+                             max_nodes_per_side=res)
+        mesh = build_surface_mesh(
+            *extract_triangle_geometry(build_plate_sample(config, sid)))
+        embedded.append((tutte_embed(mesh).positions, mesh.triangles))
+    (source, tris), (targets, _) = embedded
+    assert_locator_matches_bruteforce(source, tris, targets, tol=0.05)
