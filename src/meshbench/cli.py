@@ -130,8 +130,8 @@ def _cmd_mmgp_fit(args, parser) -> int:
     threads = resolve_threads(args.threads)
     model = mmgp_fit(dataset, dataset.problem, config, threads=threads)
     save_model(model, args.model)
-    print(f"trained {model.n_regressors} regressors (one per output scalar "
-          f"and per field with POD modes, {model.gp_input_dim}-dim inputs); "
+    print(f"trained {model.n_regressors} regressors (one per output field "
+          f"and per output scalar, {model.gp_input_dim}-dim inputs); "
           f"model saved to {args.model}")
     return 0
 

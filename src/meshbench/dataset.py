@@ -134,23 +134,30 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             report.add(f"splits/{n1}", f"not a subset of {n2}")
 
     if problem.hidden_partition is not None:
-        test_ids = set(problem.splits.get("test", []))
-        part = problem.hidden_partition
-        if set(part) != test_ids:
-            report.add("hidden_partition",
-                       "partition ids do not cover exactly the test split")
-        classes = set(part.values())
-        if not classes <= {PUBLIC, PRIVATE}:
-            report.add("hidden_partition",
-                       f"unknown subset labels: {sorted(classes - {PUBLIC, PRIVATE})}")
-        if part and (PUBLIC not in classes or PRIVATE not in classes):
-            report.add("hidden_partition",
-                       "both Public and Private subsets must be non-empty")
+        for message in partition_problems(problem):
+            report.add("hidden_partition", message)
 
     _check_name_coverage(dataset, report)
     if dataset.infos.get(CONSTANT_MESH_KEY):
         _check_constant_mesh(dataset, report)
     return report
+
+
+def partition_problems(problem: ProblemDefinition) -> list[str]:
+    """Every way the problem's hidden partition breaks its rules (none when
+    it is sound): it covers exactly the test split, labels each id Public
+    or Private, and leaves neither subset empty."""
+    part = problem.hidden_partition
+    problems = []
+    if set(part) != set(problem.splits.get("test", [])):
+        problems.append("partition ids do not cover exactly the test split")
+    labels = set(part.values())
+    if not labels <= {PUBLIC, PRIVATE}:
+        problems.append(
+            f"unknown subset labels: {sorted(labels - {PUBLIC, PRIVATE})}")
+    if not {PUBLIC, PRIVATE} <= labels:
+        problems.append("both Public and Private subsets must be non-empty")
+    return problems
 
 
 def _iter_field_names(sample: Sample) -> set[str]:

@@ -32,7 +32,8 @@ import numpy as np
 from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
                     format_real, parse_real, read_blob_array, read_yaml,
                     write_yaml)
-from .dataset import PRIVATE, PUBLIC, Dataset, ProblemDefinition
+from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
+                      partition_problems)
 from .errors import (
     DegenerateReference,
     MissingOutput,
@@ -211,13 +212,11 @@ def score_hidden(problem: ProblemDefinition, reference: Dataset,
     part = problem.hidden_partition
     if part is None:
         raise NoPartition("problem has no hidden partition")
-    test_ids = set(problem.splits.get("test", []))
-    if set(part) != test_ids:
-        raise NoPartition("hidden partition does not cover exactly the test split")
+    problems = partition_problems(problem)
+    if problems:
+        raise NoPartition(f"hidden partition: {problems[0]}")
     public_ids = sorted(i for i, c in part.items() if c == PUBLIC)
     private_ids = sorted(i for i, c in part.items() if c == PRIVATE)
-    if not public_ids or not private_ids:
-        raise NoPartition("both Public and Private subsets must be non-empty")
     return (total_error(problem, reference, bundle, ids=public_ids),
             total_error(problem, reference, bundle, ids=private_ids))
 

@@ -34,14 +34,7 @@ from .errors import ConfigInvalid, FormatError, NoSuchSplit, ShapeMismatch
 from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
 from .morphing import build_surface_mesh, tutte_embed
 from .parallel import parallel_map
-from .pod import (
-    PodBasis,
-    mean_only_basis,
-    numerical_rank,
-    pod_fit,
-    pod_project,
-    pod_reconstruct,
-)
+from .pod import PodBasis, pod_basis, pod_project, pod_reconstruct
 from .sample import Sample, find_reference_field
 from .transfer import DEFAULT_SNAP_TOL, apply_transfer, build_transfer
 from .tree import ElementType, ZoneType
@@ -181,14 +174,6 @@ def _fit_regressor(x: np.ndarray, y: np.ndarray, kind: str,
     return Regressor(gp=gp_fit(x, y, kind=kind, jitter=jitter))
 
 
-def _fit_basis_clamped(snapshots: np.ndarray, k: int) -> PodBasis:
-    """POD with the mode count clamped to the numerical rank (0 allowed)."""
-    k_eff = min(k, numerical_rank(snapshots))
-    if k_eff == 0:
-        return mean_only_basis(snapshots)
-    return pod_fit(snapshots, k_eff)
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -288,7 +273,7 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     shape_snapshots = np.stack([vec for vec, _, _ in pre])
     ops = [op for _, op, _ in pre]
 
-    shape_basis = _fit_basis_clamped(shape_snapshots, config.shape_modes)
+    shape_basis = pod_basis(shape_snapshots, config.shape_modes)
     shape_coeffs = np.stack([pod_project(shape_basis, vec)
                              for vec in shape_snapshots])
     scalar_inputs = np.array(
@@ -314,12 +299,10 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
              if ops[i] is not None else
              _output_field(samples[i], name, geometries[i][0].shape[0]))
             for i in range(len(samples))])
-        basis = _fit_basis_clamped(snapshots, config.field_modes)
+        basis = pod_basis(snapshots, config.field_modes)
         model.field_bases[name] = basis
-        if basis.n_modes:
-            coeffs = np.stack([pod_project(basis, snapshots[i])
-                               for i in range(len(samples))])
-            gp_tasks.append((model.field_regressors, name, coeffs))
+        coeffs = np.stack([pod_project(basis, snap) for snap in snapshots])
+        gp_tasks.append((model.field_regressors, name, coeffs))
 
     for name in model.out_scalars:
         targets = np.array([s.get_scalar(name) for s in samples])
@@ -349,8 +332,7 @@ def mmgp_predict(model: MmgpModel, sample: Sample
 
     common_fields = {}
     for name in model.out_fields:
-        regressor = model.field_regressors.get(name)  # none for a rank-0 field
-        coeffs = np.empty(0) if regressor is None else regressor.predict(x)[0]
+        coeffs = model.field_regressors[name].predict(x)[0]
         common_fields[name] = pod_reconstruct(model.field_bases[name], coeffs)
 
     if op_back is None:
@@ -501,7 +483,8 @@ def _check_shapes(model: MmgpModel, manifest: Path) -> None:
 
     n_nodes = len(model.common_nodes)
     inputs = f"{model.gp_input_dim} GP inputs"
-    require(sorted(model.field_bases) == sorted(model.out_fields)
+    require(sorted(model.field_bases) == sorted(model.field_regressors)
+            == sorted(model.out_fields)
             and sorted(model.scalar_regressors) == sorted(model.out_scalars),
             "bases or regressors do not match the output names")
     require(model.shape_basis.modes.shape[0] == 2 * n_nodes,
@@ -509,9 +492,7 @@ def _check_shapes(model: MmgpModel, manifest: Path) -> None:
     for name, basis in model.field_bases.items():
         require(basis.modes.shape[0] == n_nodes,
                 f"field basis '{name}' rows are not {n_nodes} common nodes")
-        regressor, modes = model.field_regressors.get(name), (basis.n_modes,)
-        require(regressor is None if modes == (0,) else
-                regressor is not None and predicts(regressor, modes),
+        require(predicts(model.field_regressors[name], (basis.n_modes,)),
                 f"field '{name}' regressor does not match its "
                 f"{basis.n_modes} modes and {inputs}")
     require(all(predicts(r, ()) for r in model.scalar_regressors.values()),

@@ -23,12 +23,6 @@ import scipy.sparse.linalg as spla
 from .edges import directed_edges, edge_keys, unique_edges
 from .errors import NotDiskTopology, SolveFailure
 
-#: above this interior-node count the embedding solve switches from a
-#: direct sparse factorization to Jacobi-preconditioned conjugate gradient
-DIRECT_SOLVE_LIMIT = 20_000
-
-CG_RESIDUAL = 1e-10
-
 
 @dataclass(frozen=True)
 class SurfaceMesh2D:
@@ -164,8 +158,7 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
 
     Boundary nodes land exactly on the unit circle; each interior node
     solves x_i = mean of its neighbors, a sparse symmetric positive
-    definite system solved directly up to DIRECT_SOLVE_LIMIT interior
-    nodes and by conjugate gradient beyond.
+    definite system solved by a direct sparse factorization.
     """
     n = len(mesh.nodes)
     loop = mesh.boundary_loop
@@ -231,19 +224,5 @@ def _solve_interior(mesh: SurfaceMesh2D, positions, interior, is_boundary):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ni, ni))
 
-    if ni <= DIRECT_SOLVE_LIMIT:
-        solution = spla.spsolve(laplacian.tocsc(), rhs)
-        if solution.ndim == 1:
-            solution = solution.reshape(ni, 2)
-        return solution
-    # Jacobi-preconditioned CG per coordinate, absolute residual target
-    inv_diag = 1.0 / laplacian.diagonal()
-    precond = spla.LinearOperator((ni, ni), matvec=lambda v: inv_diag * v)
-    out = np.empty((ni, 2))
-    for c in range(2):
-        x, info = spla.cg(laplacian, rhs[:, c], rtol=0.0, atol=CG_RESIDUAL,
-                          M=precond, maxiter=20 * ni)
-        if info != 0:
-            raise SolveFailure(f"conjugate gradient stopped with status {info}")
-        out[:, c] = x
-    return out
+    solution = spla.spsolve(laplacian.tocsc(), rhs)
+    return solution.reshape(ni, 2)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import RankDeficient, ShapeMismatch
 
-#: singular values at or below this fraction of the largest do not count
-#: towards the numerical rank
+#: centered singular values at or below this fraction of the snapshots'
+#: Frobenius norm do not count towards the numerical rank
 RANK_RTOL = 1e-12
 
 
@@ -39,89 +39,75 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def snapshot_singular_values(snapshots) -> np.ndarray:
-    """All singular values of the centered snapshot matrix (descending)."""
-    a = np.asarray(snapshots, dtype=np.float64)
-    centered = a - a.mean(axis=0)
-    s, n = centered.shape
-    if n > s:
-        gram = centered @ centered.T
-        eigvals = np.linalg.eigvalsh(gram)[::-1]
-        return np.sqrt(np.clip(eigvals, 0.0, None))
-    return np.linalg.svd(centered, compute_uv=False)
-
-
-def pod_fit(snapshots, k: int) -> PodBasis:
-    """Top-k modes of the centered (s, N) snapshot matrix.
-
-    Raises RankDeficient when k exceeds the numerical rank (relative
-    tolerance RANK_RTOL on singular values) or min(s, N).
-    """
+def _snapshot_matrix(snapshots) -> np.ndarray:
     a = np.asarray(snapshots, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeMismatch(f"snapshots must be 2-D, got shape {a.shape}")
-    s, n = a.shape
-    if not 1 <= k <= min(s, n):
-        raise RankDeficient(
-            f"mode count {k} outside [1, min(s={s}, N={n})]")
+    return a
 
+
+def pod_basis(snapshots, max_modes: int) -> PodBasis:
+    """Top modes of the centered (s, N) snapshot matrix, at most
+    ``max_modes`` and no more than its numerical rank.
+
+    A singular value counts towards the rank when it exceeds RANK_RTOL
+    times the Frobenius norm of the (uncentered) snapshots, so snapshots
+    that are constant up to rounding keep no mode.  At rank 0 the basis
+    holds the mean alone: projection yields an empty coefficient vector
+    and reconstruction returns the mean.
+    """
+    a = _snapshot_matrix(snapshots)
+    s, n = a.shape
     mean = a.mean(axis=0)
     centered = a - mean
 
     if n > s:
-        gram = centered @ centered.T
-        eigvals, eigvecs = np.linalg.eigh(gram)
+        eigvals, eigvecs = np.linalg.eigh(centered @ centered.T)
         order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
         eigvecs = eigvecs[:, order]
-        sv = np.sqrt(np.clip(eigvals, 0.0, None))
-        _check_rank(sv, k)
+        sv = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    else:
+        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    k = min(max_modes, int(np.sum(sv > RANK_RTOL * np.linalg.norm(a))))
+
+    if n > s:
         modes = centered.T @ eigvecs[:, :k] / sv[:k]
         # Gram-route modes lose orthogonality when values decay; re-polish
         modes, r = np.linalg.qr(modes)
         modes = modes * np.sign(np.diag(r))
-        sv_k = sv[:k]
     else:
-        u, sv, vt = np.linalg.svd(centered, full_matrices=False)
-        _check_rank(sv, k)
         modes = vt[:k].T.copy()
-        sv_k = sv[:k]
 
     modes = _fix_signs(np.ascontiguousarray(modes))
     modes.setflags(write=False)
     mean.setflags(write=False)
-    sv_k = np.ascontiguousarray(sv_k)
+    sv_k = np.ascontiguousarray(sv[:k])
     sv_k.setflags(write=False)
     return PodBasis(mean=mean, modes=modes, singular_values=sv_k)
 
 
-def _check_rank(sv: np.ndarray, k: int) -> None:
-    if sv[0] <= 0.0:
-        raise RankDeficient("centered snapshot matrix is zero (rank 0)")
-    if sv[k - 1] <= RANK_RTOL * sv[0]:
-        rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+def pod_fit(snapshots, k: int) -> PodBasis:
+    """Exactly k modes of the centered (s, N) snapshot matrix.
+
+    Raises RankDeficient when k exceeds min(s, N) or the numerical rank
+    (see pod_basis).
+    """
+    a = _snapshot_matrix(snapshots)
+    s, n = a.shape
+    if not 1 <= k <= min(s, n):
         raise RankDeficient(
-            f"requested {k} modes but numerical rank is {rank}")
+            f"mode count {k} outside [1, min(s={s}, N={n})]")
+    basis = pod_basis(a, k)
+    if basis.n_modes < k:
+        raise RankDeficient(
+            f"requested {k} modes but numerical rank is {basis.n_modes}")
+    return basis
 
 
 def numerical_rank(snapshots) -> int:
     """Rank of the centered snapshot matrix at the RANK_RTOL tolerance."""
-    sv = snapshot_singular_values(snapshots)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
-def mean_only_basis(snapshots) -> PodBasis:
-    """Degenerate zero-mode basis: projection yields an empty coefficient
-    vector and reconstruction returns the mean."""
-    a = np.asarray(snapshots, dtype=np.float64)
-    mean = a.mean(axis=0)
-    mean.setflags(write=False)
-    modes = np.zeros((a.shape[1], 0))
-    modes.setflags(write=False)
-    return PodBasis(mean=mean, modes=modes,
-                    singular_values=np.zeros(0))
+    a = _snapshot_matrix(snapshots)
+    return pod_basis(a, min(a.shape)).n_modes
 
 
 def pod_project(basis: PodBasis, field) -> np.ndarray:

@@ -2,7 +2,39 @@
 
 import numpy as np
 
-from meshbench import MmgpConfig, SynthConfig, generate, mmgp_fit, mmgp_predict
+from meshbench import (Base, Dataset, MmgpConfig, Sample, SynthConfig,
+                       build_tree, generate, make_field, mmgp_fit,
+                       mmgp_predict)
+from meshbench.synthetic import plate_fields
+from meshbench.tree import zone_with
+
+
+def _rebuilt(ds, make_sample):
+    """``ds`` with every sample replaced by ``make_sample(sample)``."""
+    samples = [make_sample(ds.sample_at(i)) for i in range(ds.n_samples)]
+    return Dataset(samples=samples, infos=dict(ds.infos), problem=ds.problem)
+
+
+def _plate(zone, a, p):
+    """A plate sample on ``zone``'s mesh with amplitude ``a`` and load
+    ``p``."""
+    u, du_dx = plate_fields(zone.coordinates, a, p)
+    zone = zone_with(zone, fields=[make_field("u", u),
+                                   make_field("du_dx", du_dx)])
+    tree = build_tree([Base("Base_2_2", 2, 2, (zone,))], time=0.0)
+    return Sample(trees={0.0: tree},
+                  scalars={"a": a, "p": p, "u_max": float(u.max())})
+
+
+def _predict_test_split(model, ds):
+    return [mmgp_predict(model, ds.sample_at(sid))
+            for sid in ds.problem.splits["test"]]
+
+
+def _all_finite(predictions):
+    return all(np.isfinite(list(scalars.values())).all()
+               and all(np.isfinite(v).all() for v in fields.values())
+               for scalars, fields in predictions)
 
 
 def test_finest_plates_fit_and_predict_deterministically():
@@ -22,3 +54,42 @@ def test_finest_plates_fit_and_predict_deterministically():
             {k: np.float64(v).tobytes() for k, v in sb.items()}
         assert {k: v.tobytes() for k, v in fa.items()} == \
             {k: v.tobytes() for k, v in fb.items()}
+
+
+def test_samples_sharing_one_mesh_keep_no_shape_mode():
+    # with morphing on, every shape snapshot is the same vector, so the
+    # centered snapshots are round-off and the GP sees the scalars alone
+    ds = generate(SynthConfig(n_samples=12, seed=5, min_nodes_per_side=8,
+                              max_nodes_per_side=14))
+    mesh = ds.sample_at(0).trees[0.0].bases[0].zones[0]
+    ds = _rebuilt(ds, lambda s: _plate(mesh, s.get_scalar("a"),
+                                       s.get_scalar("p")))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    assert model.shape_basis.n_modes == 0
+    assert model.gp_input_dim == 2
+    assert _all_finite(_predict_test_split(model, ds))
+
+
+def test_constant_output_scalar_predicts_the_constant():
+    ds = generate(SynthConfig(n_samples=10, seed=7, min_nodes_per_side=8,
+                              max_nodes_per_side=12))
+    ds = _rebuilt(ds, lambda s: Sample(
+        trees=s.trees, scalars={**s.scalars, "u_max": 0.625}))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    assert not model.scalar_regressors["u_max"].is_gp
+    for scalars, _ in _predict_test_split(model, ds):
+        assert scalars["u_max"] == 0.625
+
+
+def test_input_scalars_far_outside_the_training_range_predict_finite():
+    ds = generate(SynthConfig(n_samples=10, seed=9, min_nodes_per_side=8,
+                              max_nodes_per_side=12))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    train = [ds.sample_at(i) for i in ds.problem.splits["train"]]
+    sample = ds.sample_at(ds.problem.splits["test"][0])
+    for name in ("a", "p"):
+        values = [s.get_scalar(name) for s in train]
+        for far in (50 * max(values), -50 * max(values)):
+            query = Sample(trees=sample.trees,
+                           scalars={**sample.scalars, name: far})
+            assert _all_finite([mmgp_predict(model, query)])

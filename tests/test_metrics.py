@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from meshbench import (
     save_bundle,
     score_hidden,
     total_error,
+    validate_dataset,
 )
 from meshbench.errors import (
     DegenerateReference,
@@ -206,6 +208,22 @@ def test_score_hidden_requires_partition():
     ds = scoring_fixture()
     ds.problem.hidden_partition = None
     with pytest.raises(NoPartition):
+        score_hidden(ds.problem, ds, perfect_bundle(ds))
+
+
+@pytest.mark.parametrize("partition", [
+    {0: "Public", 1: "Public", 2: "Other", 3: "Private"},   # unknown label
+    {0: "Public", 1: "Public", 2: "Private"},               # misses id 3
+    {0: "Public", 1: "Public", 2: "Public", 3: "Public"},   # no Private
+    {},
+])
+def test_score_hidden_and_validation_share_the_partition_rules(partition):
+    ds = scoring_fixture()
+    ds.problem.hidden_partition = partition
+    found = [m for path, m in validate_dataset(ds).violations
+             if path == "hidden_partition"]
+    assert found
+    with pytest.raises(NoPartition, match=re.escape(found[0])):
         score_hidden(ds.problem, ds, perfect_bundle(ds))
 
 

@@ -22,6 +22,7 @@ from meshbench import (
 )
 from meshbench.errors import (
     ConfigInvalid,
+    FormatError,
     NoSuchSplit,
     PointOutsideDomain,
     ShapeMismatch,
@@ -177,12 +178,13 @@ def test_constant_output_field_predicted_constant(morphing, res):
     ds = _with_constant_field(ds, "u", 3.7)
     config = MmgpConfig(morphing=morphing, shape_modes=2, field_modes=2)
     model = mmgp_fit(ds, ds.problem, config)
+    assert model.field_bases["u"].n_modes == 0
     sid = ds.problem.splits["test"][0]
     _, fields = mmgp_predict(model, ds.sample_at(sid))
     assert np.abs(fields["u"] - 3.7).max() < 1e-8
 
 
-def test_rank_zero_output_field_predicts_its_mean():
+def test_rank_zero_output_field_predicts_its_mean(tmp_path):
     # centred snapshots of u == 1 are exactly zero, so u keeps no POD mode
     ds = generate(SynthConfig(n_samples=10, seed=6, min_nodes_per_side=5,
                               max_nodes_per_side=5))
@@ -190,10 +192,23 @@ def test_rank_zero_output_field_predicts_its_mean():
     model = mmgp_fit(ds, ds.problem, MmgpConfig(morphing=False, shape_modes=2,
                                                 field_modes=2))
     assert model.field_bases["u"].n_modes == 0
-    assert "u" not in model.field_regressors
+    assert model.field_regressors["u"].constant.shape == (0,)
     sample = ds.sample_at(ds.problem.splits["test"][0])
     _, fields = mmgp_predict(model, sample)
     assert np.all(fields["u"] == 1.0)
+
+    # the empty constant round-trips, and a model whose rank-0 field has
+    # no regressor does not load
+    save_model(model, tmp_path / "model")
+    loaded = load_model(tmp_path / "model")
+    assert loaded.field_regressors["u"].constant.shape == (0,)
+    assert mmgp_predict(loaded, sample)[1]["u"].tobytes() == \
+        fields["u"].tobytes()
+    save_model(replace(model, field_regressors={
+        k: r for k, r in model.field_regressors.items() if k != "u"}),
+        tmp_path / "no_regressor")
+    with pytest.raises(FormatError, match="regressors"):
+        load_model(tmp_path / "no_regressor")
 
 
 def test_constant_coefficient_columns_fall_back_to_a_constant_vector(tmp_path):

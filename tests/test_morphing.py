@@ -131,6 +131,22 @@ def test_randomized_delaunay_embeddings_are_valid():
             assert np.linalg.norm(morphed.positions[interior], axis=1).max() < 1.0
 
 
+def test_large_plate_embeds_fold_free():
+    # 150 nodes per side: 21,904 interior nodes in one direct solve
+    r = 150
+    s = np.linspace(0.0, 1.0, r)
+    pts = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    v00 = (np.arange(r - 1)[:, None] * r + np.arange(r - 1)).ravel()
+    tris = np.concatenate([np.stack([v00, v00 + r, v00 + r + 1], axis=1),
+                           np.stack([v00, v00 + r + 1, v00 + 1], axis=1)])
+    mesh = build_surface_mesh(pts, tris)
+    assert len(pts) - mesh.boundary_loop.size == 21_904
+    morphed = tutte_embed(mesh)
+    assert (signed_areas(morphed.positions, mesh.triangles) > 0).all()
+    radii = np.linalg.norm(morphed.positions[mesh.boundary_loop], axis=1)
+    assert np.abs(radii - 1.0).max() < 1e-12
+
+
 def test_embedding_is_bitwise_deterministic():
     rng = np.random.default_rng(99)
     pts, tris = random_disk_mesh(rng, 300)

@@ -3,7 +3,7 @@ import pytest
 
 from meshbench import pod_fit, pod_project, pod_reconstruct
 from meshbench.errors import RankDeficient, ShapeMismatch
-from meshbench.pod import mean_only_basis, numerical_rank
+from meshbench.pod import numerical_rank, pod_basis
 
 
 def test_exact_low_rank_reconstruction():
@@ -108,10 +108,54 @@ def test_shape_mismatch_on_project():
 
 
 def test_numerical_rank_and_mean_only_basis():
-    snaps = np.tile(np.linspace(0, 1, 9), (5, 1))
+    for s, n in ((5, 9), (12, 6)):  # Gram and SVD routes
+        snaps = np.tile(np.linspace(0, 1, n), (s, 1))
+        assert numerical_rank(snaps) == 0
+        basis = pod_basis(snaps, 3)
+        assert basis.n_modes == 0 and basis.modes.shape == (n, 0)
+        assert basis.singular_values.shape == (0,)
+        assert pod_project(basis, snaps[0]).shape == (0,)
+        rec = pod_reconstruct(basis, np.zeros(0))
+        assert np.array_equal(rec, snaps.mean(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(5, 40), (12, 6)])  # Gram and SVD routes
+def test_pod_basis_matches_pod_fit_and_clamps(shape):
+    rng = np.random.default_rng(11)
+    s, n = shape
+    # a mean plus min(s, n) - 2 directions
+    snaps = (rng.normal(size=n) + rng.normal(size=(s, min(s, n) - 2))
+             @ rng.normal(size=(min(s, n) - 2, n)))
+    rank = numerical_rank(snaps)
+    assert min(s, n) - 2 <= rank <= min(s, n)
+    for k in range(1, rank + 1):
+        clamped, strict = pod_basis(snaps, k), pod_fit(snaps, k)
+        for name in ("mean", "modes", "singular_values"):
+            assert getattr(clamped, name).tobytes() == \
+                getattr(strict, name).tobytes()
+    # the signal modes against a dense SVD of the centered snapshots
+    _, sv, vt = np.linalg.svd(snaps - snaps.mean(axis=0))
+    basis = pod_basis(snaps, min(s, n) - 2)
+    assert np.abs(basis.singular_values - sv[:basis.n_modes]).max() < 1e-10
+    assert np.abs(np.abs(vt[:basis.n_modes] @ basis.modes)
+                  - np.eye(basis.n_modes)).max() < 1e-8
+    for k in (rank + 1, min(s, n) + 5):
+        clamped = pod_basis(snaps, k)
+        assert clamped.modes.tobytes() == pod_fit(snaps, rank).modes.tobytes()
+        with pytest.raises(RankDeficient):
+            pod_fit(snaps, k)
+
+
+@pytest.mark.parametrize("value", [3.7, 1.0, 0.1, 1e6])
+def test_rank_measured_against_the_data_scale(value):
+    # a constant up to rounding: the centered rows are pure round-off, so
+    # their singular values must not count however they compare to each
+    # other
+    snaps = np.full((10, 40), value)
+    snaps[::3] = np.nextafter(value, np.inf)
+    assert np.linalg.svd(snaps - snaps.mean(axis=0), compute_uv=False)[0] > 0
     assert numerical_rank(snaps) == 0
-    basis = mean_only_basis(snaps)
-    assert basis.n_modes == 0
-    assert pod_project(basis, snaps[0]).shape == (0,)
-    rec = pod_reconstruct(basis, np.zeros(0))
-    assert np.array_equal(rec, snaps.mean(axis=0))
+    assert pod_basis(snaps, 9).n_modes == 0
+    # a real variation many orders above round-off still counts
+    snaps[0, 0] += value * 1e-9
+    assert numerical_rank(snaps) == 1
