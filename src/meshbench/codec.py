@@ -1,9 +1,15 @@
 """The one on-disk encoding shared by datasets, prediction bundles and models.
 
-Arrays are stored as raw little-endian IEEE-754 doubles or signed 64-bit
-integers; the manifest records dtype, shape and blob filename, so every
-array round-trips losslessly.  Real scalars embedded in text files use the
-shortest decimal form that restores the exact double (Python ``repr``).
+The arrays of one manifest are packed, in the order written, into one
+blob file beside it, named like the manifest with the suffix ``.blob``, as
+raw little-endian IEEE-754 doubles or signed 64-bit integers; the manifest
+records each array's blob name, byte offset, dtype and shape, so every
+array round-trips losslessly.  The spans of a manifest's arrays must tile
+its blob exactly: no gap, no overlap and no trailing byte (an empty array
+takes a zero-length span).  A manifest without arrays has no blob.
+
+Real scalars embedded in text files use the shortest decimal form that
+restores the exact double (Python ``repr``).
 All text files are UTF-8 with LF line endings; a file that does not decode
 as UTF-8 is malformed.
 
@@ -21,12 +27,15 @@ the same value:
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
+This is format version 2; version 1 wrote one blob file per array, and its
+datasets, bundles and models must be regenerated or refit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -36,7 +45,7 @@ import yaml
 
 from .errors import FormatError, IoFailure, VersionMismatch
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
@@ -70,47 +79,106 @@ def decoding(path: Path):
 # blobs
 
 class BlobWriter:
-    """Writes arrays as sibling blob files with deterministic names."""
+    """Packs the arrays of one manifest into the blob beside it, which has
+    the manifest's name with the suffix ``.blob``.
 
-    def __init__(self, directory: Path, prefix: str):
-        self.directory = directory
-        self.prefix = prefix
-        self.counter = 0
+    :meth:`write` returns an array's manifest entry; :meth:`write_manifest`
+    writes the blob, then the manifest, so that a manifest never names a
+    blob that is not on disk.
+    """
+
+    def __init__(self, manifest_path: Path):
+        self.manifest_path = manifest_path
+        self.path = manifest_path.with_suffix(".blob")
+        self.chunks: list[bytes] = []
+        self.offset = 0
 
     def write(self, array: np.ndarray) -> dict:
         dtype = array.dtype.name
         if dtype not in _DTYPES:
             raise IoFailure(f"unsupported array dtype {array.dtype}")
-        name = f"{self.prefix}_{self.counter:03d}.blob"
-        self.counter += 1
         data = np.ascontiguousarray(array, dtype=_DTYPES[dtype]).tobytes()
-        (self.directory / name).write_bytes(data)
-        return {"blob": name, "dtype": dtype, "shape": list(array.shape)}
+        entry = {"blob": self.path.name, "offset": self.offset,
+                 "dtype": dtype, "shape": list(array.shape)}
+        self.chunks.append(data)
+        self.offset += len(data)
+        return entry
+
+    def write_manifest(self, doc: dict, sort_keys: bool = True) -> None:
+        """The blob (none when no array was written), then ``doc``."""
+        if self.chunks:
+            with open(self.path, "wb") as fh:
+                fh.writelines(self.chunks)
+        write_yaml(self.manifest_path, doc, sort_keys=sort_keys)
 
 
-def read_blob_array(entry: dict, manifest_path: Path, dtype: str
-                    ) -> np.ndarray:
-    """Load one array entry of a manifest from the blob beside it; the
-    entry's dtype must be ``dtype``, and size and shape must agree."""
-    with decoding(manifest_path):
-        blob_name = entry["blob"]
-        dtype_name = entry["dtype"]
-        shape = tuple(int(s) for s in entry["shape"])
-    if dtype_name != dtype:
-        raise FormatError(f"array dtype {dtype_name!r}, expected {dtype}",
-                          path=manifest_path)
-    blob_path = manifest_path.parent / blob_name
-    data = _read_bytes(blob_path)
-    if data is None:
-        raise FormatError("referenced blob missing", path=blob_path)
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
-    if len(data) != expected:
-        raise FormatError(
-            f"blob holds {len(data)} bytes, expected {expected}",
-            path=blob_path, offset=min(len(data), expected))
-    array = np.frombuffer(data, dtype=_DTYPES[dtype]).reshape(shape)
-    array.setflags(write=False)
-    return array
+class BlobReader:
+    """Reads the array entries of one manifest from the blob beside it,
+    reading the blob file once.
+
+    Use it as a context manager around the reads: on leaving it without an
+    error, the spans read must tile the blob exactly, with no gap, overlap
+    or trailing byte.
+    """
+
+    def __init__(self, manifest_path: Path):
+        self.manifest_path = manifest_path
+        self.path = manifest_path.with_suffix(".blob")
+        self.data: Optional[bytes] = None
+        self.spans: list[tuple[int, int]] = []
+
+    def __enter__(self) -> "BlobReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None or self.data is None:
+            return
+        size, position = len(self.data), 0
+        for start, end in sorted(self.spans) + [(size, size)]:
+            if start != position:
+                at = min(start, position)
+                raise FormatError(
+                    f"the arrays of {self.manifest_path.name} do not tile "
+                    f"the {size}-byte blob: "
+                    f"{'overlap' if start < position else 'gap'} at byte {at}",
+                    path=self.path, offset=at)
+            position = end
+
+    def read(self, entry: dict, dtype: str) -> np.ndarray:
+        """The read-only array of one entry; its dtype must be ``dtype``."""
+        manifest = self.manifest_path
+        with decoding(manifest):
+            blob_name = entry["blob"]
+            offset = entry["offset"]
+            dtype_name = entry["dtype"]
+            shape = tuple(int(s) for s in entry["shape"])
+        if blob_name != self.path.name:
+            raise FormatError(f"array blob {blob_name!r}, expected "
+                              f"{self.path.name}", path=manifest)
+        if dtype_name != dtype:
+            raise FormatError(f"array dtype {dtype_name!r}, expected {dtype}",
+                              path=manifest)
+        if type(offset) is not int or offset < 0:
+            raise FormatError(f"blob {blob_name} offset {offset!r} is not an "
+                              f"integer >= 0", path=manifest)
+        if any(s < 0 for s in shape):
+            raise FormatError(f"negative array shape {list(shape)}",
+                              path=manifest)
+        if self.data is None:
+            self.data = _read_bytes(self.path)
+            if self.data is None:
+                raise FormatError(f"blob missing (named in {manifest.name})",
+                                  path=self.path)
+        count = math.prod(shape)
+        end = offset + count * 8
+        if end > len(self.data):
+            raise FormatError(
+                f"{manifest.name} places an array at bytes {offset}..{end} "
+                f"of a {len(self.data)}-byte blob", path=self.path,
+                offset=min(offset, len(self.data)))
+        self.spans.append((offset, end))
+        return np.frombuffer(self.data, dtype=_DTYPES[dtype], count=count,
+                             offset=offset).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

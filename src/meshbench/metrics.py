@@ -29,9 +29,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
-                    format_real, parse_real, read_blob_array, read_yaml,
-                    write_yaml)
+from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
+                    decoding, format_real, parse_real, read_yaml)
 from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
@@ -227,10 +226,10 @@ def score_hidden(problem: ProblemDefinition, reference: Dataset,
 def save_bundle(bundle: PredictionBundle, root_path) -> None:
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
+    writer = BlobWriter(root / "bundle.manifest")
     docs = []
     for sid in sorted(bundle.predictions):
         entry = bundle.predictions[sid]
-        writer = BlobWriter(root, f"pred_{sid:09d}")
         docs.append({
             "id": sid,
             "scalars": {name: format_real(entry.scalars[name])
@@ -238,8 +237,7 @@ def save_bundle(bundle: PredictionBundle, root_path) -> None:
             "fields": {name: writer.write(entry.fields[name])
                        for name in sorted(entry.fields)},
         })
-    write_yaml(root / "bundle.manifest",
-               {"format_version": FORMAT_VERSION, "samples": docs})
+    writer.write_manifest({"format_version": FORMAT_VERSION, "samples": docs})
 
 
 def load_bundle(root_path) -> PredictionBundle:
@@ -247,14 +245,14 @@ def load_bundle(root_path) -> PredictionBundle:
     doc = read_yaml(manifest)
     check_version(doc, manifest)
     bundle = PredictionBundle()
-    with decoding(manifest):
+    with BlobReader(manifest) as blobs, decoding(manifest):
         for entry in doc.get("samples", []):
             sid = int(entry["id"])
             for name, value in (entry.get("scalars") or {}).items():
                 bundle.set_scalar(sid, name, parse_real(value))
             for name, array_entry in (entry.get("fields") or {}).items():
                 bundle.prediction_for(sid).fields[name] = \
-                    read_blob_array(array_entry, manifest, "float64")
+                    blobs.read(array_entry, "float64")
     return bundle
 
 

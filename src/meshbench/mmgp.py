@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
-                    format_real, parse_real, read_blob_array, read_yaml,
-                    write_yaml)
+from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
+                    decoding, format_real, parse_real, read_yaml)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
-from .errors import ConfigInvalid, FormatError, NoSuchSplit, ShapeMismatch
+from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
+                     ShapeMismatch)
 from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
 from .morphing import build_surface_mesh, tutte_embed
 from .parallel import parallel_map
@@ -225,14 +225,15 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
         # both boundaries are polygons inscribed in the unit circle, so no
         # target lies farther outside the source than the sagitta of its
         # longest boundary chord L, plus rounding slack
-        owner, slot = boundary_edges(tris)
+        boundary = owner, slot = boundary_edges(tris)
         chord = np.linalg.norm(nodes[tris[owner, slot]]
                                - nodes[tris[owner, (slot + 1) % 3]],
                                axis=1).max()
         sagitta = 1.0 - np.sqrt(max(0.0, 1.0 - (chord / 2) ** 2))
         bbox_diag = np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))
         return build_transfer(nodes, tris, targets,
-                              tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL)
+                              tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL,
+                              boundary=boundary)
 
     positions, disk_triangles = (_morph(coords, triangles) if morphed is None
                                  else morphed)
@@ -349,10 +350,21 @@ def mmgp_predict(model: MmgpModel, sample: Sample
 # ---------------------------------------------------------------------------
 # persistence (same manifest + blob encoding as the dataset store)
 
+_GP_INPUTS = ("x_train", "x_mean", "x_std")
+
+
 def save_model(model: MmgpModel, root_path) -> None:
+    """Write ``model.manifest`` and ``model.blob``; the GP regressors share
+    one copy of their training inputs and standardization."""
+    gps = [r.gp for r in (*model.field_regressors.values(),
+                          *model.scalar_regressors.values()) if r.is_gp]
+    if any(not np.array_equal(getattr(gp, key), getattr(gps[0], key))
+           for gp in gps[1:] for key in _GP_INPUTS):
+        raise IoFailure("refusing to save a model whose GP regressors "
+                        "were fit on different inputs")
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
-    writer = BlobWriter(root, "model")
+    writer = BlobWriter(root / "model.manifest")
 
     def basis_doc(basis: PodBasis) -> dict:
         return {"mean": writer.write(basis.mean),
@@ -372,10 +384,7 @@ def save_model(model: MmgpModel, root_path) -> None:
             "kernel": gp.kernel.kind,
             "variance": format_real(gp.kernel.variance),
             "lengthscales": writer.write(gp.kernel.lengthscales),
-            "x_train": writer.write(gp.x_train),
             "alpha": writer.write(gp.alpha),
-            "x_mean": writer.write(gp.x_mean),
-            "x_std": writer.write(gp.x_std),
             "y_mean": real(gp.y_mean),
             "y_std": format_real(gp.y_std),
             "jitter": format_real(gp.jitter),
@@ -393,6 +402,8 @@ def save_model(model: MmgpModel, root_path) -> None:
         "common_triangles": writer.write(
             np.ascontiguousarray(model.common_triangles)),
         "shape_basis": basis_doc(model.shape_basis),
+        "gp_inputs": ({key: writer.write(getattr(gps[0], key))
+                       for key in _GP_INPUTS} if gps else None),
         "field_bases": {name: basis_doc(b)
                         for name, b in sorted(model.field_bases.items())},
         "field_regressors": {
@@ -402,7 +413,7 @@ def save_model(model: MmgpModel, root_path) -> None:
             name: regressor_doc(r)
             for name, r in sorted(model.scalar_regressors.items())},
     }
-    write_yaml(root / "model.manifest", doc)
+    writer.write_manifest(doc)
 
 
 def load_model(root_path) -> MmgpModel:
@@ -412,8 +423,10 @@ def load_model(root_path) -> MmgpModel:
     if doc.get("kind") != "mmgp-model":
         raise FormatError("not an mmgp model manifest", path=manifest)
 
+    blobs = BlobReader(manifest)
+
     def read(entry, dtype="float64"):
-        return read_blob_array(entry, manifest, dtype)
+        return blobs.read(entry, dtype)
 
     def basis_from(doc_b) -> PodBasis:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
@@ -425,20 +438,21 @@ def load_model(root_path) -> MmgpModel:
         kernel = Kernel(kind=doc_r["kernel"],
                         variance=parse_real(doc_r["variance"]),
                         lengthscales=read(doc_r["lengthscales"]))
-        gp = GpModel(kernel=kernel, x_train=read(doc_r["x_train"]),
-                     alpha=read(doc_r["alpha"]),
-                     x_mean=read(doc_r["x_mean"]), x_std=read(doc_r["x_std"]),
-                     y_mean=real(doc_r["y_mean"]),
+        gp = GpModel(kernel=kernel, alpha=read(doc_r["alpha"]),
+                     **gp_inputs, y_mean=real(doc_r["y_mean"]),
                      y_std=parse_real(doc_r["y_std"]),
                      jitter=parse_real(doc_r["jitter"]))
         return Regressor(gp=gp)
 
-    with decoding(manifest):
+    with blobs, decoding(manifest):
         regressor_docs = [*doc["field_regressors"].values(),
                           *doc["scalar_regressors"].values()]
         if any(isinstance(r, list) or "chol_lower" in r for r in regressor_docs):
             raise FormatError("older layout (a GP per POD mode, with its "
                               "Cholesky factor); refit it", path=manifest)
+        inputs_doc = doc["gp_inputs"]
+        gp_inputs = ({key: read(inputs_doc[key]) for key in _GP_INPUTS}
+                     if inputs_doc is not None else None)
         cfg = doc["config"]
         model = MmgpModel(
             config=MmgpConfig(
@@ -479,7 +493,9 @@ def _check_shapes(model: MmgpModel, manifest: Path) -> None:
         gp = reg.gp
         return (np.shape(gp.y_mean) == shape
                 and gp.alpha.shape == (len(gp.x_train),) + shape
-                and gp.x_train.shape[1] == model.gp_input_dim)
+                and gp.x_train.shape[1] == model.gp_input_dim
+                and gp.x_mean.shape == gp.x_std.shape
+                == gp.kernel.lengthscales.shape == (model.gp_input_dim,))
 
     n_nodes = len(model.common_nodes)
     inputs = f"{model.gp_input_dim} GP inputs"

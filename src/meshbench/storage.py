@@ -12,9 +12,11 @@ Layout under a dataset root::
         scalars.csv                       # header row + one value row
         time_series.csv                   # name,time,value rows (optional)
         meshes/mesh_{9-digit}.manifest    # tree structure (YAML)
-        meshes/mesh_{9-digit}_{NNN}.blob  # raw little-endian arrays
+        meshes/mesh_{9-digit}.blob        # the tree's arrays, packed
 
-Every file uses the :mod:`meshbench.codec` encoding.  Node indices are
+Every file uses the :mod:`meshbench.codec` encoding (format version 2): a
+tree's manifest records each array's offset, dtype and shape in the one
+blob beside it, whose bytes those arrays tile exactly.  Node indices are
 written 0-based; the manifest header declares the base.
 """
 
@@ -25,9 +27,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .codec import (FORMAT_VERSION, BlobWriter, check_version, decoding,
-                    format_real, parse_real, read_blob_array, read_table,
-                    read_yaml, write_table, write_yaml)
+from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
+                    decoding, format_real, parse_real, read_table, read_yaml,
+                    write_table, write_yaml)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
@@ -56,8 +58,8 @@ _PARTITION_HEADER = ("sample_id", "subset")
 # mesh tree manifests
 
 def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
-    """Write one tree as ``{prefix}.manifest`` plus blob files."""
-    writer = BlobWriter(meshes_dir, prefix)
+    """Write one tree as ``{prefix}.manifest`` plus ``{prefix}.blob``."""
+    writer = BlobWriter(meshes_dir / f"{prefix}.manifest")
     doc = {
         "index_base": 0,
         "time": format_real(tree.time),
@@ -67,7 +69,7 @@ def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
             for l in tree.links],
         "bases": [_base_doc(b, writer) for b in tree.bases],
     }
-    write_yaml(meshes_dir / f"{prefix}.manifest", doc, sort_keys=False)
+    writer.write_manifest(doc, sort_keys=False)
 
 
 def _base_doc(base: Base, writer: BlobWriter) -> dict:
@@ -106,7 +108,7 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
 
 def read_tree(manifest_path: Path) -> MeshTree:
     doc = read_yaml(manifest_path)
-    with decoding(manifest_path):
+    with BlobReader(manifest_path) as blobs, decoding(manifest_path):
         if int(doc.get("index_base", 0)) != 0:
             raise FormatError("only 0-based node indices are supported",
                               path=manifest_path)
@@ -114,34 +116,32 @@ def read_tree(manifest_path: Path) -> MeshTree:
         links = [LinkSpec(parse_real(l["target_time"]),
                           tuple(l["target_paths"]))
                  for l in doc.get("links", [])]
-        bases = [_base_from_doc(b, manifest_path)
-                 for b in doc.get("bases", [])]
+        bases = [_base_from_doc(b, blobs) for b in doc.get("bases", [])]
     return build_tree(bases, time, links)
 
 
-def _base_from_doc(doc: dict, manifest_path: Path) -> Base:
-    zones = tuple(_zone_from_doc(z, manifest_path)
-                  for z in doc.get("zones", []))
+def _base_from_doc(doc: dict, blobs: BlobReader) -> Base:
+    zones = tuple(_zone_from_doc(z, blobs) for z in doc.get("zones", []))
     return Base(doc["name"], int(doc["cell_dim"]), int(doc["phys_dim"]), zones)
 
 
-def _zone_from_doc(doc: dict, manifest_path: Path) -> Zone:
+def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
     coords_entry = doc.get("coordinates")
-    coordinates = (read_blob_array(coords_entry, manifest_path, "float64")
+    coordinates = (blobs.read(coords_entry, "float64")
                    if coords_entry is not None else None)
     blocks = tuple(
         ElementBlock(
             ElementType(b["element_type"]),
-            read_blob_array(b["connectivity"], manifest_path, "int64"),
+            blobs.read(b["connectivity"], "int64"),
             tuple(int(x) for x in b["global_range"]))
         for b in doc.get("element_blocks", []))
     fields = tuple(
         FieldArray(f["name"], Location(f["location"]),
-                   read_blob_array(f["values"], manifest_path, "float64"))
+                   blobs.read(f["values"], "float64"))
         for f in doc.get("fields", []))
     tags = tuple(
         TagSet(t["name"], TagKind(t["kind"]),
-               read_blob_array(t["ids"], manifest_path, "int64"))
+               blobs.read(t["ids"], "int64"))
         for t in doc.get("tags", []))
     dims = doc.get("structured_dims")
     return Zone(

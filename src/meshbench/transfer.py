@@ -15,6 +15,7 @@ affine fields exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -109,12 +110,15 @@ def _barycentric(nodes, triangles, tri_ids, points):
 
 
 def build_transfer(source_nodes, source_triangles, targets,
-                   tol: float = DEFAULT_SNAP_TOL) -> TransferOperator:
+                   tol: float = DEFAULT_SNAP_TOL,
+                   boundary: Optional[tuple[np.ndarray, np.ndarray]] = None
+                   ) -> TransferOperator:
     """Locate every target in the source triangulation.
 
     ``tol`` is the snap tolerance as a fraction of the source bounding-box
-    diagonal.  Ties between containing triangles resolve to the smallest
-    triangle id, so the operator is deterministic.
+    diagonal.  ``boundary`` is ``boundary_edges(source_triangles)`` when the
+    caller has it already.  Ties between containing triangles resolve to the
+    smallest triangle id, so the operator is deterministic.
     """
     nodes = np.ascontiguousarray(source_nodes, dtype=np.float64)
     triangles = np.ascontiguousarray(source_triangles, dtype=np.int64)
@@ -153,7 +157,8 @@ def build_transfer(source_nodes, source_triangles, targets,
     # t = 0 and 1, so edges whose nearest point is a shared vertex tie
     missing = np.flatnonzero(~found)
     if missing.size:
-        owner, slot = boundary_edges(triangles)
+        owner, slot = (boundary_edges(triangles) if boundary is None
+                       else boundary)
         if owner.size == 0:
             raise PointOutsideDomain("the source mesh has no triangles")
         q0 = nodes[triangles[owner, slot]]

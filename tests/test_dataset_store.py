@@ -70,19 +70,28 @@ def test_round_trip_bitwise(tmp_path, two_base_sample):
         assert datasets_equal(ds, loaded), f"lazy={lazy}"
 
 
+def _files(directory):
+    """Paths of the files under ``directory``, relative and sorted."""
+    return sorted(p.relative_to(directory).as_posix()
+                  for p in directory.rglob("*") if p.is_file())
+
+
 def test_layout_matches_contract(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     save_dataset(small_dataset(two_base_sample), root)
     assert (root / "infos.yaml").is_file()
     assert (root / "problem_definition" / "problem_infos.yaml").is_file()
     assert (root / "problem_definition" / "split.csv").is_file()
-    for i in range(3):
+    for i in (0, 2):
         sdir = root / "dataset" / "samples" / f"sample_{i:09d}"
-        assert (sdir / "scalars.csv").is_file()
-        assert (sdir / "meshes" / "mesh_000000000.manifest").is_file()
-    # the linked second time step of sample 1
-    assert (root / "dataset" / "samples" / "sample_000000001" / "meshes"
-            / "mesh_000000001.manifest").is_file()
+        assert _files(sdir) == ["meshes/mesh_000000000.blob",
+                                "meshes/mesh_000000000.manifest",
+                                "scalars.csv"]
+    # sample 1 adds a time series and a linked second time step
+    assert _files(root / "dataset" / "samples" / "sample_000000001") == [
+        "meshes/mesh_000000000.blob", "meshes/mesh_000000000.manifest",
+        "meshes/mesh_000000001.blob", "meshes/mesh_000000001.manifest",
+        "scalars.csv", "time_series.csv"]
     split_text = (root / "problem_definition" / "split.csv").read_text()
     assert split_text.splitlines()[0] == "split_name,sample_id"
     assert "\r" not in split_text  # LF line endings
@@ -321,12 +330,20 @@ def saved_artifacts(tmp_path_factory):
     bundle = PredictionBundle()
     bundle.set_field(3, "u", [0.5, 1.0 / 3.0, -2.0])
     bundle.set_scalar(3, "u_max", 1.25)
+    bundle.set_field(5, "u", [2.0, 4.0])
     save_bundle(bundle, root / "bundle")
     ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=7,
                               max_nodes_per_side=10))
     save_model(mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2)),
                root / "model")
     return root
+
+
+def test_artifact_directories_hold_one_manifest_and_one_blob(saved_artifacts):
+    assert _files(saved_artifacts / "bundle") == ["bundle.blob",
+                                                  "bundle.manifest"]
+    assert _files(saved_artifacts / "model") == ["model.blob",
+                                                 "model.manifest"]
 
 
 def _write(name, text):
@@ -370,21 +387,54 @@ def _truncate_blob(root):
     return blob
 
 
+def _array_entries(doc):
+    """Every array entry of a manifest document."""
+    if isinstance(doc, dict):
+        if "blob" in doc:
+            return [doc]
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [e for item in doc for e in _array_entries(item)]
+    return []
+
+
 def _reshape_blob(locate, change):
-    """Replace one model array by ``change(array)``, keeping its manifest
-    entry readable."""
+    """Replace one model array by ``change(array)`` and re-pack the blob,
+    keeping every manifest entry readable and the blob tiled."""
     def corrupt(root):
         path = root / "model.manifest"
         doc = yaml.safe_load(path.read_text())
-        entry = locate(doc)
-        blob = root / entry["blob"]
-        array = np.frombuffer(blob.read_bytes(), dtype=entry["dtype"])
-        array = np.ascontiguousarray(change(array.reshape(entry["shape"])))
-        blob.write_bytes(array.tobytes())
-        entry["shape"] = list(array.shape)
+        blob = root / "model.blob"
+        data = blob.read_bytes()
+        target = locate(doc)
+        packed = []
+        for entry in sorted(_array_entries(doc), key=lambda e: e["offset"]):
+            array = np.frombuffer(data, dtype=entry["dtype"],
+                                  count=int(np.prod(entry["shape"])),
+                                  offset=entry["offset"])
+            if entry is target:
+                array = np.ascontiguousarray(
+                    change(array.reshape(entry["shape"])))
+                entry["shape"] = list(array.shape)
+            entry["offset"] = sum(len(b) for b in packed)
+            packed.append(array.tobytes())
+        blob.write_bytes(b"".join(packed))
         path.write_text(yaml.safe_dump(doc))
         return path
     return corrupt
+
+
+def _blob_entries(edit):
+    """Apply ``edit`` to the array entries of a manifest, in blob order."""
+    def corrupt_doc(doc):
+        edit(sorted(_array_entries(doc), key=lambda e: e["offset"]))
+    return corrupt_doc
+
+
+def _delete_blob(root):
+    blob = sorted(root.rglob("*.blob"))[0]
+    blob.unlink()
+    return blob
 
 
 def _first_field(doc, key):
@@ -402,7 +452,7 @@ _OLD_LAYOUTS = (
     _edit("model.manifest", lambda d: d.update(field_regressors={
         name: [r] for name, r in d["field_regressors"].items()})),
     _edit("model.manifest", lambda d: d["scalar_regressors"]["u_max"].update(
-        chol_lower=_first_gp(d)["x_mean"])),
+        chol_lower=d["gp_inputs"]["x_mean"])),
 )
 
 _CORRUPTIONS = []
@@ -413,10 +463,29 @@ for _kind in ("dataset", "bundle", "model"):
         pytest.param(_kind, _replace(_MANIFESTS[_kind], "dtype: float64",
                                      "dtype: float32"),
                      FormatError, id=f"{_kind}-blob_dtype"),
+        pytest.param(_kind, _append_bytes(_MANIFESTS[_kind].replace(
+            ".manifest", ".blob"), b"\0" * 8),
+            FormatError, id=f"{_kind}-blob_trailing_bytes"),
+        pytest.param(_kind, _edit(_MANIFESTS[_kind], _blob_entries(
+            lambda es: es[-1].update(offset=es[-1]["offset"] + 8))),
+            FormatError, id=f"{_kind}-offset_past_end"),
+        pytest.param(_kind, _edit(_MANIFESTS[_kind], _blob_entries(
+            lambda es: es[1].update(offset=es[0]["offset"]))),
+            FormatError, id=f"{_kind}-overlapping_spans"),
+        pytest.param(_kind, _edit(_MANIFESTS[_kind], _blob_entries(
+            lambda es: es[0].update(offset=-8))),
+            FormatError, id=f"{_kind}-negative_offset"),
+        pytest.param(_kind, _delete_blob, FormatError,
+                     id=f"{_kind}-missing_blob"),
     ]
 _CORRUPTIONS += [
     pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d.pop("time")),
                  FormatError, id="dataset-missing_key"),
+    pytest.param("dataset", _replace(_MANIFESTS["dataset"],
+                                     "blob: mesh_000000000.blob",
+                                     "blob: ../../sample_000000001/meshes/"
+                                     "mesh_000000000.blob"),
+                 FormatError, id="dataset-foreign_blob"),
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], "n_vertices: 4",
                                      "n_vertices: .inf"),
                  FormatError, id="dataset-infinite_count"),
@@ -425,8 +494,8 @@ _CORRUPTIONS += [
     pytest.param("dataset", _append_bytes(
         "dataset/samples/sample_000000000/scalars.csv", b"\xff"),
         FormatError, id="dataset-scalars_not_utf8"),
-    pytest.param("dataset", _replace("infos.yaml", "format_version: 1\n",
-                                     "format_version: 2\n"),
+    pytest.param("dataset", _replace("infos.yaml", "format_version: 2\n",
+                                     "format_version: 1\n"),
                  VersionMismatch, id="dataset-format_version"),
     pytest.param("dataset", _write("infos.yaml", ""), FormatError,
                  id="dataset-empty_infos"),
@@ -441,8 +510,8 @@ _CORRUPTIONS += [
     pytest.param("bundle", _edit("bundle.manifest",
                                  lambda d: d["samples"][0].pop("id")),
                  FormatError, id="bundle-missing_key"),
-    pytest.param("bundle", _replace("bundle.manifest", "format_version: 1\n",
-                                    "format_version: 2\n"),
+    pytest.param("bundle", _replace("bundle.manifest", "format_version: 2\n",
+                                    "format_version: 1\n"),
                  VersionMismatch, id="bundle-format_version"),
     pytest.param("bundle", _write("bundle.manifest", ""), FormatError,
                  id="bundle-empty_manifest"),
@@ -450,8 +519,8 @@ _CORRUPTIONS += [
         "scalars"].update(u_max="fast")), FormatError, id="bundle-scalar_text"),
     pytest.param("model", _edit("model.manifest", lambda d: d.pop("config")),
                  FormatError, id="model-missing_config"),
-    pytest.param("model", _replace("model.manifest", "format_version: 1\n",
-                                   "format_version: 2\n"),
+    pytest.param("model", _replace("model.manifest", "format_version: 2\n",
+                                   "format_version: 1\n"),
                  VersionMismatch, id="model-format_version"),
     pytest.param("model", _write("model.manifest", ""), FormatError,
                  id="model-empty_manifest"),
@@ -467,9 +536,12 @@ _CORRUPTIONS += [
     pytest.param("model", _OLD_LAYOUTS[0], FormatError, id="model-old_layout"),
     pytest.param("model", _OLD_LAYOUTS[1], FormatError,
                  id="model-old_chol_lower"),
-    pytest.param("model", _reshape_blob(lambda d: _first_gp(d)["x_train"],
+    pytest.param("model", _reshape_blob(lambda d: d["gp_inputs"]["x_train"],
                                         lambda a: a[:, :-1]),
                  FormatError, id="model-gp_input_columns"),
+    pytest.param("model", _reshape_blob(lambda d: d["gp_inputs"]["x_mean"],
+                                        lambda a: a[:-1]),
+                 FormatError, id="model-gp_input_mean"),
 ]
 
 

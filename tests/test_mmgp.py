@@ -20,18 +20,22 @@ from meshbench import (
     save_model,
     total_error,
 )
+from meshbench.edges import boundary_edges
 from meshbench.errors import (
     ConfigInvalid,
     FormatError,
+    IoFailure,
     NoSuchSplit,
     PointOutsideDomain,
     ShapeMismatch,
 )
-from meshbench.mmgp import (_fit_regressor, extract_triangle_geometry,
-                            load_config, parse_config_text)
+from meshbench.mmgp import (Regressor, _fit_regressor,
+                            extract_triangle_geometry, load_config,
+                            parse_config_text)
 from meshbench.morphing import build_surface_mesh, tutte_embed
 from meshbench.pod import pod_project, pod_reconstruct
 from meshbench.synthetic import build_plate_sample
+from meshbench.transfer import build_transfer
 from meshbench.tree import Zone, zone_with
 
 
@@ -197,9 +201,11 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
     _, fields = mmgp_predict(model, sample)
     assert np.all(fields["u"] == 1.0)
 
-    # the empty constant round-trips, and a model whose rank-0 field has
-    # no regressor does not load
+    # the empty constant round-trips as a zero-length span of the one blob,
+    # and a model whose rank-0 field has no regressor does not load
     save_model(model, tmp_path / "model")
+    assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [
+        "model.blob", "model.manifest"]
     loaded = load_model(tmp_path / "model")
     assert loaded.field_regressors["u"].constant.shape == (0,)
     assert mmgp_predict(loaded, sample)[1]["u"].tobytes() == \
@@ -291,6 +297,52 @@ def test_model_round_trip_preserves_predictions(tmp_path):
         assert np.float64(s1[k]).tobytes() == np.float64(s2[k]).tobytes()
     for k in f1:
         assert f1[k].tobytes() == f2[k].tobytes()
+
+
+def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
+    ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=7,
+                              max_nodes_per_side=10))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    save_model(model, tmp_path / "model")
+    assert (tmp_path / "model" / "model.manifest").read_text().count(
+        "x_train") == 1
+    loaded = load_model(tmp_path / "model")
+    gps = [r.gp for r in (*loaded.field_regressors.values(),
+                          *loaded.scalar_regressors.values()) if r.is_gp]
+    assert len(gps) > 1
+    assert all(gp.x_train is gps[0].x_train and gp.x_std is gps[0].x_std
+               for gp in gps)
+
+    name = sorted(model.field_regressors)[0]
+    gp = model.field_regressors[name].gp
+    other = Regressor(gp=replace(gp, x_train=gp.x_train + 1.0))
+    with pytest.raises(IoFailure, match="different inputs"):
+        save_model(replace(model, field_regressors={
+            **model.field_regressors, name: other}), tmp_path / "other")
+    assert not (tmp_path / "other").exists()
+
+
+def test_transfers_find_boundary_edges_once(monkeypatch):
+    calls = {"edges": 0, "transfers": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("meshbench.mmgp.boundary_edges",
+                        counted(boundary_edges, "edges"))
+    monkeypatch.setattr("meshbench.transfer.boundary_edges",
+                        counted(boundary_edges, "edges"))
+    monkeypatch.setattr("meshbench.mmgp.build_transfer",
+                        counted(build_transfer, "transfers"))
+    ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
+                              max_nodes_per_side=9))
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    mmgp_predict(model, ds.sample_at(ds.problem.splits["test"][0]))
+    assert calls["transfers"] == len(ds.problem.splits["train"]) + 2
+    assert calls["edges"] == calls["transfers"]
 
 
 def test_coarsest_plates_predict_and_far_targets_stay_rejected():

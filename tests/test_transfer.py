@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scipy.spatial import Delaunay
 
 from meshbench import (SynthConfig, apply_transfer, build_surface_mesh,
                        build_transfer, tutte_embed)
+from meshbench.edges import boundary_edges
 from meshbench.errors import PointOutsideDomain, ShapeMismatch
 from meshbench.mmgp import extract_triangle_geometry
 from meshbench.synthetic import build_plate_sample
@@ -82,6 +85,11 @@ def test_snap_matches_bruteforce_oracle(seed):
     for i, p in enumerate(probes):
         expected = oracle_snap_value(nodes, tris, p, field)
         assert abs(out[i] - expected) < 1e-12
+    # boundary edges handed in by the caller give the same operator
+    given = build_transfer(nodes, tris, probes, tol=0.05,
+                           boundary=boundary_edges(tris))
+    for a, b in zip(astuple(op), astuple(given)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_snap_to_boundary_vertex_takes_smallest_owner_id():
