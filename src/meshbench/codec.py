@@ -3,55 +3,43 @@
 The arrays of one manifest are packed, in the order written, into one
 blob file beside it, named like the manifest with the suffix ``.blob``, as
 raw little-endian IEEE-754 doubles or signed 64-bit integers; the manifest
-records each array's blob name, byte offset, dtype and shape, so every
-array round-trips losslessly.  The spans of a manifest's arrays must tile
-its blob exactly: no gap, no overlap and no trailing byte (an empty array
+records each array's byte offset, dtype and shape, so every array
+round-trips losslessly.  The spans of a manifest's arrays must tile its
+blob exactly: no gap, no overlap and no trailing byte (an empty array
 takes a zero-length span).  A manifest without arrays has no blob.
 
-Real scalars embedded in text files use the shortest decimal form that
-restores the exact double (Python ``repr``).
-All text files are UTF-8 with LF line endings; a file that does not decode
-as UTF-8 is malformed.
-
-YAML documents are parsed and emitted by libyaml when the installed PyYAML
-carries its bindings, and by PyYAML's pure-Python loader and dumper
-otherwise.  The two dumpers write the same bytes except for strings with
-one of these, which libyaml writes in an escaped form that loads back to
-the same value:
-
-- U+0085 (next line) becomes the ``\\N`` escape in a double-quoted scalar
-  (the pure dumper writes it raw, and loaders fold a raw one into a space);
-- characters beyond U+FFFF become ``\\U`` escapes;
-- a mapping key of more than 128 UTF-8 bytes, but at most 128 characters,
-  is written as an explicit ``? key`` entry.
+Manifests, ``infos.yaml`` and ``problem_infos.yaml`` are strict JSON
+documents (no NaN or infinity), each written on one line with a trailing
+LF.  Non-ASCII characters, lone surrogates included, are written as
+``\\u`` escapes, so these files are ASCII.  Real scalars embedded in text
+files use the shortest decimal form that restores the exact double
+(Python ``repr``).  All text files are UTF-8 with LF line endings; a file
+that does not decode as UTF-8 is malformed.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
-This is format version 2; version 1 wrote one blob file per array, and its
-datasets, bundles and models must be regenerated or refit.
+This is format version 3.  Versions 1 and 2 wrote YAML manifests, which
+fail to parse as JSON; their datasets, bundles and models must be
+regenerated or refit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import FormatError, IoFailure, VersionMismatch
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
-
-# libyaml's loader and dumper when PyYAML was built with it
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def format_real(x: float) -> str:
@@ -83,8 +71,8 @@ class BlobWriter:
     the manifest's name with the suffix ``.blob``.
 
     :meth:`write` returns an array's manifest entry; :meth:`write_manifest`
-    writes the blob, then the manifest, so that a manifest never names a
-    blob that is not on disk.
+    writes the blob, then the manifest, so that no manifest with arrays is
+    ever on disk without its blob.
     """
 
     def __init__(self, manifest_path: Path):
@@ -98,18 +86,18 @@ class BlobWriter:
         if dtype not in _DTYPES:
             raise IoFailure(f"unsupported array dtype {array.dtype}")
         data = np.ascontiguousarray(array, dtype=_DTYPES[dtype]).tobytes()
-        entry = {"blob": self.path.name, "offset": self.offset,
-                 "dtype": dtype, "shape": list(array.shape)}
+        entry = {"offset": self.offset, "dtype": dtype,
+                 "shape": list(array.shape)}
         self.chunks.append(data)
         self.offset += len(data)
         return entry
 
-    def write_manifest(self, doc: dict, sort_keys: bool = True) -> None:
+    def write_manifest(self, doc: dict) -> None:
         """The blob (none when no array was written), then ``doc``."""
         if self.chunks:
             with open(self.path, "wb") as fh:
                 fh.writelines(self.chunks)
-        write_yaml(self.manifest_path, doc, sort_keys=sort_keys)
+        write_manifest(self.manifest_path, doc)
 
 
 class BlobReader:
@@ -148,26 +136,22 @@ class BlobReader:
         """The read-only array of one entry; its dtype must be ``dtype``."""
         manifest = self.manifest_path
         with decoding(manifest):
-            blob_name = entry["blob"]
             offset = entry["offset"]
             dtype_name = entry["dtype"]
             shape = tuple(int(s) for s in entry["shape"])
-        if blob_name != self.path.name:
-            raise FormatError(f"array blob {blob_name!r}, expected "
-                              f"{self.path.name}", path=manifest)
         if dtype_name != dtype:
             raise FormatError(f"array dtype {dtype_name!r}, expected {dtype}",
                               path=manifest)
         if type(offset) is not int or offset < 0:
-            raise FormatError(f"blob {blob_name} offset {offset!r} is not an "
-                              f"integer >= 0", path=manifest)
+            raise FormatError(f"blob {self.path.name} offset {offset!r} is "
+                              f"not an integer >= 0", path=manifest)
         if any(s < 0 for s in shape):
             raise FormatError(f"negative array shape {list(shape)}",
                               path=manifest)
         if self.data is None:
             self.data = _read_bytes(self.path)
             if self.data is None:
-                raise FormatError(f"blob missing (named in {manifest.name})",
+                raise FormatError(f"blob missing (needed by {manifest.name})",
                                   path=self.path)
         count = math.prod(shape)
         end = offset + count * 8
@@ -182,7 +166,7 @@ class BlobReader:
 
 
 # ---------------------------------------------------------------------------
-# text, YAML documents and CSV tables
+# text, JSON manifests and CSV tables
 
 def _read_bytes(path: Path) -> Optional[bytes]:
     """The content of ``path``, or None when no file is there."""
@@ -210,23 +194,24 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_yaml(path: Path, doc: dict, sort_keys: bool = True) -> None:
-    write_text(path, yaml.dump(doc, Dumper=_DUMPER, sort_keys=sort_keys,
-                               allow_unicode=True))
+def write_manifest(path: Path, doc: dict) -> None:
+    """``doc`` as one line of strict, ASCII-only JSON, keys in dict order."""
+    write_text(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
-def read_yaml(path: Path) -> dict:
-    """The mapping a YAML file holds; anything else is a FormatError."""
+def read_manifest(path: Path) -> dict:
+    """The object a JSON manifest holds; anything else is a FormatError."""
     text = _read_text(path)
     if text is None:
         raise FormatError("file missing", path=path)
     try:
-        doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise FormatError(f"invalid YAML: {exc}", path=path)
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not JSON ({exc}); manifests are JSON since format"
+                          f" 3: regenerate or refit older artifacts", path=path)
     if not isinstance(doc, dict):
-        raise FormatError(f"expected a mapping, found {type(doc).__name__}",
-                          path=path)
+        raise FormatError(f"expected a JSON object, found "
+                          f"{type(doc).__name__}", path=path)
     return doc
 
 

@@ -7,6 +7,7 @@ each sample is materialized exactly once even under concurrent first access.
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 from dataclasses import dataclass, field
@@ -138,6 +139,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             report.add("hidden_partition", message)
 
     _check_name_coverage(dataset, report)
+    _check_json_infos(dataset.infos, report)
     if dataset.infos.get(CONSTANT_MESH_KEY):
         _check_constant_mesh(dataset, report)
     return report
@@ -193,6 +195,19 @@ def _check_name_coverage(dataset: Dataset, report: ValidationReport) -> None:
     for name in problem.in_fields_names + problem.out_fields_names:
         if name not in seen_fields:
             report.add("problem", f"field '{name}' appears in no sample")
+
+
+def _check_json_infos(infos: dict, report: ValidationReport) -> None:
+    """Report infos that a JSON round trip would not restore exactly (JSON
+    has no tuple, non-str key, date, NaN or infinity)."""
+    try:
+        restored = json.loads(json.dumps(infos, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        report.add("infos", f"not JSON: {exc}")
+        return
+    if restored != infos:
+        report.add("infos", "not restored exactly by JSON (a tuple or a "
+                            "non-str key)")
 
 
 def _check_constant_mesh(dataset: Dataset, report: ValidationReport) -> None:

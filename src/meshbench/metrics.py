@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_yaml)
+                    decoding, format_real, parse_real, read_manifest)
 from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
@@ -242,7 +242,7 @@ def save_bundle(bundle: PredictionBundle, root_path) -> None:
 
 def load_bundle(root_path) -> PredictionBundle:
     manifest = Path(root_path) / "bundle.manifest"
-    doc = read_yaml(manifest)
+    doc = read_manifest(manifest)
     check_version(doc, manifest)
     bundle = PredictionBundle()
     with BlobReader(manifest) as blobs, decoding(manifest):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_yaml)
+                    decoding, format_real, parse_real, read_manifest)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
@@ -418,7 +418,7 @@ def save_model(model: MmgpModel, root_path) -> None:
 
 def load_model(root_path) -> MmgpModel:
     manifest = Path(root_path) / "model.manifest"
-    doc = read_yaml(manifest)
+    doc = read_manifest(manifest)
     check_version(doc, manifest)
     if doc.get("kind") != "mmgp-model":
         raise FormatError("not an mmgp model manifest", path=manifest)
@@ -445,11 +445,6 @@ def load_model(root_path) -> MmgpModel:
         return Regressor(gp=gp)
 
     with blobs, decoding(manifest):
-        regressor_docs = [*doc["field_regressors"].values(),
-                          *doc["scalar_regressors"].values()]
-        if any(isinstance(r, list) or "chol_lower" in r for r in regressor_docs):
-            raise FormatError("older layout (a GP per POD mode, with its "
-                              "Cholesky factor); refit it", path=manifest)
         inputs_doc = doc["gp_inputs"]
         gp_inputs = ({key: read(inputs_doc[key]) for key in _GP_INPUTS}
                      if inputs_doc is not None else None)

@@ -11,10 +11,10 @@ Layout under a dataset root::
       dataset/samples/sample_{9-digit}/
         scalars.csv                       # header row + one value row
         time_series.csv                   # name,time,value rows (optional)
-        meshes/mesh_{9-digit}.manifest    # tree structure (YAML)
+        meshes/mesh_{9-digit}.manifest    # tree structure (JSON)
         meshes/mesh_{9-digit}.blob        # the tree's arrays, packed
 
-Every file uses the :mod:`meshbench.codec` encoding (format version 2): a
+Every file uses the :mod:`meshbench.codec` encoding (format version 3): a
 tree's manifest records each array's offset, dtype and shape in the one
 blob beside it, whose bytes those arrays tile exactly.  Node indices are
 written 0-based; the manifest header declares the base.
@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Optional
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_table, read_yaml,
-                    write_table, write_yaml)
+                    decoding, format_real, parse_real, read_manifest,
+                    read_table, write_manifest, write_table)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
@@ -69,7 +69,7 @@ def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
             for l in tree.links],
         "bases": [_base_doc(b, writer) for b in tree.bases],
     }
-    writer.write_manifest(doc, sort_keys=False)
+    writer.write_manifest(doc)
 
 
 def _base_doc(base: Base, writer: BlobWriter) -> dict:
@@ -82,7 +82,7 @@ def _base_doc(base: Base, writer: BlobWriter) -> dict:
 
 
 def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
-    doc = {
+    return {
         "name": zone.name,
         "zone_type": zone.zone_type.value,
         "n_vertices": zone.n_vertices,
@@ -103,11 +103,10 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
             {"name": t.name, "kind": t.kind.value, "ids": writer.write(t.ids)}
             for t in zone.tags],
     }
-    return doc
 
 
 def read_tree(manifest_path: Path) -> MeshTree:
-    doc = read_yaml(manifest_path)
+    doc = read_manifest(manifest_path)
     with BlobReader(manifest_path) as blobs, decoding(manifest_path):
         if int(doc.get("index_base", 0)) != 0:
             raise FormatError("only 0-based node indices are supported",
@@ -231,8 +230,8 @@ def save_dataset(dataset: Dataset, root_path) -> None:
                              f"({len(report.violations)} violation(s) total)")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        write_yaml(root / "infos.yaml", {"format_version": FORMAT_VERSION,
-                                         "infos": dataset.infos})
+        write_manifest(root / "infos.yaml", {"format_version": FORMAT_VERSION,
+                                             "infos": dataset.infos})
 
         problem_dir = root / "problem_definition"
         problem_dir.mkdir()
@@ -247,7 +246,7 @@ def save_dataset(dataset: Dataset, root_path) -> None:
 
 
 def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
-    write_yaml(problem_dir / "problem_infos.yaml", {
+    write_manifest(problem_dir / "problem_infos.yaml", {
         "task": problem.task,
         "in_scalars_names": list(problem.in_scalars_names),
         "out_scalars_names": list(problem.out_scalars_names),
@@ -270,7 +269,7 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
     """
     root = Path(root_path)
     infos_path = root / "infos.yaml"
-    infos_doc = read_yaml(infos_path)
+    infos_doc = read_manifest(infos_path)
     check_version(infos_doc, infos_path)
     infos = infos_doc.get("infos", {}) or {}
 
@@ -292,7 +291,7 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
 
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
-    doc = read_yaml(infos_path)
+    doc = read_manifest(infos_path)
 
     splits: dict[str, list[int]] = {}
     split_path = problem_dir / "split.csv"

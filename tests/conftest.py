@@ -21,12 +21,12 @@ from meshbench import (
 from meshbench.tree import Zone, ZoneType
 
 
-def square_zone(field_values=None, name="Fluid"):
+def square_zone(field_values=None, name="Fluid", field_name="mach"):
     """4-node unit square split into two triangles."""
     coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     fields = []
     if field_values is not None:
-        fields.append(make_field("mach", field_values, Location.Vertex))
+        fields.append(make_field(field_name, field_values, Location.Vertex))
     return make_unstructured_zone(
         name, coords, blocks=[(ElementType.TRI_3, [[0, 1, 2], [0, 2, 3]])],
         fields=fields,

@@ -48,6 +48,20 @@ def test_validate_corrupted_blob_names_file(generated, tmp_path, capsys):
     assert blob.name in err
 
 
+def test_validate_reports_non_finite_infos(generated, tmp_path, capsys):
+    import shutil
+    edited = tmp_path / "edited"
+    shutil.copytree(generated, edited)
+    infos = edited / "infos.yaml"
+    text = infos.read_text()
+    assert '"seed": 3' in text
+    infos.write_text(text.replace('"seed": 3', '"seed": 1e999'))
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "validate", str(edited), "--strict")
+    assert code == 1
+    assert "violation: infos: not JSON: Out of range float" in out
+
+
 def test_info_text_and_json(generated, capsys):
     capsys.readouterr()
     code, out, _ = run_cli(capsys, "info", str(generated))

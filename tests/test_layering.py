@@ -1,6 +1,9 @@
 """Import discipline of the meshbench package, checked on its source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import meshbench
@@ -36,7 +39,7 @@ def _internal_imports(path):
                     yield alias.name.partition(".")[2] or "__init__", []
 
 
-def test_only_codec_imports_yaml():
+def test_no_module_imports_yaml():
     importers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -48,7 +51,14 @@ def test_only_codec_imports_yaml():
                 continue
             if any(n.partition(".")[0] == "yaml" for n in names):
                 importers.add(path.stem)
-    assert importers == {"codec"}
+    assert importers == set()
+
+
+def test_import_leaves_yaml_unloaded():
+    code = "import sys, meshbench; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_every_module_has_a_layer():
