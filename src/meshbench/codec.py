@@ -1,43 +1,42 @@
 """The one on-disk encoding shared by datasets, prediction bundles and models.
 
-The arrays of one manifest are packed, in the order written, into one
-blob file beside it, named like the manifest with the suffix ``.blob``, as
-raw little-endian IEEE-754 doubles or signed 64-bit integers; the manifest
-records each array's byte offset, dtype and shape, so every array
-round-trips losslessly.  The spans of a manifest's arrays must tile its
-blob exactly: no gap, no overlap and no trailing byte (an empty array
-takes a zero-length span).  A manifest without arrays has no blob.
+Every artifact file is a JSON manifest or the blob beside it.  The arrays
+of one manifest are packed, in the order written, into that one blob,
+named like the manifest with the suffix ``.blob``, as raw little-endian
+IEEE-754 doubles or signed 64-bit integers; the manifest records each
+array's byte offset, dtype and shape, so every array round-trips
+losslessly.  The spans of a manifest's arrays must tile its blob exactly:
+no gap, no overlap and no trailing byte (an empty array takes a
+zero-length span).  A manifest without arrays has no blob.
 
 Manifests, ``infos.yaml`` and ``problem_infos.yaml`` are strict JSON
 documents (no NaN or infinity), each written on one line with a trailing
 LF.  Non-ASCII characters, lone surrogates included, are written as
-``\\u`` escapes, so these files are ASCII.  Real scalars embedded in text
-files use the shortest decimal form that restores the exact double
-(Python ``repr``).  All text files are UTF-8 with LF line endings; a file
-that does not decode as UTF-8 is malformed.
+``\\u`` escapes, so these files are ASCII.  Real scalars embedded in
+manifests are strings holding the shortest decimal form that restores the
+exact double (Python ``repr``).  A file that does not decode as UTF-8 is
+malformed.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
-This is format version 3.  Versions 1 and 2 wrote YAML manifests, which
-fail to parse as JSON; their datasets, bundles and models must be
-regenerated or refit.
+This is format version 4.  Versions 1 and 2 wrote YAML manifests, which
+fail to parse as JSON; version 3 wrote CSV tables beside them.  Their
+datasets, bundles and models must be regenerated or refit.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import FormatError, IoFailure, VersionMismatch
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
@@ -166,7 +165,7 @@ class BlobReader:
 
 
 # ---------------------------------------------------------------------------
-# text, JSON manifests and CSV tables
+# JSON manifests
 
 def _read_bytes(path: Path) -> Optional[bytes]:
     """The content of ``path``, or None when no file is there."""
@@ -177,35 +176,22 @@ def _read_bytes(path: Path) -> Optional[bytes]:
         return None
 
 
-def _read_text(path: Path) -> Optional[str]:
-    """The UTF-8 text of ``path``, or None when no file is there."""
-    data = _read_bytes(path)
-    if data is None:
-        return None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text: {exc.reason}", path=path,
-                          offset=exc.start) from None
-
-
-def write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def write_manifest(path: Path, doc: dict) -> None:
     """``doc`` as one line of strict, ASCII-only JSON, keys in dict order."""
-    write_text(path, json.dumps(doc, allow_nan=False) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, allow_nan=False) + "\n")
 
 
 def read_manifest(path: Path) -> dict:
     """The object a JSON manifest holds; anything else is a FormatError."""
-    text = _read_text(path)
-    if text is None:
+    data = _read_bytes(path)
+    if data is None:
         raise FormatError("file missing", path=path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason}", path=path,
+                          offset=exc.start) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"not JSON ({exc}); manifests are JSON since format"
                           f" 3: regenerate or refit older artifacts", path=path)
@@ -220,35 +206,3 @@ def check_version(doc: dict, path: Path) -> None:
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format_version {version!r} not supported "
                               f"(expected {FORMAT_VERSION}) [file: {path}]")
-
-
-def write_table(path: Path, header: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
-    """A CSV table; one without columns is an empty file."""
-    buf = io.StringIO()
-    if header:
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    write_text(path, buf.getvalue())
-
-
-def read_table(path: Path, header: Optional[Sequence[str]] = None
-               ) -> Optional[tuple[list[str], list[list[str]]]]:
-    """(header, rows) of a CSV table, or None when the file does not exist.
-
-    An empty file is a table without columns.  A given ``header`` must
-    equal the first row; every row must be as wide as the header.
-    """
-    text = _read_text(path)
-    if text is None:
-        return None
-    rows = list(csv.reader(io.StringIO(text)))
-    found, rows = (rows[0], rows[1:]) if rows else ([], [])
-    if header is not None and found != list(header):
-        raise FormatError(f"table header must be {','.join(header)}", path=path)
-    for row in rows:
-        if len(row) != len(found):
-            raise FormatError(f"row {row!r} does not match header {found!r}",
-                              path=path)
-    return found, rows

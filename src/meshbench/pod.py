@@ -52,7 +52,9 @@ def pod_basis(snapshots, max_modes: int) -> PodBasis:
 
     A singular value counts towards the rank when it exceeds RANK_RTOL
     times the Frobenius norm of the (uncentered) snapshots, so snapshots
-    that are constant up to rounding keep no mode.  At rank 0 the basis
+    that are constant up to rounding keep no mode.  On the Gram route it
+    must also exceed sqrt(s * eps) times the largest singular value, the
+    precision at which that route resolves them.  At rank 0 the basis
     holds the mean alone: projection yields an empty coefficient vector
     and reconstruction returns the mean.
     """
@@ -61,14 +63,19 @@ def pod_basis(snapshots, max_modes: int) -> PodBasis:
     mean = a.mean(axis=0)
     centered = a - mean
 
+    tol = RANK_RTOL * np.linalg.norm(a)
     if n > s:
         eigvals, eigvecs = np.linalg.eigh(centered @ centered.T)
         order = np.argsort(eigvals)[::-1]
         eigvecs = eigvecs[:, order]
         sv = np.sqrt(np.clip(eigvals[order], 0.0, None))
+        # eigh resolves the Gram eigenvalues to about s*eps*sv[0]**2, so
+        # singular values below sqrt(s*eps)*sv[0] are its round-off
+        tol = max(tol, np.sqrt(s * np.finfo(np.float64).eps)
+                  * sv.max(initial=0.0))
     else:
         _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    k = min(max_modes, int(np.sum(sv > RANK_RTOL * np.linalg.norm(a))))
+    k = min(max_modes, int(np.sum(sv > tol)))
 
     if n > s:
         modes = centered.T @ eigvecs[:, :k] / sv[:k]

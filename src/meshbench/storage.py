@@ -5,19 +5,18 @@ Layout under a dataset root::
     root/
       infos.yaml                          # format_version + free metadata
       problem_definition/
-        problem_infos.yaml                # task and input/output name lists
-        split.csv                         # split_name,sample_id rows
-        hidden_partition.csv              # sample_id,subset rows (optional)
+        problem_infos.yaml                # task, name lists, splits and
+                                          # hidden partition (optional)
       dataset/samples/sample_{9-digit}/
-        scalars.csv                       # header row + one value row
-        time_series.csv                   # name,time,value rows (optional)
-        meshes/mesh_{9-digit}.manifest    # tree structure (JSON)
-        meshes/mesh_{9-digit}.blob        # the tree's arrays, packed
+        sample.manifest                   # scalars, time series, trees
+        sample.blob                       # the arrays of all its trees
 
-Every file uses the :mod:`meshbench.codec` encoding (format version 3): a
-tree's manifest records each array's offset, dtype and shape in the one
-blob beside it, whose bytes those arrays tile exactly.  Node indices are
-written 0-based; the manifest header declares the base.
+Every file uses the :mod:`meshbench.codec` encoding (format version 4): a
+sample's manifest holds its scalars, its time series and its mesh trees in
+time order, and records each array's offset, dtype and shape in the one
+blob beside it, whose bytes those arrays tile exactly.  A sample without
+arrays has no blob.  Node indices are written 0-based; each tree declares
+the base.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from __future__ import annotations
 import copy
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
                     decoding, format_real, parse_real, read_manifest,
-                    read_table, write_manifest, write_table)
+                    write_manifest)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
@@ -49,18 +47,17 @@ from .tree import (
     zone_with,
 )
 
-_TIME_SERIES_HEADER = ("name", "time", "value")
-_SPLIT_HEADER = ("split_name", "sample_id")
-_PARTITION_HEADER = ("sample_id", "subset")
+#: the manifest of a sample, inside its directory; its blob lies beside it.
+#: One directory per sample keeps ``dataset/samples/sample_*`` one entry
+#: per sample, which is how tools count the samples of a saved dataset.
+SAMPLE_MANIFEST = "sample.manifest"
 
 
 # ---------------------------------------------------------------------------
-# mesh tree manifests
+# mesh trees, as documents inside a sample manifest
 
-def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
-    """Write one tree as ``{prefix}.manifest`` plus ``{prefix}.blob``."""
-    writer = BlobWriter(meshes_dir / f"{prefix}.manifest")
-    doc = {
+def _tree_doc(tree: MeshTree, writer: BlobWriter) -> dict:
+    return {
         "index_base": 0,
         "time": format_real(tree.time),
         "links": [
@@ -69,7 +66,6 @@ def write_tree(tree: MeshTree, meshes_dir: Path, prefix: str) -> None:
             for l in tree.links],
         "bases": [_base_doc(b, writer) for b in tree.bases],
     }
-    writer.write_manifest(doc)
 
 
 def _base_doc(base: Base, writer: BlobWriter) -> dict:
@@ -105,18 +101,15 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
     }
 
 
-def read_tree(manifest_path: Path) -> MeshTree:
-    doc = read_manifest(manifest_path)
-    with BlobReader(manifest_path) as blobs, decoding(manifest_path):
-        if int(doc.get("index_base", 0)) != 0:
-            raise FormatError("only 0-based node indices are supported",
-                              path=manifest_path)
-        time = parse_real(doc["time"])
-        links = [LinkSpec(parse_real(l["target_time"]),
-                          tuple(l["target_paths"]))
-                 for l in doc.get("links", [])]
-        bases = [_base_from_doc(b, blobs) for b in doc.get("bases", [])]
-    return build_tree(bases, time, links)
+def _tree_args(doc: dict, blobs: BlobReader) -> tuple:
+    """The (bases, time, links) that ``build_tree`` takes for one tree."""
+    if int(doc.get("index_base", 0)) != 0:
+        raise FormatError("only 0-based node indices are supported",
+                          path=blobs.manifest_path)
+    links = [LinkSpec(parse_real(l["target_time"]), tuple(l["target_paths"]))
+             for l in doc.get("links", [])]
+    bases = [_base_from_doc(b, blobs) for b in doc.get("bases", [])]
+    return bases, parse_real(doc["time"]), links
 
 
 def _base_from_doc(doc: dict, blobs: BlobReader) -> Base:
@@ -158,55 +151,37 @@ def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
 # ---------------------------------------------------------------------------
 # samples
 
-def write_sample(sample: Sample, sample_dir: Path) -> None:
-    sample_dir.mkdir(parents=True, exist_ok=True)
-    names = sorted(sample.scalars)
-    write_table(sample_dir / "scalars.csv", names,
-                [[format_real(sample.scalars[n]) for n in names]])
-
-    if sample.time_series:
-        write_table(sample_dir / "time_series.csv", _TIME_SERIES_HEADER,
-                    [[name, format_real(t), format_real(v)]
-                     for name in sorted(sample.time_series)
-                     for t, v in sample.time_series[name]])
-
-    meshes_dir = sample_dir / "meshes"
-    meshes_dir.mkdir(exist_ok=True)
-    for index, time in enumerate(sample.get_all_mesh_times()):
-        write_tree(sample.trees[time], meshes_dir, f"mesh_{index:09d}")
+def write_sample(sample: Sample, manifest_path: Path) -> None:
+    """Write one sample as ``manifest_path`` plus the blob beside it."""
+    writer = BlobWriter(manifest_path)
+    writer.write_manifest({
+        "scalars": {name: format_real(sample.scalars[name])
+                    for name in sorted(sample.scalars)},
+        "time_series": {name: [[format_real(t), format_real(v)]
+                               for t, v in sample.time_series[name]]
+                        for name in sorted(sample.time_series)},
+        "trees": [_tree_doc(sample.trees[time], writer)
+                  for time in sample.get_all_mesh_times()],
+    })
 
 
-def read_sample(sample_dir: Path) -> Sample:
-    scalars = _read_scalars(sample_dir / "scalars.csv")
-    time_series = _read_time_series(sample_dir / "time_series.csv")
+def read_sample(manifest_path: Path) -> Sample:
+    """The sample in ``manifest_path`` and the blob beside it."""
+    doc = read_manifest(manifest_path)
+    with BlobReader(manifest_path) as blobs, decoding(manifest_path):
+        scalars = {name: parse_real(value)
+                   for name, value in doc["scalars"].items()}
+        time_series = {name: [(parse_real(t), parse_real(v)) for t, v in rows]
+                       for name, rows in doc["time_series"].items()}
+        tree_args = [_tree_args(tree, blobs) for tree in doc["trees"]]
+    # trees are built once the blob is known to be tiled exactly
     trees = {}
-    meshes_dir = sample_dir / "meshes"
-    if meshes_dir.is_dir():
-        for manifest in sorted(meshes_dir.glob("mesh_*.manifest")):
-            tree = read_tree(manifest)
-            if tree.time in trees:
-                raise FormatError(f"duplicate tree time {tree.time!r}",
-                                  path=manifest)
-            trees[tree.time] = tree
+    for bases, time, links in tree_args:
+        if time in trees:
+            raise FormatError(f"duplicate tree time {time!r}",
+                              path=manifest_path)
+        trees[time] = build_tree(bases, time, links)
     return Sample(trees=trees, scalars=scalars, time_series=time_series)
-
-
-def _read_scalars(path: Path) -> dict[str, float]:
-    names, rows = read_table(path) or ([], [])
-    if len(rows) != (1 if names else 0):
-        raise FormatError("scalars table must be a header row plus one value row",
-                          path=path)
-    with decoding(path):
-        return {name: parse_real(value) for name, value in zip(names, *rows)}
-
-
-def _read_time_series(path: Path) -> dict[str, list[tuple[float, float]]]:
-    series: dict[str, list[tuple[float, float]]] = {}
-    _, rows = read_table(path, _TIME_SERIES_HEADER) or (None, [])
-    with decoding(path):
-        for name, t, v in rows:
-            series.setdefault(name, []).append((parse_real(t), parse_real(v)))
-    return series
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +215,26 @@ def save_dataset(dataset: Dataset, root_path) -> None:
         samples_dir = root / "dataset" / "samples"
         samples_dir.mkdir(parents=True)
         for i in range(dataset.n_samples):
-            write_sample(dataset.sample_at(i), samples_dir / f"sample_{i:09d}")
+            sample_dir = samples_dir / f"sample_{i:09d}"
+            sample_dir.mkdir()
+            write_sample(dataset.sample_at(i), sample_dir / SAMPLE_MANIFEST)
     except OSError as exc:
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
 
 
 def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
-    write_manifest(problem_dir / "problem_infos.yaml", {
+    doc = {
         "task": problem.task,
         "in_scalars_names": list(problem.in_scalars_names),
         "out_scalars_names": list(problem.out_scalars_names),
         "in_fields_names": list(problem.in_fields_names),
-        "out_fields_names": list(problem.out_fields_names)})
-    write_table(problem_dir / "split.csv", _SPLIT_HEADER,
-                [[name, sid] for name in sorted(problem.splits)
-                 for sid in problem.splits[name]])
+        "out_fields_names": list(problem.out_fields_names),
+        "splits": {name: list(problem.splits[name])
+                   for name in sorted(problem.splits)}}
     if problem.hidden_partition is not None:
-        write_table(problem_dir / "hidden_partition.csv", _PARTITION_HEADER,
-                    [[sid, problem.hidden_partition[sid]]
-                     for sid in sorted(problem.hidden_partition)])
+        doc["hidden_partition"] = [[sid, problem.hidden_partition[sid]]
+                                   for sid in sorted(problem.hidden_partition)]
+    write_manifest(problem_dir / "problem_infos.yaml", doc)
 
 
 def load_dataset(root_path, lazy: bool = False) -> Dataset:
@@ -282,39 +258,32 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
             raise FormatError(f"sample directories not contiguous: found {d.name}, "
                               f"expected sample_{i:09d}", path=d)
 
+    manifests = [d / SAMPLE_MANIFEST for d in sample_dirs]
     if lazy:
-        loaders = [(lambda d=d: read_sample(d)) for d in sample_dirs]
+        loaders = [(lambda m=m: read_sample(m)) for m in manifests]
         return Dataset(loaders=loaders, infos=infos, problem=problem)
-    samples = [read_sample(d) for d in sample_dirs]
+    samples = [read_sample(m) for m in manifests]
     return Dataset(samples=samples, infos=infos, problem=problem)
 
 
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
     doc = read_manifest(infos_path)
-
-    splits: dict[str, list[int]] = {}
-    split_path = problem_dir / "split.csv"
-    _, rows = read_table(split_path, _SPLIT_HEADER) or (None, [])
-    with decoding(split_path):
-        for name, sid in rows:
-            splits.setdefault(name, []).append(int(sid))
-
-    hidden: Optional[dict[int, str]] = None
-    hidden_path = problem_dir / "hidden_partition.csv"
-    table = read_table(hidden_path, _PARTITION_HEADER)
-    if table is not None:
-        with decoding(hidden_path):
-            hidden = {int(sid): subset for sid, subset in table[1]}
-
     with decoding(infos_path):
+        hidden, rows = None, doc.get("hidden_partition")
+        if rows is not None:
+            hidden = {int(sid): subset for sid, subset in rows}
+            if len(hidden) != len(rows):
+                raise FormatError("hidden_partition labels a sample id twice",
+                                  path=infos_path)
         return ProblemDefinition(
             task=doc.get("task", "Regression"),
             in_scalars_names=list(doc.get("in_scalars_names", [])),
             out_scalars_names=list(doc.get("out_scalars_names", [])),
             in_fields_names=list(doc.get("in_fields_names", [])),
             out_fields_names=list(doc.get("out_fields_names", [])),
-            splits=splits,
+            splits={name: [int(sid) for sid in ids]
+                    for name, ids in doc.get("splits", {}).items()},
             hidden_partition=hidden,
         )
 

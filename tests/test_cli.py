@@ -39,13 +39,12 @@ def test_validate_corrupted_blob_names_file(generated, tmp_path, capsys):
     import shutil
     broken = tmp_path / "broken"
     shutil.copytree(generated, broken)
-    blob = sorted((broken / "dataset" / "samples" / "sample_000000000"
-                   / "meshes").glob("*.blob"))[0]
+    blob = broken / "dataset" / "samples" / "sample_000000000" / "sample.blob"
     blob.write_bytes(blob.read_bytes()[:-4])
     capsys.readouterr()
     code, out, err = run_cli(capsys, "validate", str(broken), "--strict")
     assert code == 1
-    assert blob.name in err
+    assert str(blob.relative_to(broken)) in err
 
 
 def test_validate_reports_non_finite_infos(generated, tmp_path, capsys):
@@ -180,7 +179,8 @@ def test_convert_participant_export(generated, tmp_path, capsys):
     assert "a" in sample.scalars and "p" in sample.scalars
     assert sample.get_field_names() == []
     assert exported.problem.hidden_partition is None
-    assert not (out / "problem_definition" / "hidden_partition.csv").exists()
+    assert "hidden_partition" not in json.loads(
+        (out / "problem_definition" / "problem_infos.yaml").read_text())
 
     train_sample = exported.sample_at(exported.problem.splits["train"][0])
     assert sorted(train_sample.get_field_names()) == ["du_dx", "u"]

@@ -36,7 +36,7 @@ from meshbench.errors import (
     NoSuchSplit,
     VersionMismatch,
 )
-from meshbench.storage import read_sample, write_sample
+from meshbench.storage import SAMPLE_MANIFEST, read_sample, write_sample
 
 from conftest import square_zone
 
@@ -80,33 +80,37 @@ def _files(directory):
 def test_layout_matches_contract(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     save_dataset(small_dataset(two_base_sample), root)
-    assert (root / "infos.yaml").is_file()
-    assert (root / "problem_definition" / "problem_infos.yaml").is_file()
-    assert (root / "problem_definition" / "split.csv").is_file()
-    for i in (0, 2):
-        sdir = root / "dataset" / "samples" / f"sample_{i:09d}"
-        assert _files(sdir) == ["meshes/mesh_000000000.blob",
-                                "meshes/mesh_000000000.manifest",
-                                "scalars.csv"]
-    # sample 1 adds a time series and a linked second time step
-    assert _files(root / "dataset" / "samples" / "sample_000000001") == [
-        "meshes/mesh_000000000.blob", "meshes/mesh_000000000.manifest",
-        "meshes/mesh_000000001.blob", "meshes/mesh_000000001.manifest",
-        "scalars.csv", "time_series.csv"]
-    split_text = (root / "problem_definition" / "split.csv").read_text()
-    assert split_text.splitlines()[0] == "split_name,sample_id"
-    assert "\r" not in split_text  # LF line endings
+    # sample 1 adds a time series and a linked second time step, which go
+    # into the same manifest and blob
+    assert _files(root) == [
+        f"dataset/samples/sample_{i:09d}/sample.{suffix}"
+        for i in range(3) for suffix in ("blob", "manifest")] + [
+        "infos.yaml", "problem_definition/problem_infos.yaml"]
+    problem_text = (root / "problem_definition"
+                    / "problem_infos.yaml").read_text()
+    assert json.loads(problem_text)["splits"] == {"test": [1, 2],
+                                                  "train": [0]}
+    sample_text = (root / "dataset" / "samples" / "sample_000000001"
+                   / SAMPLE_MANIFEST).read_text()
+    doc = json.loads(sample_text)
+    assert [tree["time"] for tree in doc["trees"]] == ["0.0", "0.01"]
+    assert doc["time_series"] == {"residual": [["0.0", "1.0"],
+                                               ["0.01", "0.1"]]}
+    assert "\r" not in problem_text + sample_text  # LF line endings
 
 
 def test_unusual_strings_round_trip(tmp_path, two_base_sample):
     # next line (U+0085), a character beyond U+FFFF and a lone surrogate, in
-    # infos and in a field name, and a key of 100 characters but 200 bytes
+    # infos and in the names of a field, a scalar, a time series and a
+    # split, and a key of 100 characters but 200 bytes
     unusual = "line\x85break, plate \U0001F642, half \ud800"
     ds = small_dataset(two_base_sample)
     ds.infos.update({"note": unusual, "\u00e9" * 100: "long key"})
+    ds.problem.splits[unusual] = [3]
     odd = Sample(trees={0.0: build_tree([Base("Base_2_2", 2, 2, (square_zone(
         [4.0, 3.0, 2.0, 1.0], field_name=unusual),))], time=0.0)},
-        scalars={"P": 1.0, "Omega": 2.0, "u_max": 3.0})
+        scalars={"P": 1.0, "Omega": 2.0, "u_max": 3.0, unusual: 4.0},
+        time_series={unusual: [(0.0, 5.0)]})
     ds = Dataset(samples=[*ds.iterate(range(ds.n_samples)), odd],
                  infos=ds.infos, problem=ds.problem)
     save_dataset(ds, tmp_path / "ds")
@@ -123,16 +127,17 @@ def test_scalar_exact_decimal_round_trip(tmp_path):
     values = {"a": 0.1, "b": 1.0 / 3.0, "c": -2.5e-17, "d": 1e-300,
               "e": 12345.678901234567}
     sample = Sample(scalars=values)
-    write_sample(sample, tmp_path / "s")
-    back = read_sample(tmp_path / "s")
+    write_sample(sample, tmp_path / "s.manifest")
+    assert not (tmp_path / "s.blob").exists()  # a sample without arrays
+    back = read_sample(tmp_path / "s.manifest")
     for name, value in values.items():
         assert np.float64(back.scalars[name]).tobytes() == \
             np.float64(value).tobytes()
 
 
 def test_time_series_round_trip(tmp_path, two_base_sample):
-    write_sample(two_base_sample, tmp_path / "s")
-    back = read_sample(tmp_path / "s")
+    write_sample(two_base_sample, tmp_path / "s.manifest")
+    back = read_sample(tmp_path / "s.manifest")
     assert back.time_series == two_base_sample.time_series
 
 
@@ -193,8 +198,7 @@ def test_save_refuses_non_empty_dir(tmp_path, two_base_sample):
 def test_truncated_blob_reports_file(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     save_dataset(small_dataset(two_base_sample), root)
-    blob = sorted((root / "dataset" / "samples" / "sample_000000000"
-                   / "meshes").glob("*.blob"))[0]
+    blob = root / "dataset" / "samples" / "sample_000000000" / "sample.blob"
     blob.write_bytes(blob.read_bytes()[:-3])
     with pytest.raises(FormatError) as err:
         load_dataset(root, lazy=False)
@@ -287,7 +291,8 @@ def test_participant_export_strips_test_outputs(tmp_path, two_base_sample):
 
     root = tmp_path / "export"
     save_dataset(exported, root)
-    assert not (root / "problem_definition" / "hidden_partition.csv").exists()
+    assert "hidden_partition" not in json.loads(
+        (root / "problem_definition" / "problem_infos.yaml").read_text())
 
 
 def test_lazy_cache_single_population(tmp_path, two_base_sample):
@@ -318,7 +323,7 @@ def test_lazy_cache_single_population(tmp_path, two_base_sample):
 # corrupt artifacts: every malformed file fails with a typed error naming it
 
 _MANIFESTS = {
-    "dataset": "dataset/samples/sample_000000000/meshes/mesh_000000000.manifest",
+    "dataset": "dataset/samples/sample_000000000/sample.manifest",
     "bundle": "bundle.manifest",
     "model": "model.manifest",
 }
@@ -364,11 +369,13 @@ def _append_bytes(name, data):
 
 
 def _replace(name, old, new):
+    """Replace the first ``old`` in the file by ``new`` (text or bytes)."""
     def corrupt(root):
         path = root / name
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
+        data = path.read_bytes()
+        assert old.encode() in data
+        path.write_bytes(data.replace(
+            old.encode(), new if isinstance(new, bytes) else new.encode(), 1))
         return path
     return corrupt
 
@@ -439,6 +446,12 @@ def _delete_blob(root):
     return blob
 
 
+def _drop_second_sample(root):
+    samples = root / "dataset" / "samples"
+    shutil.rmtree(samples / "sample_000000001")
+    return samples / "sample_000000002"
+
+
 def _first_field(doc, key):
     return doc[key][sorted(doc[key])[0]]
 
@@ -472,34 +485,46 @@ for _kind in ("dataset", "bundle", "model"):
                      id=f"{_kind}-missing_blob"),
     ]
 _CORRUPTIONS += [
-    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d.pop("time")),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"],
+                                  lambda d: d["trees"][0].pop("time")),
                  FormatError, id="dataset-missing_key"),
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"n_vertices": 4',
                                      '"n_vertices": 1e999'),
                  FormatError, id="dataset-infinite_count"),
     pytest.param("dataset", _append_bytes(_MANIFESTS["dataset"], b"#\xff\n"),
                  FormatError, id="dataset-manifest_not_utf8"),
-    pytest.param("dataset", _append_bytes(
-        "dataset/samples/sample_000000000/scalars.csv", b"\xff"),
-        FormatError, id="dataset-scalars_not_utf8"),
-    pytest.param("dataset", _replace("infos.yaml", '"format_version": 3',
-                                     '"format_version": 2'),
+    pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"scalars": {"',
+                                     b'"scalars": {"\xff'),
+                 FormatError, id="dataset-scalars_not_utf8"),
+    pytest.param("dataset", _edit(
+        "dataset/samples/sample_000000001/sample.manifest",
+        lambda d: d["trees"][1].update(time=d["trees"][0]["time"])),
+        FormatError, id="dataset-duplicate_tree_time"),
+    pytest.param("dataset", _drop_second_sample, FormatError,
+                 id="dataset-sample_numbering"),
+    pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
+                                     '"format_version": 3'),
                  VersionMismatch, id="dataset-format_version"),
     pytest.param("dataset", _write("infos.yaml", ""), FormatError,
                  id="dataset-empty_infos"),
     pytest.param("dataset", _write("problem_definition/problem_infos.yaml", ""),
                  FormatError, id="dataset-empty_problem_infos"),
-    pytest.param("dataset", _write("problem_definition/hidden_partition.csv",
-                                   "sample_id,subset\none,Public\n2,Private\n"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["hidden_partition"][0].__setitem__(
+                                      0, "one")),
                  FormatError, id="dataset-partition_id"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["hidden_partition"].append(
+                                      [d["hidden_partition"][0][0], "Private"])),
+                 FormatError, id="dataset-partition_id_twice"),
     pytest.param("bundle", _replace("bundle.manifest", '"dtype": "float64"',
                                     '"dtype": "int64"'),
                  FormatError, id="bundle-blob_dtype_int64"),
     pytest.param("bundle", _edit("bundle.manifest",
                                  lambda d: d["samples"][0].pop("id")),
                  FormatError, id="bundle-missing_key"),
-    pytest.param("bundle", _replace("bundle.manifest", '"format_version": 3',
-                                    '"format_version": 2'),
+    pytest.param("bundle", _replace("bundle.manifest", '"format_version": 4',
+                                    '"format_version": 3'),
                  VersionMismatch, id="bundle-format_version"),
     pytest.param("bundle", _write("bundle.manifest", ""), FormatError,
                  id="bundle-empty_manifest"),
@@ -507,8 +532,8 @@ _CORRUPTIONS += [
         "scalars"].update(u_max="fast")), FormatError, id="bundle-scalar_text"),
     pytest.param("model", _edit("model.manifest", lambda d: d.pop("config")),
                  FormatError, id="model-missing_config"),
-    pytest.param("model", _replace("model.manifest", '"format_version": 3',
-                                   '"format_version": 2'),
+    pytest.param("model", _replace("model.manifest", '"format_version": 4',
+                                   '"format_version": 3'),
                  VersionMismatch, id="model-format_version"),
     pytest.param("model", _write("model.manifest", ""), FormatError,
                  id="model-empty_manifest"),
@@ -549,7 +574,8 @@ def test_corrupt_artifact_raises_typed_error(tmp_path, two_base_sample,
     path = corrupt(root)
     with pytest.raises(error) as err:
         _LOADERS[kind](root)
-    assert path.name in str(err.value)
+    # every sample manifest is named sample.manifest: its directory counts
+    assert path.name in str(err.value) and str(path.parent) in str(err.value)
 
 
 @pytest.mark.parametrize("kind, name, text", [

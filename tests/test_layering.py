@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import meshbench
 
 PACKAGE = Path(meshbench.__file__).parent
@@ -39,7 +41,9 @@ def _internal_imports(path):
                     yield alias.name.partition(".")[2] or "__init__", []
 
 
-def test_no_module_imports_yaml():
+# every artifact file is a JSON manifest or its blob
+@pytest.mark.parametrize("codec_module", ["yaml", "csv"])
+def test_no_module_imports(codec_module):
     importers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -49,7 +53,7 @@ def test_no_module_imports_yaml():
                 names = [node.module]
             else:
                 continue
-            if any(n.partition(".")[0] == "yaml" for n in names):
+            if any(n.partition(".")[0] == codec_module for n in names):
                 importers.add(path.stem)
     assert importers == set()
 

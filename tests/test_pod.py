@@ -119,6 +119,15 @@ def test_numerical_rank_and_mean_only_basis():
         assert np.array_equal(rec, snaps.mean(axis=0))
 
 
+def test_gram_route_keeps_no_round_off_mode():
+    # centering leaves 5 random snapshots rank 4: a thin SVD puts the 5th
+    # singular value at 1.6e-16 relative, the Gram route's eigh near 1e-8
+    snaps = np.random.default_rng(0).normal(size=(5, 40))
+    assert np.linalg.svd(snaps - snaps.mean(axis=0), compute_uv=False)[4] \
+        < 1e-14 * np.linalg.norm(snaps)
+    assert pod_basis(snaps, 99).n_modes == 4
+
+
 @pytest.mark.parametrize("shape", [(5, 40), (12, 6)])  # Gram and SVD routes
 def test_pod_basis_matches_pod_fit_and_clamps(shape):
     rng = np.random.default_rng(11)
@@ -127,7 +136,7 @@ def test_pod_basis_matches_pod_fit_and_clamps(shape):
     snaps = (rng.normal(size=n) + rng.normal(size=(s, min(s, n) - 2))
              @ rng.normal(size=(min(s, n) - 2, n)))
     rank = numerical_rank(snaps)
-    assert min(s, n) - 2 <= rank <= min(s, n)
+    assert rank == min(s, n) - 2
     for k in range(1, rank + 1):
         clamped, strict = pod_basis(snaps, k), pod_fit(snaps, k)
         for name in ("mean", "modes", "singular_values"):
