@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .metrics import (
     total_error,
 )
 from .mmgp import load_config, load_model, mmgp_fit, mmgp_predict, save_model
-from .parallel import parallel_map, resolve_threads
 from .storage import load_dataset, participant_export, save_dataset
 from .synthetic import SynthConfig, generate
 
@@ -113,8 +113,7 @@ def _cmd_generate(args, parser) -> int:
     config = SynthConfig(case=args.case, n_samples=args.n, seed=args.seed,
                          min_nodes_per_side=args.min_nodes,
                          max_nodes_per_side=args.max_nodes)
-    threads = resolve_threads(args.threads)
-    dataset = generate(config, threads=threads)
+    dataset = generate(config)
     save_dataset(dataset, out)
     print(f"wrote {dataset.n_samples} samples to {out}")
     return 0
@@ -127,8 +126,7 @@ def _cmd_mmgp_fit(args, parser) -> int:
         parser.error(f"config file not found: {config_path}")
     dataset = load_dataset(train_dir, lazy=True)
     config = load_config(config_path)
-    threads = resolve_threads(args.threads)
-    model = mmgp_fit(dataset, dataset.problem, config, threads=threads)
+    model = mmgp_fit(dataset, dataset.problem, config, threads=args.threads)
     save_model(model, args.model)
     print(f"trained {model.n_regressors} regressors (one per output field "
           f"and per output scalar, {model.gp_input_dim}-dim inputs); "
@@ -144,13 +142,9 @@ def _cmd_mmgp_predict(args, parser) -> int:
     model = load_model(model_dir)
     dataset = load_dataset(data_dir, lazy=True)
     ids = dataset.get_split(args.split)
-    threads = resolve_threads(args.threads)
-
-    results = parallel_map(
-        lambda sid: mmgp_predict(model, dataset.sample_at(sid)),
-        ids, threads=threads)
     bundle = PredictionBundle()
-    for sid, (scalars, fields) in zip(ids, results):
+    for sid in ids:
+        scalars, fields = mmgp_predict(model, dataset.sample_at(sid))
         for name, value in scalars.items():
             bundle.set_scalar(sid, name, value)
         for name, values in fields.items():
@@ -207,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="minimum nodes per side")
     p.add_argument("--max-nodes", type=int, default=30, dest="max_nodes",
                    help="maximum nodes per side")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: generation runs sequentially")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("mmgp", help="surrogate training and prediction")
@@ -217,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--train", required=True, help="training dataset directory")
     q.add_argument("--config", required=True, help="key = value config file")
     q.add_argument("--model", required=True, help="output model directory")
-    q.add_argument("--threads", type=int, default=None)
+    q.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker threads for the GP fits, the only pooled "
+                        "stage (default: all cores; 1 or less: sequential)")
     q.set_defaults(func=_cmd_mmgp_fit)
 
     q = mmgp_sub.add_parser("predict", help="predict outputs for a split")
@@ -225,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data", required=True)
     q.add_argument("--split", default="test")
     q.add_argument("--out", required=True, help="output bundle directory")
-    q.add_argument("--threads", type=int, default=None)
+    q.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: prediction runs sequentially")
     q.set_defaults(func=_cmd_mmgp_predict)
 
     p = sub.add_parser("convert", help="dataset transformations")

@@ -1,15 +1,15 @@
 """Dataset container: ordered samples, problem definition, named splits.
 
 Samples may be supplied in memory or through per-sample loader callables
-(lazy mode); both behave identically to callers.  The lazy cache guarantees
-each sample is materialized exactly once even under concurrent first access.
+(lazy mode); both behave identically to callers.  The lazy cache loads each
+sample on its first access and keeps it.  It takes no lock, since no pooled
+stage reads samples: threads sharing a lazy dataset may load a sample twice.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -63,9 +63,6 @@ class Dataset:
             self._loaders = list(loaders)
         self.infos: dict = dict(infos or {})
         self.problem: ProblemDefinition = problem or ProblemDefinition()
-        # one lock per slot: distinct samples load concurrently, while each
-        # loader still runs at most once (single-population guarantee)
-        self._slot_locks = [threading.Lock() for _ in self._samples]
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -79,13 +76,8 @@ class Dataset:
             raise IdOutOfRange(
                 f"sample id {sample_id} outside [0, {len(self._samples)})")
         found = self._samples[sample_id]
-        if found is not None:
-            return found
-        with self._slot_locks[sample_id]:
-            found = self._samples[sample_id]
-            if found is None:
-                found = self._loaders[sample_id]()
-                self._samples[sample_id] = found
+        if found is None:
+            found = self._samples[sample_id] = self._loaders[sample_id]()
         return found
 
     def __getitem__(self, sample_id: int) -> Sample:

@@ -14,7 +14,8 @@ Prediction embeds the query sample the same way, GP-predicts coefficients
 (one kernel product per field), reconstructs fields on the common mesh and
 evaluates them back at the sample's own (morphed) vertex positions.
 
-Everything is deterministic for a fixed config, whatever the thread count.
+Everything is deterministic for a fixed config, whatever the thread count
+given to the GP fits, the one pooled stage.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class MmgpConfig:
             raise ConfigInvalid("mode counts must be at least 1")
         if self.kernel not in ("Matern52", "RBF"):
             raise ConfigInvalid(f"unknown kernel '{self.kernel}'")
-        if self.jitter <= 0:
-            raise ConfigInvalid("jitter must be positive")
+        if not 0 < self.jitter < np.inf:
+            raise ConfigInvalid(f"jitter must be positive and finite, "
+                                f"not {self.jitter}")
 
 
 def parse_config_text(text: str) -> MmgpConfig:
@@ -247,7 +249,11 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
 
 def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
              threads: int = 1) -> MmgpModel:
-    """Train the full pipeline on the configured training split."""
+    """Train the full pipeline on the configured training split.
+
+    Only the GP fits, one per regressor, run on ``threads`` pool workers;
+    they see ``x_train`` and their targets, never a sample.
+    """
     config.validate()
     if config.train_split not in problem.splits:
         raise NoSuchSplit(f"no split '{config.train_split}'")
@@ -255,8 +261,7 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     if not ids:
         raise ConfigInvalid("training split is empty")
     samples = [dataset.sample_at(i) for i in ids]
-    geometries = parallel_map(extract_triangle_geometry, samples,
-                              threads=threads)
+    geometries = [extract_triangle_geometry(s) for s in samples]
 
     first = None
     if config.morphing:
@@ -266,11 +271,9 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     else:
         common_nodes, common_triangles = geometries[0]
 
-    pre = parallel_map(
-        lambda i: _preprocess_sample(*geometries[i], config.morphing,
-                                     common_nodes,
-                                     morphed=first if i == 0 else None),
-        range(len(geometries)), threads=threads)
+    pre = [_preprocess_sample(*geometry, config.morphing, common_nodes,
+                              morphed=first if i == 0 else None)
+           for i, geometry in enumerate(geometries)]
     shape_snapshots = np.stack([vec for vec, _, _ in pre])
     ops = [op for _, op, _ in pre]
 

@@ -1,32 +1,18 @@
 """Thread-pool helper with deterministic, order-preserving results.
 
-Work items must be independent; results are collected positionally, so a
-run with N threads is bitwise identical to a sequential run.
+Only the per-regressor GP fits of ``mmgp_fit`` run on it: they are the one
+stage whose work is long enough per item to win on a pool.  Every other
+stage runs sequentially.  Results are collected positionally, so a run with
+N threads is bitwise identical to a sequential run.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-THREADS_ENV_VAR = "MESHBENCH_THREADS"
-
-
-def resolve_threads(requested: Optional[int] = None) -> int:
-    """Requested count, else the environment override, else all cores."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],

@@ -10,7 +10,6 @@ re-quantized.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,7 +79,6 @@ class Sample:
                     f"time series '{name}' times must be strictly increasing")
             self._time_series[name] = pairs
         self._resolved_cache: dict[float, MeshTree] = {}
-        self._cache_lock = threading.Lock()
 
     # -- plain accessors ---------------------------------------------------
 
@@ -144,13 +142,11 @@ class Sample:
         return self._resolved(t)
 
     def _resolved(self, t: float) -> MeshTree:
-        with self._cache_lock:
-            cached = self._resolved_cache.get(t)
-        if cached is not None:
-            return cached
-        resolved = resolve_links(self._trees[t], self._provider)
-        with self._cache_lock:
-            return self._resolved_cache.setdefault(t, resolved)
+        cached = self._resolved_cache.get(t)
+        if cached is None:
+            cached = self._resolved_cache[t] = resolve_links(self._trees[t],
+                                                             self._provider)
+        return cached
 
     def _provider(self, target_time: float) -> Optional[MeshTree]:
         matched = self._match_time(target_time)

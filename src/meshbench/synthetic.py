@@ -15,13 +15,13 @@ sample regenerates identically in isolation and independently of schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CONSTANT_MESH_KEY, Dataset, ProblemDefinition, PRIVATE, PUBLIC
 from .errors import ConfigInvalid
-from .parallel import parallel_map
 from .sample import Sample
 from .tree import (
     Base,
@@ -56,8 +56,17 @@ class SynthConfig:
                 f"{self.max_nodes_per_side}) is empty or below 2")
         for name, (lo, hi) in (("amplitude", self.amplitude_range),
                                ("load", self.load_range)):
+            # hi - lo also overflows for finite bounds numpy cannot sample
+            if not math.isfinite(hi - lo):
+                raise ConfigInvalid(
+                    f"{name} range ({lo}, {hi}) is not finite")
             if not lo <= hi:
                 raise ConfigInvalid(f"{name} range ({lo}, {hi}) is empty")
+        # the top boundary is 1 + a*sin(pi*x): at a = -1 it touches the
+        # bottom (u divides by 1 + a) and below it the plate folds
+        if self.amplitude_range[0] <= -1.0:
+            raise ConfigInvalid(
+                f"amplitude lower bound {self.amplitude_range[0]} must exceed -1")
 
 
 def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
@@ -139,11 +148,12 @@ def _make_splits(n_samples: int) -> tuple[dict[str, list[int]], dict[int, str]]:
 def generate(config: SynthConfig, threads: int = 1) -> Dataset:
     """Generate the synthetic dataset described by the config.
 
-    Deterministic for a fixed config, bitwise, regardless of thread count.
+    Deterministic for a fixed config, bitwise.  Samples are built
+    sequentially; ``threads`` is accepted for callers that pass it and
+    otherwise ignored.
     """
     config.validate()
-    samples = parallel_map(lambda i: build_plate_sample(config, i),
-                           range(config.n_samples), threads=threads)
+    samples = [build_plate_sample(config, i) for i in range(config.n_samples)]
     splits, hidden = _make_splits(config.n_samples)
     problem = ProblemDefinition(
         task="Regression",

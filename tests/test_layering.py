@@ -41,21 +41,34 @@ def _internal_imports(path):
                     yield alias.name.partition(".")[2] or "__init__", []
 
 
+def _external_imports(path):
+    """Top-level package of every absolute import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
 # every artifact file is a JSON manifest or its blob
 @pytest.mark.parametrize("codec_module", ["yaml", "csv"])
 def test_no_module_imports(codec_module):
-    importers = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(n.partition(".")[0] == codec_module for n in names):
-                importers.add(path.stem)
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if codec_module in _external_imports(path)}
     assert importers == set()
+
+
+# the GP fits of mmgp are the one pooled stage, and no sample is read there
+def test_only_mmgp_imports_parallel_and_samples_skip_threading():
+    paths = list(PACKAGE.glob("*.py"))
+    pooled = {path.stem for path in paths
+              if any(module == "parallel"
+                     for module, _ in _internal_imports(path))}
+    threaded = {path.stem for path in paths
+                if "threading" in _external_imports(path)}
+    assert pooled == {"mmgp"}
+    assert threaded.isdisjoint({"dataset", "sample"})
 
 
 def test_import_leaves_yaml_unloaded():

@@ -67,6 +67,10 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("kernel = cubic")
     with pytest.raises(ConfigInvalid):
         parse_config_text("transfer_tol = 0.05")
+    with pytest.raises(ConfigInvalid):
+        parse_config_text("jitter = nan")
+    with pytest.raises(ConfigInvalid):
+        parse_config_text("jitter = inf")
 
 
 def test_load_config_rejects_non_utf8(tmp_path):

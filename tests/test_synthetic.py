@@ -89,3 +89,13 @@ def test_invalid_configs_rejected():
         generate(SynthConfig(min_nodes_per_side=9, max_nodes_per_side=5))
     with pytest.raises(ConfigInvalid):
         generate(SynthConfig(amplitude_range=(0.5, 0.1)))
+    for bad in ((0.0, math.inf), (-math.inf, 0.3), (math.nan, 0.3),
+                (-1e308, 1e308)):
+        with pytest.raises(ConfigInvalid):
+            generate(SynthConfig(amplitude_range=bad))
+        with pytest.raises(ConfigInvalid):
+            generate(SynthConfig(load_range=bad))
+    # at a = -1 the top boundary meets the bottom; below it the plate folds
+    for lo in (-1.0, -1.5):
+        with pytest.raises(ConfigInvalid):
+            generate(SynthConfig(amplitude_range=(lo, 0.3)))
