@@ -26,7 +26,7 @@ from .morphing import (
     tutte_embed,
 )
 from .pod import PodBasis, pod_fit, pod_project, pod_reconstruct
-from .sample import QuerySelector, Sample, samples_equal
+from .sample import Sample, samples_equal
 from .storage import load_dataset, participant_export, save_dataset
 from .synthetic import SynthConfig, generate
 from .transfer import TransferOperator, apply_transfer, build_transfer

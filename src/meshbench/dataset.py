@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import IdOutOfRange, NoSuchSplit
+from .errors import IdOutOfRange, InvalidDataset, MeshBenchError, NoSuchSplit
 from .sample import Sample, samples_equal
-from .tree import ValidationReport, validate_tree
+from .tree import ValidationReport, structurally_equal, validate_tree
 
 _NESTED_SPLIT = re.compile(r"^train_(\d+)$")
 
@@ -98,7 +98,8 @@ class Dataset:
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Aggregate per-sample tree reports plus problem-level checks."""
+    """Aggregate per-sample tree reports plus problem-level checks; a linked
+    tree is checked as it resolves, as it will be used."""
     report = ValidationReport()
     problem = dataset.problem
     n = dataset.n_samples
@@ -107,12 +108,17 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         sample = dataset.sample_at(i)
         for t, tree in sample.trees.items():
             sub = validate_tree(tree)
+            if tree.links and sub.empty:
+                try:
+                    sub = validate_tree(sample.get_mesh(t, apply_links=True))
+                except MeshBenchError as exc:
+                    sub.add(type(exc), "links", str(exc))
             report.extend_prefixed(f"sample_{i:09d}/mesh@{t!r}", sub)
 
     for name, ids in problem.splits.items():
         for sid in ids:
             if not 0 <= sid < n:
-                report.add(f"splits/{name}",
+                report.add(InvalidDataset, f"splits/{name}",
                            f"sample id {sid} outside [0, {n})")
 
     nested = sorted(
@@ -120,15 +126,15 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
          ((nm, _NESTED_SPLIT.match(nm)) for nm in problem.splits) if m))
     for k, name in nested:
         if len(problem.splits[name]) != k:
-            report.add(f"splits/{name}",
+            report.add(InvalidDataset, f"splits/{name}",
                        f"declared size {k} but holds {len(problem.splits[name])} ids")
     for (k1, n1), (k2, n2) in zip(nested, nested[1:]):
         if not set(problem.splits[n1]) <= set(problem.splits[n2]):
-            report.add(f"splits/{n1}", f"not a subset of {n2}")
+            report.add(InvalidDataset, f"splits/{n1}", f"not a subset of {n2}")
 
     if problem.hidden_partition is not None:
         for message in partition_problems(problem):
-            report.add("hidden_partition", message)
+            report.add(InvalidDataset, "hidden_partition", message)
 
     _check_name_coverage(dataset, report)
     _check_json_infos(dataset.infos, report)
@@ -175,18 +181,18 @@ def _check_name_coverage(dataset: Dataset, report: ValidationReport) -> None:
         scalar_names = set(sample.scalars)
         for name in problem.in_scalars_names:
             if name not in scalar_names:
-                report.add(f"sample_{i:09d}/scalars",
+                report.add(InvalidDataset, f"sample_{i:09d}/scalars",
                            f"input scalar '{name}' missing")
         if i not in test_ids:
             # outputs are only promised outside the test split
             for name in problem.out_scalars_names:
                 if name not in scalar_names:
-                    report.add(f"sample_{i:09d}/scalars",
+                    report.add(InvalidDataset, f"sample_{i:09d}/scalars",
                                f"output scalar '{name}' missing")
 
     for name in problem.in_fields_names + problem.out_fields_names:
         if name not in seen_fields:
-            report.add("problem", f"field '{name}' appears in no sample")
+            report.add(InvalidDataset, "problem", f"field '{name}' appears in no sample")
 
 
 def _check_json_infos(infos: dict, report: ValidationReport) -> None:
@@ -195,11 +201,11 @@ def _check_json_infos(infos: dict, report: ValidationReport) -> None:
     try:
         restored = json.loads(json.dumps(infos, allow_nan=False))
     except (TypeError, ValueError) as exc:
-        report.add("infos", f"not JSON: {exc}")
+        report.add(InvalidDataset, "infos", f"not JSON: {exc}")
         return
     if restored != infos:
-        report.add("infos", "not restored exactly by JSON (a tuple or a "
-                            "non-str key)")
+        report.add(InvalidDataset, "infos",
+                   "not restored exactly by JSON (a tuple or a non-str key)")
 
 
 def _check_constant_mesh(dataset: Dataset, report: ValidationReport) -> None:
@@ -209,7 +215,10 @@ def _check_constant_mesh(dataset: Dataset, report: ValidationReport) -> None:
         times = sample.get_all_mesh_times()
         if not times:
             continue
-        tree = sample.get_mesh(time=times[0], apply_links=True)
+        try:
+            tree = sample.get_mesh(time=times[0], apply_links=True)
+        except MeshBenchError:
+            continue  # reported with the sample's trees
         signature = [
             (b.name, z.name, z.n_vertices,
              tuple((blk.element_type, blk.connectivity.tobytes())
@@ -218,16 +227,14 @@ def _check_constant_mesh(dataset: Dataset, report: ValidationReport) -> None:
         if reference is None:
             reference = (i, signature)
         elif signature != reference[1]:
-            report.add(f"sample_{i:09d}",
+            report.add(InvalidDataset, f"sample_{i:09d}",
                        f"declared constant mesh but differs from sample "
                        f"{reference[0]} (node count or connectivity)")
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Structural equality including bit-exact arrays in every sample."""
-    if a.n_samples != b.n_samples or a.infos != b.infos:
-        return False
-    if a.problem != b.problem:
-        return False
-    return all(samples_equal(a.sample_at(i), b.sample_at(i))
-               for i in range(a.n_samples))
+    """Structural equality, bit-exact on arrays and on every real."""
+    return (structurally_equal((a.n_samples, a.infos, a.problem),
+                               (b.n_samples, b.infos, b.problem))
+            and all(samples_equal(a.sample_at(i), b.sample_at(i))
+                    for i in range(a.n_samples)))

@@ -13,7 +13,8 @@ zero the denominator).  Scalar RRMSE::
 The submission score ``total_error`` is the unweighted mean of all
 per-output RRMSEs.  A reference whose norm falls below 1e-30 is a hard
 error, not a skip: dropping samples would silently alter n and make
-scores incomparable across submissions.
+scores incomparable across submissions.  A non-finite reference or
+prediction is a hard error too, so no score reads nan or inf.
 
 All reductions run in sorted-id order with numpy's pairwise summation, so
 scores are bitwise reproducible regardless of thread count.
@@ -99,20 +100,26 @@ class ScoreReport:
 # core formulas
 
 def _paired(refs, preds):
-    """Normalize the two per-sample collections into aligned pairs."""
+    """Normalize the two per-sample collections into (key, ref, pred)."""
     if isinstance(refs, Mapping) != isinstance(preds, Mapping):
         raise ShapeMismatch("refs and preds must both be mappings or both sequences")
     if isinstance(refs, Mapping):
         if set(refs) != set(preds):
             raise ShapeMismatch(
                 f"sample sets differ: {sorted(set(refs) ^ set(preds))}")
-        keys = sorted(refs)
-        return [(refs[k], preds[k]) for k in keys]
+        return [(k, refs[k], preds[k]) for k in sorted(refs)]
     refs = list(refs)
     preds = list(preds)
     if len(refs) != len(preds):
         raise ShapeMismatch(f"{len(refs)} references vs {len(preds)} predictions")
-    return list(zip(refs, preds))
+    return [(i, ref, pred) for i, (ref, pred) in enumerate(zip(refs, preds))]
+
+
+def _check_finite(key, ref, pred) -> None:
+    if not np.isfinite(ref).all():
+        raise DegenerateReference(f"sample {key}: reference is not finite")
+    if not np.isfinite(pred).all():
+        raise MissingOutput(f"sample {key}: prediction is not finite")
 
 
 def rrmse_field(refs, preds) -> float:
@@ -121,17 +128,18 @@ def rrmse_field(refs, preds) -> float:
     if not pairs:
         raise ShapeMismatch("empty sample set")
     terms = np.empty(len(pairs))
-    for i, (ref, pred) in enumerate(pairs):
+    for i, (key, ref, pred) in enumerate(pairs):
         ref = np.asarray(ref, dtype=np.float64)
         pred = np.asarray(pred, dtype=np.float64)
         if ref.shape != pred.shape or ref.ndim != 1:
             raise ShapeMismatch(
-                f"sample {i}: reference shape {ref.shape} vs prediction "
+                f"sample {key}: reference shape {ref.shape} vs prediction "
                 f"shape {pred.shape}")
+        _check_finite(key, ref, pred)
         sup = np.max(np.abs(ref)) if ref.size else 0.0
         if sup < DEGENERATE_NORM:
             raise DegenerateReference(
-                f"sample {i}: reference sup norm {sup} below {DEGENERATE_NORM}")
+                f"sample {key}: reference sup norm {sup} below {DEGENERATE_NORM}")
         diff = ref - pred
         terms[i] = (diff @ diff) / ref.size / (sup * sup)
     return float(np.sqrt(np.sum(terms) / len(pairs)))
@@ -143,12 +151,13 @@ def rrmse_scalar(refs, preds) -> float:
     if not pairs:
         raise ShapeMismatch("empty sample set")
     terms = np.empty(len(pairs))
-    for i, (ref, pred) in enumerate(pairs):
+    for i, (key, ref, pred) in enumerate(pairs):
         ref = float(ref)
         pred = float(pred)
+        _check_finite(key, ref, pred)
         if abs(ref) < DEGENERATE_NORM:
             raise DegenerateReference(
-                f"sample {i}: |reference| {abs(ref)} below {DEGENERATE_NORM}")
+                f"sample {key}: |reference| {abs(ref)} below {DEGENERATE_NORM}")
         terms[i] = (ref - pred) ** 2 / ref ** 2
     return float(np.sqrt(np.sum(terms) / len(pairs)))
 
@@ -183,7 +192,8 @@ def total_error(problem: ProblemDefinition, reference: Dataset,
                 raise MissingOutput(
                     f"bundle lacks field '{name}' for sample {sid}")
             preds[sid] = entry.fields[name]
-        report.field_rrmse[name] = rrmse_field(refs, preds)
+        report.field_rrmse[name] = _scored(rrmse_field, f"field '{name}'",
+                                           refs, preds)
 
     for name in sorted(problem.out_scalars_names):
         refs_s: dict[int, float] = {}
@@ -195,7 +205,8 @@ def total_error(problem: ProblemDefinition, reference: Dataset,
                 raise MissingOutput(
                     f"bundle lacks scalar '{name}' for sample {sid}")
             preds_s[sid] = entry.scalars[name]
-        report.scalar_rrmse[name] = rrmse_scalar(refs_s, preds_s)
+        report.scalar_rrmse[name] = _scored(rrmse_scalar, f"scalar '{name}'",
+                                            refs_s, preds_s)
 
     values = [report.field_rrmse[n] for n in sorted(report.field_rrmse)]
     values += [report.scalar_rrmse[n] for n in sorted(report.scalar_rrmse)]
@@ -203,6 +214,14 @@ def total_error(problem: ProblemDefinition, reference: Dataset,
         raise MissingOutput("problem declares no outputs to score")
     report.total_error = float(np.mean(values))
     return report
+
+
+def _scored(rrmse, output: str, refs, preds) -> float:
+    """``rrmse(refs, preds)``, with ``output`` named in its errors."""
+    try:
+        return rrmse(refs, preds)
+    except (ShapeMismatch, DegenerateReference, MissingOutput) as exc:
+        raise type(exc)(f"{output}, {exc}") from None
 
 
 def score_hidden(problem: ProblemDefinition, reference: Dataset,

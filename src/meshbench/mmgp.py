@@ -257,7 +257,8 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     config.validate()
     if config.train_split not in problem.splits:
         raise NoSuchSplit(f"no split '{config.train_split}'")
-    ids = problem.splits[config.train_split]
+    # sorted here too: a split edited after construction keeps its order
+    ids = sorted(problem.splits[config.train_split])
     if not ids:
         raise ConfigInvalid("training split is empty")
     samples = [dataset.sample_at(i) for i in ids]

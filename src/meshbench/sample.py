@@ -10,7 +10,6 @@ re-quantized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import (
     NoSuchTime,
 )
 from .tree import (
-    Base,
     Location,
     MeshTree,
     TagKind,
@@ -32,21 +30,10 @@ from .tree import (
     ZoneType,
     implicit_connectivity,
     resolve_links,
-    trees_equal,
+    structurally_equal,
 )
 
 TIME_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class QuerySelector:
-    """Field query with optional scope narrowing; None means 'resolve'."""
-
-    name: str
-    base_name: Optional[str] = None
-    zone_name: Optional[str] = None
-    location: Optional[Location] = None
-    time: Optional[float] = None
 
 
 class Sample:
@@ -68,6 +55,12 @@ class Sample:
                     f"tree stored at time {t!r} carries time {tree.time!r}")
         self._trees: dict[float, MeshTree] = {
             t: trees[t] for t in sorted(trees)}
+        times = list(self._trees)
+        for t1, t2 in zip(times, times[1:]):
+            if t2 - t1 <= TIME_TOLERANCE:
+                raise DimensionMismatch(
+                    f"tree times {t1!r} and {t2!r} lie within "
+                    f"{TIME_TOLERANCE} of each other")
         self._scalars: dict[str, float] = {
             k: float(v) for k, v in (scalars or {}).items()}
         self._time_series: dict[str, tuple[tuple[float, float], ...]] = {}
@@ -156,35 +149,10 @@ class Sample:
 
     # -- scope resolution ----------------------------------------------------
 
-    def _resolve_base(self, tree: MeshTree, base_name: Optional[str]) -> Base:
-        if base_name is not None:
-            for b in tree.bases:
-                if b.name == base_name:
-                    return b
-            raise NotFound(f"no base named '{base_name}'")
-        if len(tree.bases) == 1:
-            return tree.bases[0]
-        names = [b.name for b in tree.bases]
-        raise AmbiguousQuery(
-            f"base_name omitted but tree has {len(names)} bases: {names}")
-
-    def _resolve_zone(self, base: Base, zone_name: Optional[str]) -> Zone:
-        if zone_name is not None:
-            for z in base.zones:
-                if z.name == zone_name:
-                    return z
-            raise NotFound(f"no zone named '{zone_name}' in base '{base.name}'")
-        if len(base.zones) == 1:
-            return base.zones[0]
-        names = [z.name for z in base.zones]
-        raise AmbiguousQuery(
-            f"zone_name omitted but base '{base.name}' has {len(names)} "
-            f"zones: {names}")
-
     def _resolve_scope(self, base_name, zone_name, time) -> Zone:
         tree = self.get_mesh(time=time, apply_links=True)
-        base = self._resolve_base(tree, base_name)
-        return self._resolve_zone(base, zone_name)
+        base = _pick(tree.bases, base_name, "base", "tree")
+        return _pick(base.zones, zone_name, "zone", f"base '{base.name}'")
 
     # -- field and geometry getters ------------------------------------------
 
@@ -197,10 +165,8 @@ class Sample:
         Omitted base/zone resolve when unambiguous; omitted location
         defaults to Vertex; omitted time follows get_mesh's default.
         """
-        selector = QuerySelector(name, base_name, zone_name, location, time)
-        zone = self._resolve_scope(selector.base_name, selector.zone_name,
-                                   selector.time)
-        loc = selector.location or Location.Vertex
+        zone = self._resolve_scope(base_name, zone_name, time)
+        loc = location or Location.Vertex
         for f in zone.fields:
             if f.name == name and f.location is loc:
                 return f.values
@@ -257,6 +223,20 @@ class Sample:
         return {t.name: t.ids for t in zone.tags if t.kind is TagKind.NodalTag}
 
 
+def _pick(candidates, name: Optional[str], kind: str, owner: str):
+    """The candidate called ``name`` or, when name is None, the only one."""
+    if name is not None:
+        for c in candidates:
+            if c.name == name:
+                return c
+        raise NotFound(f"no {kind} named '{name}' in {owner}")
+    if len(candidates) == 1:
+        return candidates[0]
+    names = [c.name for c in candidates]
+    raise AmbiguousQuery(
+        f"{kind}_name omitted but {owner} has {len(names)} {kind}s: {names}")
+
+
 def find_reference_field(sample: Sample, name: str) -> np.ndarray:
     """Locate the unique field named ``name`` in the sample's default tree.
 
@@ -279,16 +259,6 @@ def find_reference_field(sample: Sample, name: str) -> np.ndarray:
 
 
 def samples_equal(a: Sample, b: Sample) -> bool:
-    """Structural equality, bit-exact on arrays and scalar values."""
-    if sorted(a.trees) != sorted(b.trees):
-        return False
-    for t, tree in a.trees.items():
-        if not trees_equal(tree, b.trees[t]):
-            return False
-    sa, sb = a.scalars, b.scalars
-    if sorted(sa) != sorted(sb):
-        return False
-    for k, v in sa.items():
-        if np.float64(v).tobytes() != np.float64(sb[k]).tobytes():
-            return False
-    return a.time_series == b.time_series
+    """Structural equality, bit-exact on arrays and on every real."""
+    return structurally_equal((a.trees, a.scalars, a.time_series),
+                              (b.trees, b.scalars, b.time_series))

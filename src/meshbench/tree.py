@@ -12,13 +12,18 @@ declare a :class:`LinkSpec` pointing at an earlier-time tree that carries the
 actual arrays.  A link may only target content that is absent here; anything
 already materialized cannot be overridden.  :func:`resolve_links` produces a
 self-contained tree.
+
+One check collects every violation, with its error class, into a
+:class:`ValidationReport`; :func:`build_tree` raises the first of them.  One
+bit-exact comparison, :func:`structurally_equal`, backs every ``*_equal``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .errors import (
     DuplicateName,
     IndexOutOfRange,
     InvalidName,
+    MeshBenchError,
     MissingLinkTarget,
     NotStructured,
 )
@@ -195,25 +201,30 @@ class MeshTree:
 class ValidationReport:
     """Outcome of a conformance check.
 
-    ``violations`` are hard invariant breaches (path, message); ``notes``
-    record accepted-but-unchecked content (e.g. FaceCenter field lengths).
+    ``violations`` are hard invariant breaches (path, message), and
+    ``error_classes`` holds the error each one raises, in the same order;
+    ``notes`` record accepted-but-unchecked content (e.g. FaceCenter field
+    lengths).
     """
 
     violations: list[tuple[str, str]] = field(default_factory=list)
+    error_classes: list[type[MeshBenchError]] = field(default_factory=list)
     notes: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
         return not self.violations
 
-    def add(self, path: str, message: str) -> None:
+    def add(self, error: type[MeshBenchError], path: str, message: str) -> None:
         self.violations.append((path, message))
+        self.error_classes.append(error)
 
     def note(self, path: str, message: str) -> None:
         self.notes.append((path, message))
 
     def extend_prefixed(self, prefix: str, other: "ValidationReport") -> None:
         self.violations.extend((f"{prefix}/{p}", m) for p, m in other.violations)
+        self.error_classes.extend(other.error_classes)
         self.notes.extend((f"{prefix}/{p}", m) for p, m in other.notes)
 
     def lines(self) -> list[str]:
@@ -349,26 +360,6 @@ def _linked_components(tree: MeshTree) -> dict[tuple[str, str], set[str]]:
 # ---------------------------------------------------------------------------
 # operations
 
-class _Collector:
-    """Accumulates typed violations so build_tree can re-raise the first."""
-
-    def __init__(self):
-        self.violations: list[tuple[type, str, str]] = []
-        self.notes: list[tuple[str, str]] = []
-
-    def add(self, cls: type, path: str, message: str) -> None:
-        self.violations.append((cls, path, message))
-
-    def note(self, path: str, message: str) -> None:
-        self.notes.append((path, message))
-
-    def to_report(self) -> ValidationReport:
-        report = ValidationReport()
-        report.violations = [(p, m) for _, p, m in self.violations]
-        report.notes = list(self.notes)
-        return report
-
-
 def build_tree(bases: Sequence[Base], time: float = 0.0,
                links: Sequence[LinkSpec] = ()) -> MeshTree:
     """Assemble and validate an immutable mesh tree.
@@ -377,12 +368,13 @@ def build_tree(bases: Sequence[Base], time: float = 0.0,
     DuplicateName, DimensionMismatch, IndexOutOfRange, or MissingLinkTarget
     (a coordinates gap that no link covers, or a link at a non-gap).
     """
-    tree = MeshTree(bases=tuple(bases), time=float(time), links=tuple(links))
-    collector = _Collector()
-    _collect_violations(tree, collector)
-    if collector.violations:
-        cls, path, message = collector.violations[0]
-        raise cls(f"{path}: {message}")
+    links = tuple(LinkSpec(float(l.target_time), tuple(l.target_paths))
+                  for l in links)
+    tree = MeshTree(bases=tuple(bases), time=float(time), links=links)
+    report = validate_tree(tree)
+    if report.violations:
+        path, message = report.violations[0]
+        raise report.error_classes[0](f"{path}: {message}")
     return tree
 
 
@@ -392,12 +384,7 @@ def validate_tree(tree: MeshTree) -> ValidationReport:
     Never raises: violations are report entries.  FaceCenter field lengths
     are not validated (no face datamodel) and surface as 'unchecked' notes.
     """
-    collector = _Collector()
-    _collect_violations(tree, collector)
-    return collector.to_report()
-
-
-def _collect_violations(tree: MeshTree, out: _Collector) -> None:
+    out = ValidationReport()
     if tree.time < 0:
         out.add(DimensionMismatch, "time",
                 f"tree time must be non-negative, got {tree.time}")
@@ -433,15 +420,16 @@ def _collect_violations(tree: MeshTree, out: _Collector) -> None:
             if comp not in gaps:
                 out.add(MissingLinkTarget, f"{base_name}/{zone_name}/{comp}",
                         "link shadows materialized content")
+    return out
 
 
-def _check_identifier(name: str, path: str, out: _Collector) -> None:
+def _check_identifier(name: str, path: str, out: ValidationReport) -> None:
     if not name or "/" in name:
         out.add(InvalidName, path,
                 f"invalid identifier {name!r} (empty or contains '/')")
 
 
-def _validate_base(b: Base, claimed, out: _Collector) -> None:
+def _validate_base(b: Base, claimed, out: ValidationReport) -> None:
     _check_identifier(b.name, b.name, out)
     if b.cell_dim > b.phys_dim:
         out.add(DimensionMismatch, b.name,
@@ -459,7 +447,7 @@ def _validate_base(b: Base, claimed, out: _Collector) -> None:
         _validate_zone(z, b.phys_dim, claimed.get((b.name, z.name), set()), out, path)
 
 
-def _validate_zone(z: Zone, phys_dim: int, linked: set, out: _Collector,
+def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
                    path: str) -> None:
     _check_identifier(z.name, path, out)
     if z.coordinates is None:
@@ -624,79 +612,53 @@ def implicit_connectivity(zone: Zone) -> list[ElementBlock]:
     if dims is None or len(dims) not in (2, 3):
         raise NotStructured(f"zone '{zone.name}' lacks usable structured dims")
 
-    if len(dims) == 2:
-        ni, nj = dims
-        ci, cj = np.meshgrid(np.arange(ni - 1), np.arange(nj - 1), indexing="ij")
-        ci = ci.ravel(order="F")  # i fastest
-        cj = cj.ravel(order="F")
-        v = lambda di, dj: (ci + di) + ni * (cj + dj)
-        conn = np.stack([v(0, 0), v(1, 0), v(1, 1), v(0, 1)], axis=1)
-        etype = ElementType.QUAD_4
-    else:
-        ni, nj, nk = dims
-        ci, cj, ck = np.meshgrid(np.arange(ni - 1), np.arange(nj - 1),
-                                 np.arange(nk - 1), indexing="ij")
-        ci = ci.ravel(order="F")
-        cj = cj.ravel(order="F")
-        ck = ck.ravel(order="F")
-        v = lambda di, dj, dk: (ci + di) + ni * ((cj + dj) + nj * (ck + dk))
-        conn = np.stack([v(0, 0, 0), v(1, 0, 0), v(1, 1, 0), v(0, 1, 0),
-                         v(0, 0, 1), v(1, 0, 1), v(1, 1, 1), v(0, 1, 1)], axis=1)
-        etype = ElementType.HEXA_8
-
+    n = len(dims)
+    # cell origins, i fastest
+    cells = np.stack([c.ravel(order="F")
+                      for c in np.indices([d - 1 for d in dims])], axis=1)
+    # corner k takes bit d of k as its offset along axis d, except that the
+    # i offset is xored with the j offset: each i-j face is then walked
+    # counter-clockwise, (0,0) (1,0) (1,1) (0,1)
+    corners = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    corners[:, 0] ^= corners[:, 1]
+    strides = np.cumprod((1,) + tuple(dims[:-1]))
+    conn = (cells[:, None, :] + corners) @ strides
     if conn.shape[0] == 0:
         return []
+    etype = ElementType.QUAD_4 if n == 2 else ElementType.HEXA_8
     return [make_element_block(etype, conn, 0)]
 
 
 # ---------------------------------------------------------------------------
-# structural equality (bitwise on arrays)
+# structural equality
 
-def arrays_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    """Bit-exact array comparison (shape, dtype and raw bytes)."""
-    if a is None or b is None:
-        return a is None and b is None
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def structurally_equal(a, b) -> bool:
+    """Bit-exact structural equality of datamodel values.
+
+    Arrays compare by shape, dtype and bytes; reals (Python or numpy) by
+    their float64 bytes, so -0.0 differs from 0.0 and equal NaNs match;
+    integers, enums and strings by value; dataclasses, sequences and
+    mappings member by member, mappings in key order.
+    """
+    return _bits(a) == _bits(b)
+
+
+def _bits(value):
+    """A form of ``value`` that ``==`` compares as structurally_equal does."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.shape, value.dtype, value.tobytes())
+    if isinstance(value, (float, np.floating)):
+        return ("real", np.float64(value).tobytes())
+    if dataclasses.is_dataclass(value):
+        return (type(value), [_bits(getattr(value, f.name))
+                              for f in dataclasses.fields(value)])
+    if isinstance(value, Mapping):
+        items = [(_bits(k), _bits(v)) for k, v in value.items()]
+        return ("mapping", sorted(items, key=lambda item: item[0]))
+    if isinstance(value, (list, tuple)):
+        return ("sequence", [_bits(item) for item in value])
+    return value
 
 
 def trees_equal(a: MeshTree, b: MeshTree) -> bool:
-    if len(a.bases) != len(b.bases) or a.time != b.time:
-        return False
-    if [(l.target_time, l.target_paths) for l in a.links] != \
-       [(l.target_time, l.target_paths) for l in b.links]:
-        return False
-    for ba, bb in zip(a.bases, b.bases):
-        if (ba.name, ba.cell_dim, ba.phys_dim) != (bb.name, bb.cell_dim, bb.phys_dim):
-            return False
-        if len(ba.zones) != len(bb.zones):
-            return False
-        for za, zb in zip(ba.zones, bb.zones):
-            if not _zones_equal(za, zb):
-                return False
-    return True
-
-
-def _zones_equal(za: Zone, zb: Zone) -> bool:
-    if (za.name, za.zone_type, za.n_vertices, za.structured_dims) != \
-       (zb.name, zb.zone_type, zb.n_vertices, zb.structured_dims):
-        return False
-    if not arrays_equal(za.coordinates, zb.coordinates):
-        return False
-    if len(za.element_blocks) != len(zb.element_blocks):
-        return False
-    for ea, eb in zip(za.element_blocks, zb.element_blocks):
-        if ea.element_type != eb.element_type or ea.global_range != eb.global_range:
-            return False
-        if not arrays_equal(ea.connectivity, eb.connectivity):
-            return False
-    if len(za.fields) != len(zb.fields) or len(za.tags) != len(zb.tags):
-        return False
-    for fa, fb in zip(za.fields, zb.fields):
-        if (fa.name, fa.location) != (fb.name, fb.location):
-            return False
-        if not arrays_equal(fa.values, fb.values):
-            return False
-    for ta, tb in zip(za.tags, zb.tags):
-        if (ta.name, ta.kind) != (tb.name, tb.kind) or not arrays_equal(ta.ids, tb.ids):
-            return False
-    return True
+    return structurally_equal(a, b)

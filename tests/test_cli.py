@@ -145,6 +145,61 @@ def test_score_missing_output_exits_1(generated, tmp_path, capsys):
     assert "MissingOutput" in err
 
 
+def _spoil_reference(root, sid, name, value):
+    manifest = (root / "dataset" / "samples" / f"sample_{sid:09d}"
+                / "sample.manifest")
+    doc = json.loads(manifest.read_text())
+    if name in doc["scalars"]:
+        doc["scalars"][name] = repr(value)
+        manifest.write_text(json.dumps(doc))
+        return
+    zone = doc["trees"][0]["bases"][0]["zones"][0]
+    offset = next(f["values"]["offset"] for f in zone["fields"]
+                  if f["name"] == name)
+    blob = manifest.with_name("sample.blob")
+    data = bytearray(blob.read_bytes())
+    data[offset:offset + 8] = np.float64(value).tobytes()
+    blob.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("side, name, value, error", [
+    ("prediction", "u", float("nan"), "MissingOutput"),
+    ("prediction", "u_max", float("inf"), "MissingOutput"),
+    ("reference", "du_dx", float("-inf"), "DegenerateReference"),
+    ("reference", "u_max", float("nan"), "DegenerateReference"),
+])
+def test_score_non_finite_value_exits_1(generated, tmp_path, capsys, side,
+                                        name, value, error):
+    import shutil
+    from meshbench.metrics import PredictionBundle, save_bundle
+    ref = tmp_path / "ref"
+    shutil.copytree(generated, ref)
+    ds = load_dataset(generated)
+    sid = ds.problem.splits["test"][0]
+    bundle = PredictionBundle()
+    for i in ds.problem.splits["test"]:
+        s = ds.sample_at(i)
+        bundle.set_field(i, "u", s.get_field("u"))
+        bundle.set_field(i, "du_dx", s.get_field("du_dx"))
+        bundle.set_scalar(i, "u_max", s.get_scalar("u_max"))
+    if side == "prediction":
+        entry = bundle.predictions[sid]
+        if name in entry.scalars:
+            entry.scalars[name] = value
+        else:
+            entry.fields[name] = np.full_like(entry.fields[name], value)
+    else:
+        _spoil_reference(ref, sid, name, value)
+    save_bundle(bundle, tmp_path / "bundle")
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "score", "--ref", str(ref),
+                             "--pred", str(tmp_path / "bundle"))
+    assert code == 1
+    assert out == ""
+    assert f"{error}: " in err
+    assert f"'{name}', sample {sid}: {side} is not finite" in err
+
+
 def test_score_hidden_without_partition_exits_1(tmp_path, capsys):
     # n=2 -> test split of one sample -> no hidden partition emitted
     root = tmp_path / "tiny"

@@ -8,6 +8,8 @@ import pytest
 from meshbench import (
     Base,
     Dataset,
+    LinkSpec,
+    Location,
     MmgpConfig,
     PredictionBundle,
     ProblemDefinition,
@@ -19,6 +21,7 @@ from meshbench import (
     load_bundle,
     load_dataset,
     load_model,
+    make_field,
     mmgp_fit,
     participant_export,
     save_bundle,
@@ -27,15 +30,19 @@ from meshbench import (
     validate_dataset,
 )
 from meshbench.dataset import CONSTANT_MESH_KEY
+from meshbench.cli import main
 from meshbench.errors import (
+    DimensionMismatch,
     FormatError,
     IdOutOfRange,
     InvalidDataset,
     IoFailure,
+    MissingLinkTarget,
     NoSuchSplit,
     VersionMismatch,
 )
 from meshbench.storage import SAMPLE_MANIFEST, read_sample, write_sample
+from meshbench.tree import zone_with
 
 from conftest import square_zone
 
@@ -267,6 +274,67 @@ def test_validate_constant_mesh_flag():
                         problem=ProblemDefinition(splits={"train": [0, 1]}))
     report = validate_dataset(differing)
     assert any("constant mesh" in m for _, m in report.violations)
+
+
+def _cellcenter_field_too_long(tree0, tree1):
+    fluid = tree1.bases[0].zones[0]
+    fields = [f for f in fluid.fields if f.location is Location.Vertex]
+    fields.append(make_field("EROSION_STATUS", [0.0, 1.0, 0.0],
+                             Location.CellCenter))
+    bases = [Base("Base_2_2", 2, 2, (zone_with(fluid, fields=fields),)),
+             tree1.bases[1]]
+    return {0.0: tree0, 0.01: build_tree(bases, tree1.time, tree1.links)}
+
+
+def _link_to_a_time_not_held(tree0, tree1):
+    paths = tree1.links[0].target_paths
+    return {0.0: tree0, 0.01: build_tree(tree1.bases, tree1.time,
+                                         [LinkSpec(0.005, paths)])}
+
+
+def _link_path_absent_from_provider(tree0, tree1):
+    return {0.0: build_tree(tree0.bases[:1], tree0.time), 0.01: tree1}
+
+
+def _first_tree_linked(tree0, tree1):
+    return {0.01: tree1}
+
+
+@pytest.mark.parametrize("spoil, error", [
+    pytest.param(_cellcenter_field_too_long, DimensionMismatch,
+                 id="cellcenter_length"),
+    pytest.param(_link_to_a_time_not_held, MissingLinkTarget,
+                 id="target_time"),
+    pytest.param(_link_path_absent_from_provider, MissingLinkTarget,
+                 id="target_path"),
+    pytest.param(_first_tree_linked, MissingLinkTarget, id="first_tree"),
+])
+def test_validation_resolves_links(tmp_path, two_base_sample, capsys, spoil,
+                                   error):
+    # each raw tree passes its own check; the sample fails on use
+    sample = Sample(trees=spoil(*two_base_sample.trees.values()))
+    with pytest.raises(error):
+        sample.get_mesh(time=0.01, apply_links=True)
+    # the constant-mesh check resolves the first tree too
+    infos = {CONSTANT_MESH_KEY: True}
+    ds = Dataset(samples=[sample], infos=infos)
+
+    report = validate_dataset(ds)
+    assert report.violations
+    assert report.error_classes == [error] * len(report.violations)
+    assert all(path.startswith("sample_000000000/mesh@0.01/")
+               for path, _ in report.violations)
+    with pytest.raises(InvalidDataset):
+        save_dataset(ds, tmp_path / "refused")
+
+    # written past validation, as an older writer could have
+    root = tmp_path / "ds"
+    save_dataset(Dataset(samples=[two_base_sample], infos=infos), root)
+    write_sample(sample, root / "dataset" / "samples" / "sample_000000000"
+                 / SAMPLE_MANIFEST)
+    capsys.readouterr()
+    assert main(["validate", str(root), "--strict"]) == 1
+    assert "1 violations" in capsys.readouterr().out
 
 
 def test_participant_export_strips_test_outputs(tmp_path, two_base_sample):

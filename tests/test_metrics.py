@@ -128,6 +128,18 @@ def test_rrmse_degenerate_reference():
         rrmse_scalar([0.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rrmse_rejects_non_finite_values(bad):
+    with pytest.raises(MissingOutput, match="sample 7: prediction"):
+        rrmse_field({7: [1.0, 2.0]}, {7: [1.0, bad]})
+    with pytest.raises(DegenerateReference, match="sample 7: reference"):
+        rrmse_field({7: [bad, 2.0]}, {7: [1.0, 2.0]})
+    with pytest.raises(MissingOutput, match="sample 1: prediction"):
+        rrmse_scalar([1.0, 2.0], [1.0, bad])
+    with pytest.raises(DegenerateReference, match="sample 1: reference"):
+        rrmse_scalar([1.0, bad], [1.0, 2.0])
+
+
 # -- dataset-level scoring ----------------------------------------------------
 
 
@@ -187,6 +199,23 @@ def test_total_error_missing_output():
     bundle = perfect_bundle(ds)
     del bundle.predictions[2].scalars["s"]
     with pytest.raises(MissingOutput):
+        total_error(ds.problem, ds, bundle)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_total_error_names_a_non_finite_prediction(bad):
+    ds = scoring_fixture()
+    bundle = perfect_bundle(ds)
+    values = ds.sample_at(2).get_field("f").copy()
+    values[1] = bad
+    bundle.set_field(2, "f", values)
+    with pytest.raises(MissingOutput,
+                       match="^field 'f', sample 2: prediction is not finite"):
+        total_error(ds.problem, ds, bundle)
+    bundle = perfect_bundle(ds)
+    bundle.set_scalar(3, "s", bad)
+    with pytest.raises(MissingOutput,
+                       match="^scalar 's', sample 3: prediction is not finite"):
         total_error(ds.problem, ds, bundle)
 
 

@@ -303,6 +303,19 @@ def test_model_round_trip_preserves_predictions(tmp_path):
         assert f1[k].tobytes() == f2[k].tobytes()
 
 
+def test_permuted_training_split_gives_the_same_model(tmp_path):
+    ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=7,
+                              max_nodes_per_side=10))
+    config = MmgpConfig(shape_modes=2, field_modes=2)
+    save_model(mmgp_fit(ds, ds.problem, config), tmp_path / "sorted")
+    # edited after construction, so ProblemDefinition did not sort it
+    ds.problem.splits[config.train_split].reverse()
+    save_model(mmgp_fit(ds, ds.problem, config), tmp_path / "reversed")
+    for name in ("model.manifest", "model.blob"):
+        assert ((tmp_path / "sorted" / name).read_bytes()
+                == (tmp_path / "reversed" / name).read_bytes())
+
+
 def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
     ds = generate(SynthConfig(n_samples=10, seed=10, min_nodes_per_side=7,
                               max_nodes_per_side=10))

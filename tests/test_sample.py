@@ -1,6 +1,6 @@
 import pytest
 
-from meshbench import Base, Location, Sample, build_tree
+from meshbench import Base, Location, Sample, build_tree, samples_equal
 from meshbench.errors import (
     AmbiguousDefault,
     AmbiguousQuery,
@@ -37,6 +37,25 @@ def test_tree_time_must_match_key():
     tree = build_tree([Base("B", 2, 2, (square_zone(),))], time=0.5)
     with pytest.raises(DimensionMismatch):
         Sample(trees={0.0: tree})
+
+
+def test_tree_times_within_tolerance_rejected():
+    # get_mesh(time=5e-13) would return the tree at 0.0, so the second
+    # tree could never be reached
+    t0 = build_tree([Base("B", 2, 2, (square_zone(),))], time=0.0)
+    t1 = build_tree([Base("B", 2, 2, (square_zone(),))], time=5e-13)
+    with pytest.raises(DimensionMismatch, match="within"):
+        Sample(trees={0.0: t0, 5e-13: t1})
+
+
+def test_samples_equal_is_bit_exact_on_every_real():
+    def series(value):
+        return Sample(time_series={"r": [(0.0, 1.0), (1.0, value)]})
+
+    assert not samples_equal(series(0.0), series(-0.0))
+    # two NaNs made separately, with the same bits
+    assert samples_equal(series(float("nan")), series(float("nan")))
+    assert not samples_equal(single_time_sample(0.0), single_time_sample(-0.0))
 
 
 def test_get_mesh_defaults():

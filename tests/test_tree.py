@@ -1,3 +1,6 @@
+import dataclasses
+import enum
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,15 @@ from meshbench.errors import (
     MissingLinkTarget,
     NotStructured,
 )
-from meshbench.tree import FieldArray, MeshTree, Zone, ZoneType
+from meshbench.tree import (
+    ElementBlock,
+    FieldArray,
+    MeshTree,
+    TagKind,
+    TagSet,
+    Zone,
+    ZoneType,
+)
 
 from conftest import square_zone
 
@@ -232,6 +243,12 @@ def test_implicit_quads_match_oracle(dims):
     assert blocks[0].connectivity.max() < ni * nj
 
 
+@pytest.mark.parametrize("dims", [(1, 3), (4, 1), (5, 5, 1), (1, 2, 2)])
+def test_implicit_cells_of_a_flat_grid_are_empty(dims):
+    zone = make_structured_zone("S", None, dims)
+    assert implicit_connectivity(zone) == []
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (3, 4, 2)])
 def test_implicit_hexa_match_oracle(dims):
     ni, nj, nk = dims
@@ -248,3 +265,86 @@ def test_structured_zone_validates_against_cellcenter_field():
         fields=[make_field("q", [1.0, 2.0], Location.CellCenter)])
     tree = build_tree([Base("B", 2, 2, (zone,))], 0.0)
     assert validate_tree(tree).empty  # 2 implicit cells and 2 values
+
+
+# -- structural equality --------------------------------------------------------
+
+
+def test_trees_equal_tells_signed_zeros_apart():
+    def at(time):
+        return build_tree([Base("B", 2, 2, (square_zone(),))], time=time)
+
+    shell = Zone(name="Fluid", zone_type=ZoneType.Unstructured, n_vertices=4,
+                 coordinates=None)
+
+    def linked_to(target_time):
+        return build_tree([Base("B", 2, 2, (shell,))], time=1.0,
+                          links=[LinkSpec(target_time, ("B/Fluid",))])
+
+    assert trees_equal(at(0.0), at(0.0))
+    assert not trees_equal(at(0.0), at(-0.0))
+    assert trees_equal(linked_to(0.0), linked_to(0.0))
+    assert not trees_equal(linked_to(0.0), linked_to(-0.0))
+    assert trees_equal(linked_to(0), linked_to(0.0))  # stored as a real
+
+
+def test_trees_equal_tells_dtypes_apart():
+    tree = build_tree([Base("B", 2, 2, (square_zone(),))], time=0.0)
+    zone = tree.bases[0].zones[0]
+    block = zone.element_blocks[0]
+    as_float = dataclasses.replace(
+        block, connectivity=block.connectivity.astype(np.float64))
+    other = MeshTree(bases=(Base("B", 2, 2, (dataclasses.replace(
+        zone, element_blocks=(as_float,)),)),), time=0.0)
+    assert np.array_equal(as_float.connectivity, block.connectivity)
+    assert not trees_equal(tree, other)
+
+
+def one_leaf_changes(value):
+    """Yield (owner, copy) pairs: each copy differs from ``value`` in one
+    leaf, and owner is the (class name, field name) of the innermost
+    dataclass field holding that leaf (None above any dataclass)."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            for owner, changed in one_leaf_changes(getattr(value, f.name)):
+                yield (owner or (type(value).__name__, f.name),
+                       dataclasses.replace(value, **{f.name: changed}))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for owner, changed in one_leaf_changes(item):
+                yield owner, value[:i] + (changed,) + value[i + 1:]
+        yield None, value[:-1] if value else (None,)
+    elif isinstance(value, np.ndarray):
+        flipped = value.copy()
+        flipped.view(np.uint8)[0] ^= 1
+        yield None, flipped
+    elif isinstance(value, enum.Enum):
+        members = list(type(value))
+        yield None, members[(members.index(value) + 1) % len(members)]
+    elif isinstance(value, float):
+        yield None, float(np.nextafter(value, np.inf))
+    elif isinstance(value, (int, str)):
+        yield None, value + type(value)(1)
+    else:
+        assert value is None
+        yield None, ()
+
+
+def test_every_datamodel_field_takes_part_in_trees_equal():
+    unstructured = make_unstructured_zone(
+        "U", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        blocks=[(ElementType.TRI_3, [[0, 1, 2]])],
+        fields=[make_field("f", [0.5, -1.0, 2.0])],
+        tags=[TagSet("t", TagKind.NodalTag, np.array([0, 2]))])
+    structured = make_structured_zone("S", np.zeros((4, 2)), (2, 2))
+    tree = MeshTree(bases=(Base("B", 2, 2, (unstructured, structured)),),
+                    time=1.0, links=(LinkSpec(0.5, ("B/U", "B/S")),))
+    owners = set()
+    for owner, changed in one_leaf_changes(tree):
+        assert not trees_equal(tree, changed), owner
+        owners.add(owner)
+    assert owners == {
+        (cls.__name__, f.name)
+        for cls in (MeshTree, LinkSpec, Base, Zone, ElementBlock, FieldArray,
+                    TagSet)
+        for f in dataclasses.fields(cls)}
