@@ -1,5 +1,5 @@
 """Gaussian-process regression with ARD kernels and a deterministic,
-derivative-free hyperparameter search.
+gradient-based hyperparameter search.
 
 Targets are a vector (n,) or a matrix (n, k) of k outputs that share one
 kernel, as the POD coefficients of one field do.  Inputs are standardized
@@ -7,12 +7,12 @@ per dimension; each target column is centred by its own mean and all of
 them are divided by one output scale, the largest column std, so
 predictions are invariant under affine re-scaling of the raw targets.  The
 kernel variance and per-dimension lengthscales maximize the log marginal
-likelihood summed over the columns through coordinate-wise log-space grid
-refinement with a fixed budget and fixed ordering: the same data always
-yields the same model, on any machine and thread count.  Each candidate's
-likelihood is evaluated from the lower triangle of the kernel matrix alone,
-built and factorised in place by LAPACK, and memoised within the fit; it
-picks the same hyperparameters as a dense evaluation.
+likelihood summed over the columns by projected BFGS with the analytic
+gradient from a fixed start in a log-space box, stopping on a fixed budget,
+a small gain, or a trial whose kernel matrix no longer factorises (near it,
+rounding outgrows the jitter): the same data always yields the same model,
+on any machine and thread count.  The likelihood uses the lower triangle
+of the kernel matrix alone, built and factorised in place by LAPACK.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, get_lapack_funcs, solve_triangular
+from scipy.linalg import (cho_solve, cholesky, get_blas_funcs,
+                          get_lapack_funcs, solve_triangular)
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
@@ -39,10 +40,12 @@ MAX_JITTER = 1e-6
 #: with the lengthscale, so the variance needs the wider box)
 _LS_BOUNDS = (np.log(1e-3), np.log(1e3))
 _VAR_BOUNDS = (np.log(1e-6), np.log(1e6))
-#: per-sweep half-widths of the candidate grid; one pass over all search
-#: directions each (two equal coarse sweeps let the ridge walk make ground)
-_SWEEP_SPANS = (3.0, 3.0, 1.5, 0.75, 0.375, 0.1875)
-_GRID_POINTS = 9
+#: BFGS: iteration budget, Armijo constant, step shrink, least step and gain
+_MAX_ITERATIONS = 40
+_ARMIJO = 1e-4
+_SHRINK = 0.25
+_MIN_STEP = 1e-6
+_MIN_GAIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,35 +140,39 @@ def _chol_with_escalation(k_matrix: np.ndarray, jitter: float):
 
 
 def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
-    """The LML at log-parameters theta = (log s2, log l_1..d), memoised,
-    summed over the columns of ``y`` (n,) or (n, k).
+    """The LML at log-parameters theta = (log s2, log l_1..d), summed over
+    the columns of ``y`` (n,) or (n, k), and its gradient.
 
     The per-dimension squared differences of the n(n+1)/2 lower-triangle
     pairs are computed once.  Each new theta fills only the lower triangle
     of one reused Fortran-ordered buffer, which LAPACK's lower Cholesky
     factorises in place, and needs one (multi-RHS) triangular solve.
+    ``gradient(theta)`` must follow a finite ``lml(theta)``: it turns that
+    factor into K^-1 in place.
     """
-    n = len(y)
-    k = 1 if y.ndim == 1 else y.shape[1]
+    y = y.reshape(len(y), -1)
+    n, k = y.shape
     cols, rows = np.triu_indices(n)  # lower-triangle pairs, column by column
-    diff = x[rows] - x[cols]
+    m = len(rows)
     # zero-padded to whole 4-entry blocks: OpenBLAS's gemv sums the last
     # (length mod 4) entries in another order, and without the padding those
     # would round differently from the same entries of an n x n product
-    sq_dists_unit = np.zeros((x.shape[1], -(-len(rows) // 4) * 4))
-    sq_dists_unit[:, :len(rows)] = (diff * diff).T
+    sq_dists_unit = np.zeros((x.shape[1], -(-m // 4) * 4))
+    for j in range(x.shape[1]):  # one dimension at a time, to save memory
+        sq_dists_unit[j, :m] = np.square(x[rows, j] - x[cols, j])
     r2, values, scratch = (np.empty(sq_dists_unit.shape[1]) for _ in range(3))
     flat = np.zeros(n * n)
     k_matrix = flat.reshape(n, n, order="F")
     lower_index = rows + n * cols
     diag_index = np.arange(n) * (n + 1)
-    potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (k_matrix,))
-    memo: dict[bytes, float] = {}
+    potrf, potri, potrs, trtrs = get_lapack_funcs(
+        ("potrf", "potri", "potrs", "trtrs"), (k_matrix,))
+    syrk = get_blas_funcs("syrk", (k_matrix,))
 
-    def evaluate(theta: np.ndarray) -> float:
+    def lml(theta: np.ndarray) -> float:
         np.dot(np.exp(-2.0 * theta[1:]), sq_dists_unit, out=r2)
         _kernel_values(kind, np.exp(theta[0]), r2, values, scratch)
-        flat[lower_index] = values[:len(rows)]
+        flat[lower_index] = values[:m]
         flat[diag_index] += jitter
         lower, info = potrf(k_matrix, lower=1, overwrite_a=1, clean=0)
         if info > 0:
@@ -174,13 +181,32 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
         return float(-0.5 * (z @ z) - k * np.sum(np.log(np.diag(lower)))
                      - 0.5 * k * n * np.log(2.0 * np.pi))
 
-    def lml(theta: np.ndarray) -> float:
-        key = theta.tobytes()
-        if key not in memo:
-            memo[key] = evaluate(theta)
-        return memo[key]
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        """1/2 tr(W dK/dtheta) with W = alpha alpha^T - k K^-1, where
+        dK/dlog s2 = K and dK/dlog l_j = -2 (dk/dr2) r2_j."""
+        alpha = potrs(k_matrix, y, lower=1)[0]
+        potri(k_matrix, lower=1, overwrite_c=1)
+        # K = (K + jitter I) - jitter I, so this term needs no pair sum
+        grad_var = 0.5 * (np.sum(alpha * y) - jitter * np.sum(alpha * alpha)
+                          - k * n + k * jitter * np.sum(flat[diag_index]))
+        syrk(1.0, alpha, beta=-k, c=k_matrix, lower=1, overwrite_c=1)  # W
+        inv_l2 = np.exp(-2.0 * theta[1:])
+        np.dot(inv_l2, sq_dists_unit, out=r2)
+        if kind == "RBF":  # dk/dr2 = -k / 2
+            _kernel_values(kind, -0.5 * np.exp(theta[0]), r2, values, scratch)
+        else:  # dk/dr2 = -(5/6) s2 (1 + sqrt5 r) exp(-sqrt5 r)
+            sqrt5_r = np.multiply(np.sqrt(r2, out=r2), np.sqrt(5.0), out=r2)
+            np.exp(np.negative(sqrt5_r, out=scratch), out=scratch)
+            np.multiply(np.add(sqrt5_r, 1.0, out=values), scratch, out=values)
+            np.multiply(values, -5.0 / 6.0 * np.exp(theta[0]), out=values)
+        # the padding of r2 is still zero; diagonal pairs have zero distance,
+        # and each off-diagonal pair stands for two entries
+        np.take(flat, lower_index, out=r2[:m], mode="clip")
+        np.multiply(r2, values, out=r2)
+        return np.concatenate([[grad_var],
+                               -2.0 * inv_l2 * np.dot(sq_dists_unit, r2)])
 
-    return lml
+    return lml, gradient
 
 
 def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpModel:
@@ -210,32 +236,44 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
     y_scale = float(np.max(np.std(y, axis=0)))
     y_std = (y - y_mean) / y_scale
 
-    log_marginal_likelihood = _lml_evaluator(kind, x_std, y_std, jitter)
-
-    lower_b = np.concatenate([[_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
-    upper_b = np.concatenate([[_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
-
-    # search directions: each parameter alone, plus the variance/lengthscale
-    # ridge (variance scales with the square of the lengthscales on smooth
-    # targets, which single-coordinate moves cannot climb)
-    directions = [np.eye(1 + d)[c] for c in range(1 + d)]
-    ridge = np.concatenate([[2.0], np.ones(d)])
-    directions.append(ridge)
-
+    lower_b, upper_b = np.array([_VAR_BOUNDS] + [_LS_BOUNDS] * d).T
     theta = np.zeros(1 + d)  # start at s2 = 1, l_d = 1
-    for span in _SWEEP_SPANS:
-        offsets = np.linspace(-span, span, _GRID_POINTS)[:, None]
-        for direction in directions:
-            trials = np.clip(theta + offsets * direction, lower_b, upper_b)
-            best_theta = theta
-            best_lml = -np.inf
-            for trial in trials:
-                lml = log_marginal_likelihood(trial)
-                if lml > best_lml:
-                    best_lml = lml
-                    best_theta = trial
-            theta = best_theta
+    lml, gradient = _lml_evaluator(kind, x_std, y_std, jitter)
+    while (value := lml(theta)) == -np.inf:  # as in _chol_with_escalation
+        if jitter >= MAX_JITTER:
+            raise SingularKernel(f"start kernel singular at jitter {jitter:g}")
+        jitter = min(jitter * 10.0, MAX_JITTER)
+        lml, gradient = _lml_evaluator(kind, x_std, y_std, jitter)
+    grad = gradient(theta)
+    inv_hessian = np.eye(1 + d)  # BFGS estimate for -LML
+    step = 1.0
+    for _ in range(_MAX_ITERATIONS):
+        # a coordinate at a bound that its gradient pushes against stays put
+        free = ~(((theta <= lower_b) & (grad < 0))
+                 | ((theta >= upper_b) & (grad > 0)))
+        direction = free * (inv_hessian @ (free * grad))
+        direction /= max(1.0, np.abs(direction).max())  # at most 1 per step
+        hit_wall = False
+        while step >= _MIN_STEP:
+            trial = np.clip(theta + step * direction, lower_b, upper_b)
+            trial_value = lml(trial)  # -inf where K + jitter I fails
+            if trial_value >= value + _ARMIJO * (grad @ (trial - theta)):
+                break
+            hit_wall |= trial_value == -np.inf
+            step *= _SHRINK
+        else:
+            break
+        s, theta = trial - theta, trial
+        if hit_wall or trial_value - value <= _MIN_GAIN * abs(trial_value):
+            break
+        value, trial_grad = trial_value, gradient(trial)
+        change, grad = grad - trial_grad, trial_grad
+        if (curvature := s @ change) > 0:
+            v = np.eye(1 + d) - np.outer(s, change) / curvature
+            inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / curvature
+        step = min(1.0, 2.0 * step)
 
+    del lml, gradient  # the evaluator's buffers go before K is rebuilt
     kernel = Kernel(kind=kind, variance=float(np.exp(theta[0])),
                     lengthscales=np.exp(theta[1:]))
     k_matrix = kernel_matrix(kernel, x_std, x_std)

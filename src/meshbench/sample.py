@@ -41,7 +41,8 @@ class Sample:
 
     Parameters
     ----------
-    trees : mapping time -> MeshTree, each tree's own time must equal its key
+    trees : mapping time -> MeshTree; each tree is stored under its own
+        time, which must lie within TIME_TOLERANCE of its finite key
     scalars : mapping name -> float
     time_series : mapping name -> sequence of (time, value) pairs, strictly
         increasing in time
@@ -50,17 +51,18 @@ class Sample:
     def __init__(self, trees=None, scalars=None, time_series=None):
         trees = dict(trees or {})
         for t, tree in trees.items():
-            if abs(tree.time - t) > TIME_TOLERANCE:
+            if not abs(tree.time - t) <= TIME_TOLERANCE:  # false for nan, inf
                 raise DimensionMismatch(
-                    f"tree stored at time {t!r} carries time {tree.time!r}")
-        self._trees: dict[float, MeshTree] = {
-            t: trees[t] for t in sorted(trees)}
-        times = list(self._trees)
-        for t1, t2 in zip(times, times[1:]):
-            if t2 - t1 <= TIME_TOLERANCE:
+                    f"tree stored at time {t!r} carries time {tree.time!r}; "
+                    f"both must be finite and within {TIME_TOLERANCE}")
+        by_time = sorted(trees.values(), key=lambda tree: tree.time)
+        for a, b in zip(by_time, by_time[1:]):
+            if b.time - a.time <= TIME_TOLERANCE:
                 raise DimensionMismatch(
-                    f"tree times {t1!r} and {t2!r} lie within "
+                    f"tree times {a.time!r} and {b.time!r} lie within "
                     f"{TIME_TOLERANCE} of each other")
+        self._trees: dict[float, MeshTree] = {
+            tree.time: tree for tree in by_time}
         self._scalars: dict[str, float] = {
             k: float(v) for k, v in (scalars or {}).items()}
         self._time_series: dict[str, tuple[tuple[float, float], ...]] = {}

@@ -385,9 +385,9 @@ def validate_tree(tree: MeshTree) -> ValidationReport:
     are not validated (no face datamodel) and surface as 'unchecked' notes.
     """
     out = ValidationReport()
-    if tree.time < 0:
+    if not 0 <= tree.time < np.inf:
         out.add(DimensionMismatch, "time",
-                f"tree time must be non-negative, got {tree.time}")
+                f"tree time must be finite and non-negative, got {tree.time}")
     for link in tree.links:
         if not link.target_time < tree.time:
             out.add(MissingLinkTarget, "links",

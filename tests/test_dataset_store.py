@@ -26,6 +26,7 @@ from meshbench import (
     participant_export,
     save_bundle,
     save_dataset,
+    samples_equal,
     save_model,
     validate_dataset,
 )
@@ -75,6 +76,17 @@ def test_round_trip_bitwise(tmp_path, two_base_sample):
     for lazy in (False, True):
         loaded = load_dataset(root, lazy=lazy)
         assert datasets_equal(ds, loaded), f"lazy={lazy}"
+
+
+def test_tree_stored_off_its_time_round_trips_bit_exactly(tmp_path):
+    # the key is within the time tolerance of the tree's own time, which
+    # storage writes back
+    tree = build_tree([Base("B", 2, 2, (square_zone(),))], time=5e-13)
+    sample = Sample(trees={0.0: tree}, scalars={"P": 1.0})
+    save_dataset(Dataset(samples=[sample]), tmp_path / "ds")
+    for lazy in (False, True):
+        loaded = load_dataset(tmp_path / "ds", lazy=lazy).sample_at(0)
+        assert samples_equal(loaded, sample), f"lazy={lazy}"
 
 
 def _files(directory):

@@ -13,9 +13,7 @@ from meshbench.errors import (
     SingularKernel,
 )
 from meshbench.gp import (
-    _GRID_POINTS,
     _LS_BOUNDS,
-    _SWEEP_SPANS,
     _VAR_BOUNDS,
     _chol_with_escalation,
     _lml_evaluator,
@@ -288,8 +286,15 @@ def dense_lml(theta, kind, x, y, jitter):
                  - 0.5 * k * n * np.log(2.0 * np.pi))
 
 
+#: the coordinate grid search that gp_fit used before its gradient search:
+#: per-sweep half-widths of a 9-point candidate grid, one pass over every
+#: parameter and the variance/lengthscale ridge direction each
+_SWEEP_SPANS = (3.0, 3.0, 1.5, 0.75, 0.375, 0.1875)
+_GRID_POINTS = 9
+
+
 def dense_search(kind, x, y, jitter=1e-10):
-    """The coordinate grid search of ``gp_fit``, driven by the oracle."""
+    """A brute-force coordinate grid search driven by the dense oracle."""
     d = x.shape[1]
     lower_b = np.concatenate([[_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
     upper_b = np.concatenate([[_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
@@ -308,9 +313,15 @@ def dense_search(kind, x, y, jitter=1e-10):
     return theta
 
 
+def central_differences(theta, kind, x, y, h, jitter=1e-10):
+    return np.array([(dense_lml(theta + h * e, kind, x, y, jitter)
+                      - dense_lml(theta - h * e, kind, x, y, jitter)) / (2 * h)
+                     for e in np.eye(len(theta))])
+
+
 def _check_evaluator_against_oracle(kind, x, y, rng):
-    lml = _lml_evaluator(kind, x, y, 1e-10)
-    finite = 0
+    lml, gradient = _lml_evaluator(kind, x, y, 1e-10)
+    finite = compared = 0
     for _ in range(20):
         theta = np.concatenate([rng.uniform(*_VAR_BOUNDS, size=1),
                                 rng.uniform(*_LS_BOUNDS, size=3)])
@@ -318,11 +329,22 @@ def _check_evaluator_against_oracle(kind, x, y, rng):
         got = lml(theta)
         if np.isinf(want):
             assert got == -np.inf
-        else:
-            finite += 1
-            assert abs(got - want) <= 1e-12 * abs(want)
-        assert lml(theta) == got  # memoised
-    assert finite >= 5
+            continue
+        finite += 1
+        assert abs(got - want) <= 1e-12 * abs(want)
+        grad = gradient(theta)
+        # where the kernel matrix is so ill-conditioned that the LML's own
+        # rounding swamps a difference quotient, two step sizes disagree and
+        # the differences are no oracle
+        fd = central_differences(theta, kind, x, y, 1e-4)
+        fd_wide = central_differences(theta, kind, x, y, 2e-4)
+        scale = np.abs(fd).max()
+        if np.isfinite(fd_wide).all() and \
+                np.abs(fd - fd_wide).max() <= 1e-8 * scale:
+            compared += 1
+            assert np.abs(grad - fd).max() <= 1e-6 * scale
+        assert lml(theta) == got  # refactorised after the gradient
+    assert finite >= 5 and compared >= 5
 
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
@@ -350,19 +372,49 @@ def test_lml_evaluator_failed_factorisation_is_minus_inf(kind):
     y = np.sin(3.0 * x[:, 0])
     theta = np.array([_VAR_BOUNDS[1], _LS_BOUNDS[1]])
     assert dense_lml(theta, kind, x, y, 1e-10) == -np.inf
-    assert _lml_evaluator(kind, x, y, 1e-10)(theta) == -np.inf
+    assert _lml_evaluator(kind, x, y, 1e-10)[0](theta) == -np.inf
+
+
+def _fitted_theta(model):
+    return np.log(np.concatenate([[model.kernel.variance],
+                                  model.kernel.lengthscales]))
+
+
+def _standardized(X, y):
+    return (X - X.mean(axis=0)) / X.std(axis=0), (y - y.mean()) / y.std()
 
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
-def test_fit_hyperparameters_equal_dense_search(kind):
+def test_fit_lml_is_not_below_dense_search(kind):
     rng = np.random.default_rng(31)
     X = rng.uniform(-1, 1, size=(30, 3))
     y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
     model = gp_fit(X, y, kind=kind)
-    x_std = (X - X.mean(axis=0)) / X.std(axis=0)
-    theta = dense_search(kind, x_std, (y - y.mean()) / y.std())
-    assert model.kernel.variance == float(np.exp(theta[0]))
-    assert model.kernel.lengthscales.tobytes() == np.exp(theta[1:]).tobytes()
+    x_std, y_std = _standardized(X, y)
+    grid = dense_lml(dense_search(kind, x_std, y_std), kind, x_std, y_std,
+                     1e-10)
+    assert dense_lml(_fitted_theta(model), kind, x_std, y_std,
+                     model.jitter) >= grid
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_projected_gradient_vanishes_at_the_fit(kind):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1, 1, size=(30, 3))
+    y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
+    model = gp_fit(X, y, kind=kind)
+    x_std, y_std = _standardized(X, y)
+    theta = _fitted_theta(model)
+    lml, gradient = _lml_evaluator(kind, x_std, y_std, model.jitter)
+    lml(np.zeros(4))
+    start = gradient(np.zeros(4))
+    lml(theta)
+    grad = gradient(theta)
+    # a coordinate at a bound may keep a gradient pointing out of the box
+    lower, upper = np.array([_VAR_BOUNDS] + [_LS_BOUNDS] * 3).T
+    grad[(theta <= lower) & (grad < 0)] = 0.0
+    grad[(theta >= upper) & (grad > 0)] = 0.0
+    assert np.abs(grad).max() <= 1e-3 * np.abs(start).max()
 
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
@@ -379,15 +431,55 @@ def test_single_column_target_picks_the_vector_hyperparameters(kind):
 
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
-def test_fit_hyperparameters_equal_dense_search_at_the_bounds(kind):
+def test_ignored_input_drives_its_lengthscale_to_the_upper_bound(kind):
     # y ignores the last input, whose lengthscale the search drives to the
-    # upper bound, so trials are clipped
+    # upper bound, so trials are clipped there
     rng = np.random.default_rng(35)
     X = rng.uniform(-1, 1, size=(25, 3))
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
     model = gp_fit(X, y, kind=kind)
     assert model.kernel.lengthscales[2] == np.exp(_LS_BOUNDS[1])
+    x_std, y_std = _standardized(X, y)
+    grid = dense_lml(dense_search(kind, x_std, y_std), kind, x_std, y_std,
+                     1e-10)
+    assert dense_lml(_fitted_theta(model), kind, x_std, y_std,
+                     model.jitter) >= grid
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_stops_at_the_wall_where_the_kernel_stops_factorising(seed):
+    # collinear inputs and smooth targets: the LML rises along the variance
+    # and lengthscale ridge until K + jitter I no longer factorises, and
+    # near that wall the rounding of K outgrows the jitter; a search that
+    # crept up to it ended where the fit's own factorisation escalated
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1, 1, size=(2, 100))
+    X = np.stack([a, 0.25 * a, b], axis=1)
+    Y = np.stack([np.sin(2 * a) + b ** 2, 0.1 * a * b,
+                  0.01 * np.cos(a + b)], axis=1)
+    model = gp_fit(X, Y)
+    assert model.jitter == 1e-10
     x_std = (X - X.mean(axis=0)) / X.std(axis=0)
-    theta = dense_search(kind, x_std, (y - y.mean()) / y.std())
-    assert model.kernel.variance == float(np.exp(theta[0]))
-    assert model.kernel.lengthscales.tobytes() == np.exp(theta[1:]).tobytes()
+    y_std = (Y - Y.mean(axis=0)) / Y.std(axis=0).max()
+    theta = _fitted_theta(model)
+    fitted = dense_lml(theta, "Matern52", x_std, y_std, 1e-10)
+    assert fitted >= dense_lml(dense_search("Matern52", x_std, y_std),
+                               "Matern52", x_std, y_std, 1e-10)
+    lml, _ = _lml_evaluator("Matern52", x_std, y_std, 1e-10)
+    assert abs(lml(theta) - fitted) <= 1e-6 * abs(fitted)
+
+
+def test_start_point_that_fails_to_factorise_escalates_the_jitter(monkeypatch):
+    # exact duplicates make K singular at the start, and 1e-20 is below
+    # the rounding of its Cholesky factorisation
+    X = np.repeat(np.linspace(0.0, 1.0, 20), 3)[:, None]
+    y = np.sin(3.0 * X[:, 0])
+    lml, _ = _lml_evaluator("Matern52", (X - X.mean()) / X.std(),
+                            (y - y.mean()) / y.std(), 1e-20)
+    assert lml(np.zeros(2)) == -np.inf
+    model = gp_fit(X, y, jitter=1e-20)
+    assert 1e-20 < model.jitter <= gp_module.MAX_JITTER
+    assert np.isfinite(gp_predict(model, X)[0]).all()
+    monkeypatch.setattr(gp_module, "MAX_JITTER", 1e-19)
+    with pytest.raises(SingularKernel):
+        gp_fit(X, y, jitter=1e-20)

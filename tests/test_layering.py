@@ -78,6 +78,20 @@ def test_import_leaves_yaml_unloaded():
                           timeout=60).returncode == 0
 
 
+def test_cli_and_a_fit_leave_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 16 MB of resident memory, a
+    # benchmark metric; the GP search needs no library optimiser
+    code = ("import sys, meshbench.cli\n"
+            "from meshbench import MmgpConfig, SynthConfig, generate, mmgp_fit\n"
+            "ds = generate(SynthConfig(n_samples=8, seed=3, "
+            "min_nodes_per_side=5, max_nodes_per_side=7))\n"
+            "mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))\n"
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(LAYERS)
 

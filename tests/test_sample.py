@@ -10,6 +10,8 @@ from meshbench.errors import (
     NoSuchTime,
 )
 
+from meshbench.tree import MeshTree
+
 from conftest import square_zone
 
 
@@ -46,6 +48,23 @@ def test_tree_times_within_tolerance_rejected():
     t1 = build_tree([Base("B", 2, 2, (square_zone(),))], time=5e-13)
     with pytest.raises(DimensionMismatch, match="within"):
         Sample(trees={0.0: t0, 5e-13: t1})
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf")])
+def test_non_finite_tree_time_rejected(time):
+    # built without validation, so only the sample's own check can catch it
+    tree = MeshTree(bases=(Base("B", 2, 2, (square_zone(),)),), time=time)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        Sample(trees={time: tree})
+    with pytest.raises(DimensionMismatch, match="finite"):
+        Sample(trees={time: single_time_sample(0.0).get_mesh()})
+
+
+def test_tree_is_stored_under_its_own_time():
+    tree = build_tree([Base("B", 2, 2, (square_zone(),))], time=5e-13)
+    sample = Sample(trees={0.0: tree})
+    assert sample.get_all_mesh_times() == [5e-13]
+    assert sample.get_mesh(time=0.0) is tree  # found within the tolerance
 
 
 def test_samples_equal_is_bit_exact_on_every_real():

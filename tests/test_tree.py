@@ -71,6 +71,12 @@ def test_cell_dim_exceeding_phys_dim_rejected():
         build_tree([Base("Base_3_2", 3, 2, ())], time=0.0)
 
 
+@pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+def test_tree_time_must_be_finite_and_non_negative(time):
+    with pytest.raises(DimensionMismatch, match="time"):
+        build_tree([Base("B", 2, 2, (square_zone(),))], time=time)
+
+
 def test_validate_vertex_field_length():
     bad = Zone(name="Zone", zone_type=ZoneType.Unstructured, n_vertices=4,
                coordinates=np.zeros((4, 2)),
