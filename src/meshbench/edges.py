@@ -23,25 +23,13 @@ def edge_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a.astype(np.int64) * n + b
 
 
-def _undirected_keys(triangles: np.ndarray, n: int) -> np.ndarray:
-    """Key of every directed edge with its end points sorted, in the order
-    of ``directed_edges``."""
-    src, dst = directed_edges(triangles)
-    return edge_keys(np.minimum(src, dst), np.maximum(src, dst), n)
-
-
-def unique_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges (a < b) as two aligned arrays, in
-    lexicographic order."""
-    n = int(triangles.max(initial=0)) + 1
-    return np.divmod(np.unique(_undirected_keys(triangles, n)), n)
-
-
 def boundary_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges of exactly one triangle as (owner ids, slots), owner-sorted;
     slot ``j`` joins the owner's local vertices ``j`` and ``(j + 1) % 3``."""
     n = int(triangles.max(initial=0)) + 1
-    _, inverse, counts = np.unique(_undirected_keys(triangles, n),
-                                   return_inverse=True, return_counts=True)
+    src, dst = directed_edges(triangles)
+    undirected = edge_keys(np.minimum(src, dst), np.maximum(src, dst), n)
+    _, inverse, counts = np.unique(undirected, return_inverse=True,
+                                   return_counts=True)
     single = np.flatnonzero(counts[inverse] == 1)
     return single // 3, single % 3

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .edges import directed_edges, edge_keys, unique_edges
+from .edges import directed_edges, edge_keys
 from .errors import NotDiskTopology, SolveFailure
 
 
@@ -48,9 +49,8 @@ class MorphedMesh:
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = nodes[triangles[:, 0]]
-    b = nodes[triangles[:, 1]]
-    c = nodes[triangles[:, 2]]
+    # np.take gathers rows several times faster than indexing
+    a, b, c = (np.take(nodes, triangles[:, j], axis=0) for j in range(3))
     return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
@@ -59,7 +59,8 @@ def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
     """Normalize arrays, enforce CCW orientation, extract the boundary.
 
     Negatively oriented triangles are flipped in place (the geometry is
-    unchanged); degenerate (zero-area) triangles are rejected.
+    unchanged); non-finite nodes and degenerate (zero-area) triangles are
+    rejected.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     triangles = np.array(triangles, dtype=np.int64)
@@ -69,6 +70,9 @@ def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
         raise NotDiskTopology(f"triangles must be (m, 3), got {triangles.shape}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(nodes)):
         raise NotDiskTopology("triangle index out of range")
+    if not np.isfinite(nodes).all():
+        bad = int(np.flatnonzero(~np.isfinite(nodes).all(axis=1))[0])
+        raise NotDiskTopology(f"node {bad} has a non-finite coordinate")
 
     areas = signed_areas(nodes, triangles)
     if np.any(areas == 0.0):
@@ -158,7 +162,11 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
 
     Boundary nodes land exactly on the unit circle; each interior node
     solves x_i = mean of its neighbors, a sparse symmetric positive
-    definite system solved by a direct sparse factorization.
+    definite system.  Its unknowns are ordered by reverse Cuthill-McKee and
+    it is solved by a banded Cholesky factorization, which stores
+    (bandwidth + 1) * n floats for n interior nodes: about 13 MB at 120
+    nodes per side, growing like n**1.5 on planar meshes, whose RCM
+    bandwidth grows like sqrt(n).
     """
     n = len(mesh.nodes)
     loop = mesh.boundary_loop
@@ -178,51 +186,69 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
                                               is_boundary)
 
     embedded_areas = signed_areas(positions, mesh.triangles)
-    inverted = int(np.sum(embedded_areas <= 0))
+    # written so that NaN areas and radii fail too
+    inverted = int(np.sum(~(embedded_areas > 0)))
     if inverted:
         raise SolveFailure(f"embedding produced {inverted} non-positive "
                            f"triangle(s)")
-    radii = np.linalg.norm(positions[interior], axis=1) if interior.size else None
-    if radii is not None and np.any(radii >= 1.0):
+    radii = np.linalg.norm(positions[interior], axis=1)
+    if not np.all(radii < 1.0):
         raise SolveFailure("an interior node escaped the open unit disk")
 
     positions.setflags(write=False)
     return MorphedMesh(positions=positions, source=mesh)
 
 
-def _solve_interior(mesh: SurfaceMesh2D, positions, interior, is_boundary):
-    n = len(mesh.nodes)
-    ei, ej = unique_edges(mesh.triangles)
+def _interior_system(mesh: SurfaceMesh2D, positions, interior, is_boundary):
+    """The Tutte system of the interior nodes in reverse Cuthill-McKee
+    order, as ``(ab, rhs, perm)``: row ``i`` is interior node
+    ``interior[perm[i]]``, ``ab`` holds the Laplacian's upper band in
+    LAPACK banded storage and ``rhs`` the summed positions of each row's
+    boundary neighbors.
 
-    index_of = np.full(n, -1, dtype=np.int64)
-    index_of[interior] = np.arange(interior.size)
+    Every edge at an interior node is shared by two triangles, and the
+    mesh has no duplicate directed edge, so an interior node's out-edges
+    list each of its neighbors exactly once.
+    """
     ni = interior.size
+    index_of = np.full(len(mesh.nodes), -1, dtype=np.int64)
+    index_of[interior] = np.arange(ni)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((ni, 2))
-    degree = np.zeros(ni)
+    src, dst = directed_edges(mesh.triangles)
+    row = index_of[src]
+    inside = row >= 0
+    row, dst = row[inside], dst[inside]
+    pinned = is_boundary[dst]
+    a, b = row[~pinned], index_of[dst[~pinned]]
 
-    def accumulate(a, b):
-        # edge a -> b seen from a's equation
-        ia = index_of[a]
-        inside = ia >= 0
-        np.add.at(degree, ia[inside], 1.0)
-        b_int = inside & ~is_boundary[b]
-        rows.append(ia[b_int])
-        cols.append(index_of[b[b_int]])
-        vals.append(-np.ones(int(b_int.sum())))
-        b_bnd = inside & is_boundary[b]
-        np.add.at(rhs, ia[b_bnd], positions[b[b_bnd]])
+    order = np.argsort(a, kind="stable")
+    graph = csr_array((np.ones(a.size, dtype=np.int8), b[order],
+                       np.concatenate([[0], np.cumsum(np.bincount(
+                           a, minlength=ni))])), shape=(ni, ni))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.empty(ni, dtype=np.int64)
+    rank[perm] = np.arange(ni)
 
-    accumulate(ei, ej)
-    accumulate(ej, ei)
+    row = rank[row]
+    ra, rb = rank[a], rank[b]
+    upper = ra < rb
+    ra, rb = ra[upper], rb[upper]
+    band = int((rb - ra).max(initial=0))
+    ab = np.zeros((band + 1, ni))
+    ab[band] = np.bincount(row, minlength=ni)
+    ab[band + ra - rb, rb] = -1.0
+    rhs = np.stack([np.bincount(row[pinned], weights=positions[dst[pinned], k],
+                                minlength=ni) for k in range(2)], axis=1)
+    return ab, rhs, perm
 
-    rows.append(np.arange(ni))
-    cols.append(np.arange(ni))
-    vals.append(degree)
-    laplacian = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ni, ni))
 
-    solution = spla.spsolve(laplacian.tocsc(), rhs)
-    return solution.reshape(ni, 2)
+def _solve_interior(mesh: SurfaceMesh2D, positions, interior, is_boundary):
+    ab, rhs, perm = _interior_system(mesh, positions, interior, is_boundary)
+    try:
+        solution = solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True,
+                                 check_finite=False)
+    except LinAlgError as exc:
+        raise SolveFailure(f"the Tutte system is singular ({exc})") from None
+    out = np.empty_like(solution)
+    out[perm] = solution
+    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, ShapeMismatch
+from .errors import DegenerateInputs, RankDeficient, ShapeMismatch
 
 #: centered singular values at or below this fraction of the snapshots'
 #: Frobenius norm do not count towards the numerical rank
@@ -43,6 +43,8 @@ def _snapshot_matrix(snapshots) -> np.ndarray:
     a = np.asarray(snapshots, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeMismatch(f"snapshots must be 2-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DegenerateInputs("snapshots contain non-finite entries")
     return a
 
 

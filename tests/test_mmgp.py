@@ -23,9 +23,11 @@ from meshbench import (
 from meshbench.edges import boundary_edges
 from meshbench.errors import (
     ConfigInvalid,
+    DegenerateInputs,
     FormatError,
     IoFailure,
     NoSuchSplit,
+    NotDiskTopology,
     PointOutsideDomain,
     ShapeMismatch,
 )
@@ -177,6 +179,51 @@ def _with_constant_field(ds, name, value):
                 [Base(tree.bases[0].name, 2, 2, tuple(zones))], tree.time)
         samples.append(Sample(trees=trees, scalars=s.scalars))
     return Dataset(samples=samples, infos=dict(ds.infos), problem=ds.problem)
+
+
+def _with_nan_at_interior_node(ds, sid, coordinate):
+    """Sample ``sid`` rebuilt with NaN at its interior node 7 (row 1,
+    column 1 of a 6-per-side plate): its y coordinate, or its value of
+    field "u"."""
+    samples = [ds.sample_at(i) for i in range(ds.n_samples)]
+    s = samples[sid]
+    trees = {}
+    for t, tree in s.trees.items():
+        zone = tree.bases[0].zones[0]
+        if coordinate:
+            coords = zone.coordinates.copy()
+            coords[7, 1] = np.nan
+            zone = zone_with(zone, coordinates=coords)
+        else:
+            fields = []
+            for f in zone.fields:
+                if f.name == "u":
+                    values = f.values.copy()
+                    values[7] = np.nan
+                    f = make_field("u", values)
+                fields.append(f)
+            zone = zone_with(zone, fields=fields)
+        trees[t] = build_tree([Base(tree.bases[0].name, 2, 2, (zone,))],
+                              tree.time)
+    samples[sid] = Sample(trees=trees, scalars=s.scalars)
+    return Dataset(samples=samples, infos=dict(ds.infos), problem=ds.problem)
+
+
+@pytest.mark.parametrize("morphing", [False, True])
+@pytest.mark.parametrize("coordinate, morphed_error", [
+    (True, NotDiskTopology), (False, DegenerateInputs)])
+def test_non_finite_training_sample_raises_typed_error(morphing, coordinate,
+                                                       morphed_error):
+    # a NaN coordinate stops at the surface build when morphing; every
+    # other NaN reaches a POD snapshot
+    ds = generate(SynthConfig(n_samples=12, seed=3, min_nodes_per_side=6,
+                              max_nodes_per_side=6))
+    ds = _with_nan_at_interior_node(ds, ds.problem.splits["train"][1],
+                                    coordinate)
+    config = MmgpConfig(morphing=morphing, shape_modes=2, field_modes=2)
+    with pytest.raises(morphed_error if morphing else DegenerateInputs,
+                       match="non-finite"):
+        mmgp_fit(ds, ds.problem, config)
 
 
 @pytest.mark.parametrize("morphing,res", [(False, (9, 9)), (True, (8, 12))])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshbench import pod_fit, pod_project, pod_reconstruct
-from meshbench.errors import RankDeficient, ShapeMismatch
+from meshbench.errors import DegenerateInputs, RankDeficient, ShapeMismatch
 from meshbench.pod import numerical_rank, pod_basis
 
 
@@ -168,3 +168,14 @@ def test_rank_measured_against_the_data_scale(value):
     # a real variation many orders above round-off still counts
     snaps[0, 0] += value * 1e-9
     assert numerical_rank(snaps) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])  # Gram and SVD routes
+def test_non_finite_snapshot_rejected(value, shape):
+    snaps = np.random.default_rng(5).normal(size=shape)
+    snaps[2, 3] = value
+    for call in (lambda: pod_basis(snaps, 2), lambda: pod_fit(snaps, 2),
+                 lambda: numerical_rank(snaps)):
+        with pytest.raises(DegenerateInputs, match="non-finite"):
+            call()

@@ -11,7 +11,7 @@ from meshbench.edges import boundary_edges
 from meshbench.errors import PointOutsideDomain, ShapeMismatch
 from meshbench.mmgp import extract_triangle_geometry
 from meshbench.synthetic import build_plate_sample
-from meshbench.transfer import _barycentric, _UniformGrid
+from meshbench.transfer import _barycentric, _stable_order, _UniformGrid
 
 from conftest import random_disk_mesh, square_triangulation
 
@@ -255,6 +255,44 @@ def test_grid_rows_match_per_triangle_bbox_loop(seed):
     assert list(zip(pair_t.tolist(), pair_tri.tolist())) == expected
 
 
+def test_radix_order_equals_int64_stable_argsort_beyond_16_bits():
+    rng = np.random.default_rng(51)
+    keys = rng.integers(0, 2**32, 5000)
+    keys[::7] = keys[3]  # ties, resolved by position
+    assert _stable_order(keys).tolist() == \
+        np.argsort(keys, kind="stable").tolist()
+
+    # a plate of 190 nodes per side: 71,442 triangles, 267**2 cells
+    r = 190
+    s = np.linspace(0.0, 1.0, r)
+    nodes = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes += rng.uniform(-0.3, 0.3, nodes.shape) / r
+    v00 = (np.arange(r - 1)[:, None] * r + np.arange(r - 1)).ravel()
+    tris = np.concatenate([np.stack([v00, v00 + r, v00 + r + 1], axis=1),
+                           np.stack([v00, v00 + r + 1, v00 + 1], axis=1)])
+    grid = _UniformGrid(nodes, tris)
+    assert len(tris) > 65_536 and grid.ncell ** 2 > 65_536
+
+    # every (triangle, overlapped cell) pair, triangle-major
+    corners = nodes[tris]
+    lo = grid._cell_of(corners.min(axis=1))
+    span = grid._cell_of(corners.max(axis=1)) - lo + 1
+    tri_ids, keys = [], []
+    for dx in range(span[:, 0].max()):
+        for dy in range(span[:, 1].max()):
+            ok = (dx < span[:, 0]) & (dy < span[:, 1])
+            tri_ids.append(np.flatnonzero(ok))
+            keys.append((lo[ok, 0] + dx) * grid.ncell + lo[ok, 1] + dy)
+    tri_ids, keys = np.concatenate(tri_ids), np.concatenate(keys)
+    major = np.argsort(tri_ids, kind="stable")
+    tri_ids, keys = tri_ids[major], keys[major]
+    assert keys.max() >= 2**16
+    assert grid.items.tolist() == \
+        tri_ids[np.argsort(keys, kind="stable")].tolist()
+    assert grid.offsets.tolist() == [0] + np.cumsum(np.bincount(
+        keys, minlength=grid.ncell ** 2)).tolist()
+
+
 def bruteforce_locate(nodes, tris, targets):
     """Smallest id of a triangle containing each target (scanning every
     triangle), or -1, and the weights in that triangle."""
@@ -274,6 +312,9 @@ def assert_locator_matches_bruteforce(nodes, tris, targets, tol):
     assert found.sum() > len(targets) // 2
     assert op.element_ids[found].tolist() == first[found].tolist()
     assert op.weights[found].tobytes() == weights[found].tobytes()
+    # the one barycentric pass equals a second pass over the located pairs
+    second = _barycentric(nodes, tris, op.element_ids[found], targets[found])
+    assert op.weights[found].tobytes() == second.tobytes()
     # the rest were snapped onto a boundary edge: one weight is exactly 0
     assert (op.weights[~found] == 0.0).any(axis=1).all()
 
