@@ -5,14 +5,20 @@ Targets are a vector (n,) or a matrix (n, k) of k outputs that share one
 kernel, as the POD coefficients of one field do.  Inputs are standardized
 per dimension; each target column is centred by its own mean and all of
 them are divided by one output scale, the largest column std, so
-predictions are invariant under affine re-scaling of the raw targets.  The
-kernel variance and per-dimension lengthscales maximize the log marginal
-likelihood summed over the columns by projected BFGS with the analytic
-gradient from a fixed start in a log-space box, stopping on a fixed budget,
-a small gain, or a trial whose kernel matrix no longer factorises (near it,
-rounding outgrows the jitter): the same data always yields the same model,
-on any machine and thread count.  The likelihood uses the lower triangle
-of the kernel matrix alone, built and factorised in place by LAPACK.
+predictions are invariant under affine re-scaling of the raw targets.
+
+The kernel matrix is K = s2 (R + g I), with R the unit-variance kernel
+matrix and g a nugget relative to the variance.  For given lengthscales the
+log marginal likelihood, summed over the columns, is largest at the closed
+form s2 = tr(Y^T (R + g I)^-1 Y) / (n k), so the search runs over the
+per-dimension lengthscales alone and maximizes that concentrated (profile)
+likelihood: projected BFGS with the analytic gradient from a fixed start in
+a log-space box, stopping on a fixed budget, a small gain or a failed line
+search (a trial whose R + g I does not factorise only shortens the step).
+The same data always yields the same model, on any machine and thread
+count.  The likelihood uses the lower triangle of R + g I alone, built and
+factorised in place by LAPACK.  A fitted model stores s2 as its kernel
+variance and g s2 as its (absolute) jitter.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -32,14 +38,12 @@ from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKern
 
 KERNEL_KINDS = ("Matern52", "RBF")
 
-DEFAULT_JITTER = 1e-10
+#: the nugget g and its escalation cap, both relative to the kernel variance
+DEFAULT_JITTER = 1e-12
 MAX_JITTER = 1e-6
 
-#: log-space search bounds: lengthscales in 1e-3..1e3, variance in 1e-6..1e6
-#: (smooth targets drive the optimum along a ridge where the variance grows
-#: with the lengthscale, so the variance needs the wider box)
+#: log-space search bounds of the lengthscales, 1e-3..1e3
 _LS_BOUNDS = (np.log(1e-3), np.log(1e3))
-_VAR_BOUNDS = (np.log(1e-6), np.log(1e6))
 #: BFGS: iteration budget, Armijo constant, step shrink, least step and gain
 _MAX_ITERATIONS = 40
 _ARMIJO = 1e-4
@@ -125,30 +129,36 @@ def _standardize_inputs(x: np.ndarray):
 
 
 def _chol_with_escalation(k_matrix: np.ndarray, jitter: float):
-    """Cholesky of K + jitter I, escalating jitter tenfold up to MAX_JITTER."""
+    """Cholesky of K + jitter I, escalating jitter tenfold up to MAX_JITTER
+    times the largest diagonal entry of K (a kernel matrix's variance)."""
     n = k_matrix.shape[0]
+    max_jitter = MAX_JITTER * np.max(np.diag(k_matrix))
     while True:
         try:
             lower = cholesky(k_matrix + jitter * np.eye(n), lower=True)
             return lower, jitter
         except np.linalg.LinAlgError:
             pass
-        if jitter >= MAX_JITTER:
+        if jitter >= max_jitter:
             raise SingularKernel(
                 f"kernel matrix not positive definite at jitter {jitter:g}")
-        jitter = min(jitter * 10.0, MAX_JITTER)
+        jitter = min(jitter * 10.0, max_jitter)
 
 
-def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
-    """The LML at log-parameters theta = (log s2, log l_1..d), summed over
-    the columns of ``y`` (n,) or (n, k), and its gradient.
+def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
+    """The concentrated LML at log-lengthscales theta = (log l_1..d), summed
+    over the columns of ``y`` (n,) or (n, k), and its gradient.
 
-    The per-dimension squared differences of the n(n+1)/2 lower-triangle
-    pairs are computed once.  Each new theta fills only the lower triangle
-    of one reused Fortran-ordered buffer, which LAPACK's lower Cholesky
-    factorises in place, and needs one (multi-RHS) triangular solve.
-    ``gradient(theta)`` must follow a finite ``lml(theta)``: it turns that
-    factor into K^-1 in place.
+    ``lml(theta)`` returns the LML at its maximiser in the variance,
+    -(nk/2) (log(2 pi s2) + 1) - k sum log diag L, and that maximiser
+    s2 = |L^-1 y|^2 / (nk), where L L^T = R + nugget I; it returns (-inf,
+    nan) where R + nugget I does not factorise.  The per-dimension squared
+    differences of the n(n+1)/2 lower-triangle pairs are computed once.
+    Each new theta fills only the lower triangle of one reused
+    Fortran-ordered buffer, which LAPACK's lower Cholesky factorises in
+    place, and needs one (multi-RHS) triangular solve.  ``gradient(theta)``
+    must follow a finite ``lml(theta)``: it turns that factor into
+    (R + nugget I)^-1 in place.
     """
     y = y.reshape(len(y), -1)
     n, k = y.shape
@@ -168,43 +178,44 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
     potrf, potri, potrs, trtrs = get_lapack_funcs(
         ("potrf", "potri", "potrs", "trtrs"), (k_matrix,))
     syrk = get_blas_funcs("syrk", (k_matrix,))
+    variance = np.nan  # the maximiser at the last finite lml
 
-    def lml(theta: np.ndarray) -> float:
-        np.dot(np.exp(-2.0 * theta[1:]), sq_dists_unit, out=r2)
-        _kernel_values(kind, np.exp(theta[0]), r2, values, scratch)
+    def lml(theta: np.ndarray) -> tuple[float, float]:
+        nonlocal variance
+        np.dot(np.exp(-2.0 * theta), sq_dists_unit, out=r2)
+        _kernel_values(kind, 1.0, r2, values, scratch)
         flat[lower_index] = values[:m]
-        flat[diag_index] += jitter
+        flat[diag_index] += nugget
         lower, info = potrf(k_matrix, lower=1, overwrite_a=1, clean=0)
         if info > 0:
-            return -np.inf
+            return -np.inf, np.nan
         z = trtrs(lower, y, lower=1)[0].ravel(order="F")
-        return float(-0.5 * (z @ z) - k * np.sum(np.log(np.diag(lower)))
-                     - 0.5 * k * n * np.log(2.0 * np.pi))
+        variance = float(z @ z) / (n * k)
+        return (float(-0.5 * n * k * (np.log(2.0 * np.pi * variance) + 1.0)
+                      - k * np.sum(np.log(np.diag(lower)))), variance)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        """1/2 tr(W dK/dtheta) with W = alpha alpha^T - k K^-1, where
-        dK/dlog s2 = K and dK/dlog l_j = -2 (dk/dr2) r2_j."""
+        """1/2 tr(W dR/dtheta) with W = a a^T / s2 - k (R + nugget I)^-1,
+        a = (R + nugget I)^-1 y and dR/dlog l_j = -2 (dk/dr2) r2_j: the
+        gradient of the full LML at s2, whose own derivative there is 0."""
         alpha = potrs(k_matrix, y, lower=1)[0]
         potri(k_matrix, lower=1, overwrite_c=1)
-        # K = (K + jitter I) - jitter I, so this term needs no pair sum
-        grad_var = 0.5 * (np.sum(alpha * y) - jitter * np.sum(alpha * alpha)
-                          - k * n + k * jitter * np.sum(flat[diag_index]))
-        syrk(1.0, alpha, beta=-k, c=k_matrix, lower=1, overwrite_c=1)  # W
-        inv_l2 = np.exp(-2.0 * theta[1:])
+        syrk(1.0 / variance, alpha, beta=-k, c=k_matrix, lower=1,
+             overwrite_c=1)  # W
+        inv_l2 = np.exp(-2.0 * theta)
         np.dot(inv_l2, sq_dists_unit, out=r2)
         if kind == "RBF":  # dk/dr2 = -k / 2
-            _kernel_values(kind, -0.5 * np.exp(theta[0]), r2, values, scratch)
-        else:  # dk/dr2 = -(5/6) s2 (1 + sqrt5 r) exp(-sqrt5 r)
+            _kernel_values(kind, -0.5, r2, values, scratch)
+        else:  # dk/dr2 = -(5/6) (1 + sqrt5 r) exp(-sqrt5 r)
             sqrt5_r = np.multiply(np.sqrt(r2, out=r2), np.sqrt(5.0), out=r2)
             np.exp(np.negative(sqrt5_r, out=scratch), out=scratch)
             np.multiply(np.add(sqrt5_r, 1.0, out=values), scratch, out=values)
-            np.multiply(values, -5.0 / 6.0 * np.exp(theta[0]), out=values)
+            np.multiply(values, -5.0 / 6.0, out=values)
         # the padding of r2 is still zero; diagonal pairs have zero distance,
         # and each off-diagonal pair stands for two entries
         np.take(flat, lower_index, out=r2[:m], mode="clip")
         np.multiply(r2, values, out=r2)
-        return np.concatenate([[grad_var],
-                               -2.0 * inv_l2 * np.dot(sq_dists_unit, r2)])
+        return -2.0 * inv_l2 * np.dot(sq_dists_unit, r2)
 
     return lml, gradient
 
@@ -212,10 +223,12 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, jitter: float):
 def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpModel:
     """Fit a GP with maximum-marginal-likelihood hyperparameters to targets
     ``y`` of shape (n,) or (n, k); the k columns share the kernel.
+    ``jitter`` is the nugget relative to the kernel variance.
 
     Raises DegenerateInputs when every target column is constant, for fewer
-    than two points or non-finite entries; SingularKernel if factorization
-    fails at the maximum jitter escalation.
+    than two points or non-finite entries; SingularKernel if the start
+    kernel does not factorise, or the fitted one not at the maximum jitter
+    escalation.
     """
     if kind not in KERNEL_KINDS:
         raise ConfigInvalid(f"unknown kernel kind '{kind}'")
@@ -236,16 +249,14 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
     y_scale = float(np.max(np.std(y, axis=0)))
     y_std = (y - y_mean) / y_scale
 
-    lower_b, upper_b = np.array([_VAR_BOUNDS] + [_LS_BOUNDS] * d).T
-    theta = np.zeros(1 + d)  # start at s2 = 1, l_d = 1
+    lower_b, upper_b = _LS_BOUNDS
+    theta = np.zeros(d)  # start at l_d = 1
     lml, gradient = _lml_evaluator(kind, x_std, y_std, jitter)
-    while (value := lml(theta)) == -np.inf:  # as in _chol_with_escalation
-        if jitter >= MAX_JITTER:
-            raise SingularKernel(f"start kernel singular at jitter {jitter:g}")
-        jitter = min(jitter * 10.0, MAX_JITTER)
-        lml, gradient = _lml_evaluator(kind, x_std, y_std, jitter)
+    value, variance = lml(theta)
+    if value == -np.inf:
+        raise SingularKernel(f"start kernel singular at nugget {jitter:g}")
     grad = gradient(theta)
-    inv_hessian = np.eye(1 + d)  # BFGS estimate for -LML
+    inv_hessian = np.eye(d)  # BFGS estimate for -LML
     step = 1.0
     for _ in range(_MAX_ITERATIONS):
         # a coordinate at a bound that its gradient pushes against stays put
@@ -253,31 +264,29 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
                  | ((theta >= upper_b) & (grad > 0)))
         direction = free * (inv_hessian @ (free * grad))
         direction /= max(1.0, np.abs(direction).max())  # at most 1 per step
-        hit_wall = False
         while step >= _MIN_STEP:
             trial = np.clip(theta + step * direction, lower_b, upper_b)
-            trial_value = lml(trial)  # -inf where K + jitter I fails
+            # -inf where R + jitter I fails, which no step accepts
+            trial_value, trial_variance = lml(trial)
             if trial_value >= value + _ARMIJO * (grad @ (trial - theta)):
                 break
-            hit_wall |= trial_value == -np.inf
             step *= _SHRINK
         else:
             break
-        s, theta = trial - theta, trial
-        if hit_wall or trial_value - value <= _MIN_GAIN * abs(trial_value):
+        s, theta, variance = trial - theta, trial, trial_variance
+        if trial_value - value <= _MIN_GAIN * abs(trial_value):
             break
         value, trial_grad = trial_value, gradient(trial)
         change, grad = grad - trial_grad, trial_grad
         if (curvature := s @ change) > 0:
-            v = np.eye(1 + d) - np.outer(s, change) / curvature
+            v = np.eye(d) - np.outer(s, change) / curvature
             inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / curvature
         step = min(1.0, 2.0 * step)
 
     del lml, gradient  # the evaluator's buffers go before K is rebuilt
-    kernel = Kernel(kind=kind, variance=float(np.exp(theta[0])),
-                    lengthscales=np.exp(theta[1:]))
+    kernel = Kernel(kind=kind, variance=variance, lengthscales=np.exp(theta))
     k_matrix = kernel_matrix(kernel, x_std, x_std)
-    lower, final_jitter = _chol_with_escalation(k_matrix, jitter)
+    lower, final_jitter = _chol_with_escalation(k_matrix, jitter * variance)
     alpha = np.ascontiguousarray(cho_solve((lower, True), y_std))
     return GpModel(kernel=kernel, x_train=x_std, alpha=alpha, x_mean=x_mean,
                    x_std=x_scale, y_mean=y_mean if y.ndim == 2 else float(y_mean),

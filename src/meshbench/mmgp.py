@@ -52,7 +52,7 @@ class MmgpConfig:
     field_modes: int = 8
     kernel: str = "Matern52"
     train_split: str = "train"
-    jitter: float = DEFAULT_JITTER
+    jitter: float = DEFAULT_JITTER  # the GP nugget, relative to the variance
 
     def validate(self) -> None:
         if self.shape_modes < 1 or self.field_modes < 1:

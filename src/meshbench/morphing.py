@@ -58,11 +58,11 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
     """Normalize arrays, enforce CCW orientation, extract the boundary.
 
-    Negatively oriented triangles are flipped in place (the geometry is
-    unchanged); non-finite nodes and degenerate (zero-area) triangles are
-    rejected.
+    Negatively oriented triangles are flipped (the geometry is unchanged);
+    non-finite nodes and degenerate (zero-area) triangles are rejected.  The
+    mesh holds read-only copies of both arrays, never the caller's own.
     """
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+    nodes = np.array(nodes, dtype=np.float64, order="C")
     triangles = np.array(triangles, dtype=np.int64)
     if nodes.ndim != 2 or nodes.shape[1] != 2:
         raise NotDiskTopology(f"nodes must be (n, 2), got {nodes.shape}")

@@ -1,9 +1,10 @@
 """Thread-pool helper with deterministic, order-preserving results.
 
-Only the per-regressor GP fits of ``mmgp_fit`` run on it: they are the one
-stage whose work is long enough per item to win on a pool.  Every other
-stage runs sequentially.  Results are collected positionally, so a run with
-N threads is bitwise identical to a sequential run.
+Only the per-regressor GP fits of ``mmgp_fit`` run on it; every other stage
+runs sequentially.  The fits gain little: scipy's LAPACK wrappers hold the
+GIL, so the factorisations of two fits run one at a time and only the numpy
+work between them overlaps.  Results are collected positionally, so a run
+with N threads is bitwise identical to a sequential run.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from meshbench.errors import (
     SingularKernel,
 )
 from meshbench.gp import (
+    DEFAULT_JITTER,
     _LS_BOUNDS,
-    _VAR_BOUNDS,
     _chol_with_escalation,
     _lml_evaluator,
     gp_mean,
@@ -261,22 +261,27 @@ def test_multi_output_fit_shares_one_output_scale():
 # ---------------------------------------------------------------------------
 # log marginal likelihood: the in-place evaluator against a dense oracle
 
-def dense_lml(theta, kind, x, y, jitter):
-    """The LML from the full kernel matrix, two-sided Cholesky solve."""
+def dense_kernel(theta, kind, x):
+    """The full kernel matrix at theta = (log s2, log l_1..d)."""
     diff = x[:, None, :] - x[None, :, :]
     sq_dists_unit = np.ascontiguousarray(np.moveaxis(diff * diff, 2, 0))
     variance = np.exp(theta[0])
     inv_l2 = np.exp(-2.0 * theta[1:])
     r2 = np.tensordot(inv_l2, sq_dists_unit, axes=1)
     if kind == "RBF":
-        k_matrix = variance * np.exp(-0.5 * r2)
-    else:
-        r = np.sqrt(np.clip(r2, 0.0, None))
-        sqrt5_r = np.sqrt(5.0) * r
-        k_matrix = variance * (1.0 + sqrt5_r + (5.0 / 3.0) * r2) * np.exp(-sqrt5_r)
+        return variance * np.exp(-0.5 * r2)
+    r = np.sqrt(np.clip(r2, 0.0, None))
+    sqrt5_r = np.sqrt(5.0) * r
+    return variance * (1.0 + sqrt5_r + (5.0 / 3.0) * r2) * np.exp(-sqrt5_r)
+
+
+def dense_lml(theta, kind, x, y, jitter):
+    """The LML at theta = (log s2, log l_1..d) from the full kernel matrix
+    plus ``jitter`` I, two-sided Cholesky solve."""
     n = len(y)
     try:
-        lower = cholesky(k_matrix + jitter * np.eye(n), lower=True)
+        lower = cholesky(dense_kernel(theta, kind, x) + jitter * np.eye(n),
+                         lower=True)
     except np.linalg.LinAlgError:
         return -np.inf
     alpha = cho_solve((lower, True), y)
@@ -286,18 +291,38 @@ def dense_lml(theta, kind, x, y, jitter):
                  - 0.5 * k * n * np.log(2.0 * np.pi))
 
 
+def dense_profile(log_ls, kind, x, y, nugget=DEFAULT_JITTER):
+    """The concentrated LML at log-lengthscales ``log_ls`` and the variance
+    s2 that attains it, from the full unit-variance kernel matrix R:
+    -(nk/2) (log(2 pi s2) + 1) - k sum log diag L with L L^T = R + nugget I
+    and s2 = tr(y^T (R + nugget I)^-1 y) / (nk), or (-inf, nan) where
+    R + nugget I does not factorise."""
+    r_matrix = dense_kernel(np.concatenate([[0.0], log_ls]), kind, x)
+    try:
+        lower = cholesky(r_matrix + nugget * np.eye(len(y)), lower=True)
+    except np.linalg.LinAlgError:
+        return -np.inf, np.nan
+    s2 = float(np.sum(y * cho_solve((lower, True), y)) / y.size)
+    k = y.size // len(y)
+    return (float(-0.5 * y.size * (np.log(2.0 * np.pi * s2) + 1.0)
+                  - k * np.sum(np.log(np.diag(lower)))), s2)
+
+
 #: the coordinate grid search that gp_fit used before its gradient search:
 #: per-sweep half-widths of a 9-point candidate grid, one pass over every
-#: parameter and the variance/lengthscale ridge direction each
+#: parameter and the variance/lengthscale ridge direction each, in a box
+#: that also bounded the variance (log 1e-6..1e6)
 _SWEEP_SPANS = (3.0, 3.0, 1.5, 0.75, 0.375, 0.1875)
 _GRID_POINTS = 9
+_GRID_VAR_BOUNDS = (np.log(1e-6), np.log(1e6))
 
 
 def dense_search(kind, x, y, jitter=1e-10):
-    """A brute-force coordinate grid search driven by the dense oracle."""
+    """A brute-force coordinate grid search over (log s2, log l_1..d),
+    driven by the dense oracle at an absolute jitter."""
     d = x.shape[1]
-    lower_b = np.concatenate([[_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
-    upper_b = np.concatenate([[_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
+    lower_b = np.concatenate([[_GRID_VAR_BOUNDS[0]], np.full(d, _LS_BOUNDS[0])])
+    upper_b = np.concatenate([[_GRID_VAR_BOUNDS[1]], np.full(d, _LS_BOUNDS[1])])
     directions = [np.eye(1 + d)[c] for c in range(1 + d)]
     directions.append(np.concatenate([[2.0], np.ones(d)]))
     theta = np.zeros(1 + d)
@@ -313,37 +338,51 @@ def dense_search(kind, x, y, jitter=1e-10):
     return theta
 
 
-def central_differences(theta, kind, x, y, h, jitter=1e-10):
-    return np.array([(dense_lml(theta + h * e, kind, x, y, jitter)
-                      - dense_lml(theta - h * e, kind, x, y, jitter)) / (2 * h)
-                     for e in np.eye(len(theta))])
+def central_differences(log_ls, kind, x, y, h):
+    return np.array([(dense_profile(log_ls + h * e, kind, x, y)[0]
+                      - dense_profile(log_ls - h * e, kind, x, y)[0]) / (2 * h)
+                     for e in np.eye(len(log_ls))])
 
 
 def _check_evaluator_against_oracle(kind, x, y, rng):
-    lml, gradient = _lml_evaluator(kind, x, y, 1e-10)
+    lml, gradient = _lml_evaluator(kind, x, y, DEFAULT_JITTER)
     finite = compared = 0
     for _ in range(20):
-        theta = np.concatenate([rng.uniform(*_VAR_BOUNDS, size=1),
-                                rng.uniform(*_LS_BOUNDS, size=3)])
-        want = dense_lml(theta, kind, x, y, 1e-10)
-        got = lml(theta)
+        log_ls = rng.uniform(*_LS_BOUNDS, size=3)
+        want, s2 = dense_profile(log_ls, kind, x, y)
+        got, got_s2 = lml(log_ls)
         if np.isinf(want):
-            assert got == -np.inf
+            assert got == -np.inf and np.isnan(got_s2)
             continue
         finite += 1
         assert abs(got - want) <= 1e-12 * abs(want)
-        grad = gradient(theta)
+        assert abs(got_s2 - s2) <= 1e-12 * s2
+        # the concentrated LML is the full LML at its maximiser s2, with the
+        # jitter DEFAULT_JITTER * s2, and 10 % off s2 either way it drops by
+        # (nk/2)(0.1 + exp(-0.1) - 1) > 0.002 nk; the full LML rounds s2 R
+        # and R differently, by about eps cond(R + jitter I) relative
+        eigenvalues = np.linalg.eigvalsh(
+            dense_kernel(np.concatenate([[0.0], log_ls]), kind, x)
+            + DEFAULT_JITTER * np.eye(len(y)))
+        tol = (1e-12 + 1e-16 * eigenvalues[-1] / eigenvalues[0]) * abs(want)
+        full = [dense_lml(np.concatenate([[np.log(s2) + step], log_ls]),
+                          kind, x, y, DEFAULT_JITTER * s2 * np.exp(step))
+                for step in (-0.1, 0.0, 0.1)]
+        assert abs(full[1] - want) <= tol
+        assert max(full[0], full[2]) < want - 0.002 * y.size + tol
+        grad = gradient(log_ls)
         # where the kernel matrix is so ill-conditioned that the LML's own
         # rounding swamps a difference quotient, two step sizes disagree and
-        # the differences are no oracle
-        fd = central_differences(theta, kind, x, y, 1e-4)
-        fd_wide = central_differences(theta, kind, x, y, 2e-4)
+        # the differences are no oracle; where they agree, Richardson
+        # extrapolation of the two cancels their h^2 term
+        fd = central_differences(log_ls, kind, x, y, 1e-4)
+        fd_wide = central_differences(log_ls, kind, x, y, 2e-4)
         scale = np.abs(fd).max()
-        if np.isfinite(fd_wide).all() and \
-                np.abs(fd - fd_wide).max() <= 1e-8 * scale:
+        if scale > 0 and np.isfinite(fd_wide).all() and \
+                np.abs(fd - fd_wide).max() <= 1e-6 * scale:
             compared += 1
-            assert np.abs(grad - fd).max() <= 1e-6 * scale
-        assert lml(theta) == got  # refactorised after the gradient
+            assert np.abs(grad - (4.0 * fd - fd_wide) / 3.0).max() <= 1e-6 * scale
+        assert lml(log_ls) == (got, got_s2)  # refactorised after the gradient
     assert finite >= 5 and compared >= 5
 
 
@@ -366,13 +405,14 @@ def test_lml_evaluator_matches_dense_oracle_multi_output(kind, k):
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
 def test_lml_evaluator_failed_factorisation_is_minus_inf(kind):
-    # duplicated inputs at the variance and lengthscale upper bounds: the
-    # jitter is below the rounding of the near-constant kernel matrix
+    # duplicated inputs at the lengthscale upper bound: a nugget of 1e-16
+    # is below the rounding of the near-constant kernel matrix
     x = np.concatenate([np.linspace(0.0, 1.0, 8), [0.0, 0.2]])[:, None]
     y = np.sin(3.0 * x[:, 0])
-    theta = np.array([_VAR_BOUNDS[1], _LS_BOUNDS[1]])
-    assert dense_lml(theta, kind, x, y, 1e-10) == -np.inf
-    assert _lml_evaluator(kind, x, y, 1e-10)[0](theta) == -np.inf
+    log_ls = np.array([_LS_BOUNDS[1]])
+    assert dense_profile(log_ls, kind, x, y, 1e-16)[0] == -np.inf
+    value, variance = _lml_evaluator(kind, x, y, 1e-16)[0](log_ls)
+    assert value == -np.inf and np.isnan(variance)
 
 
 def _fitted_theta(model):
@@ -404,16 +444,15 @@ def test_projected_gradient_vanishes_at_the_fit(kind):
     y = np.sin(2.0 * X[:, 0]) * X[:, 1] + 0.5 * X[:, 2] ** 2
     model = gp_fit(X, y, kind=kind)
     x_std, y_std = _standardized(X, y)
-    theta = _fitted_theta(model)
-    lml, gradient = _lml_evaluator(kind, x_std, y_std, model.jitter)
-    lml(np.zeros(4))
-    start = gradient(np.zeros(4))
-    lml(theta)
-    grad = gradient(theta)
+    log_ls = np.log(model.kernel.lengthscales)
+    lml, gradient = _lml_evaluator(kind, x_std, y_std, DEFAULT_JITTER)
+    lml(np.zeros(3))
+    start = gradient(np.zeros(3))
+    assert lml(log_ls)[1] == model.kernel.variance
+    grad = gradient(log_ls)
     # a coordinate at a bound may keep a gradient pointing out of the box
-    lower, upper = np.array([_VAR_BOUNDS] + [_LS_BOUNDS] * 3).T
-    grad[(theta <= lower) & (grad < 0)] = 0.0
-    grad[(theta >= upper) & (grad > 0)] = 0.0
+    grad[(log_ls <= _LS_BOUNDS[0]) & (grad < 0)] = 0.0
+    grad[(log_ls >= _LS_BOUNDS[1]) & (grad > 0)] = 0.0
     assert np.abs(grad).max() <= 1e-3 * np.abs(start).max()
 
 
@@ -446,40 +485,87 @@ def test_ignored_input_drives_its_lengthscale_to_the_upper_bound(kind):
                      model.jitter) >= grid
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_search_stops_at_the_wall_where_the_kernel_stops_factorising(seed):
-    # collinear inputs and smooth targets: the LML rises along the variance
-    # and lengthscale ridge until K + jitter I no longer factorises, and
-    # near that wall the rounding of K outgrows the jitter; a search that
-    # crept up to it ended where the fit's own factorisation escalated
+def _collinear_fixture(seed, n):
+    # the first two inputs are exactly collinear, as gp_heavy's are, and
+    # the targets smooth: the LML rises with the lengthscales until the
+    # kernel matrix is nearly singular
     rng = np.random.default_rng(seed)
-    a, b = rng.uniform(-1, 1, size=(2, 100))
+    a, b = rng.uniform(-1, 1, size=(2, n))
     X = np.stack([a, 0.25 * a, b], axis=1)
     Y = np.stack([np.sin(2 * a) + b ** 2, 0.1 * a * b,
                   0.01 * np.cos(a + b)], axis=1)
+    return X, Y
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_trial_fails_to_factorise_on_collinear_inputs(seed, monkeypatch):
+    # the search that also ran over the variance crept along the
+    # variance/lengthscale ridge until K + jitter I stopped factorising
+    trials = []
+
+    def recording(*args):
+        lml, gradient = real(*args)
+
+        def recorded(log_ls):
+            trials.append(lml(log_ls))
+            return trials[-1]
+        return recorded, gradient
+
+    real = gp_module._lml_evaluator
+    monkeypatch.setattr(gp_module, "_lml_evaluator", recording)
+    X, Y = _collinear_fixture(seed, 100)
     model = gp_fit(X, Y)
-    assert model.jitter == 1e-10
+    assert len(trials) > 1
+    assert all(np.isfinite(value) for value, _ in trials)
+    assert model.jitter == DEFAULT_JITTER * model.kernel.variance
     x_std = (X - X.mean(axis=0)) / X.std(axis=0)
     y_std = (Y - Y.mean(axis=0)) / Y.std(axis=0).max()
-    theta = _fitted_theta(model)
-    fitted = dense_lml(theta, "Matern52", x_std, y_std, 1e-10)
+    fitted = dense_lml(_fitted_theta(model), "Matern52", x_std, y_std,
+                       model.jitter)
     assert fitted >= dense_lml(dense_search("Matern52", x_std, y_std),
                                "Matern52", x_std, y_std, 1e-10)
-    lml, _ = _lml_evaluator("Matern52", x_std, y_std, 1e-10)
-    assert abs(lml(theta) - fitted) <= 1e-6 * abs(fitted)
+    value, variance = real("Matern52", x_std, y_std, DEFAULT_JITTER)[0](
+        np.log(model.kernel.lengthscales))
+    assert variance == model.kernel.variance
+    assert abs(value - fitted) <= 1e-6 * abs(fitted)
 
 
-def test_start_point_that_fails_to_factorise_escalates_the_jitter(monkeypatch):
-    # exact duplicates make K singular at the start, and 1e-20 is below
-    # the rounding of its Cholesky factorisation
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_fitted_system_is_positive_definite_on_collinear_inputs(kind):
+    # as on gp_heavy: an amplitude, a shape coefficient proportional to it
+    # and a load as inputs, and smooth targets with decaying column scales;
+    # an absolute jitter below the rounding of a large fitted variance left
+    # K + jitter I with negative computed eigenvalues and alpha resting on
+    # rounding, and a jitter relative to the variance keeps it definite
+    rng = np.random.default_rng(0)
+    a, p = rng.uniform(0.0, 0.2, 200), rng.uniform(0.5, 2.0, 200)
+    X = np.stack([a, 0.25 * a, p], axis=1)
+    Y = np.stack([p * np.sin(2.0 + 3.0 * a) * np.cos(j * a) / 10.0 ** j
+                  for j in range(4)], axis=1)
+    model = gp_fit(X, Y, kind=kind)
+    k_matrix = kernel_matrix(model.kernel, model.x_train, model.x_train)
+    k_matrix += model.jitter * np.eye(len(Y))
+    assert np.linalg.eigvalsh(k_matrix).min() > 0.0
+    y_std = (Y - model.y_mean) / model.y_std
+    residual = np.linalg.norm(k_matrix @ model.alpha - y_std)
+    assert residual <= 1e-8 * np.linalg.norm(y_std)
+
+
+def test_repeated_inputs_factorise_at_the_start():
+    # 20 points, each three times: R is singular at the start, and the
+    # default nugget is above the rounding of its factorisation, so the
+    # search needs no escalation there; a nugget below that rounding is
+    # a SingularKernel
     X = np.repeat(np.linspace(0.0, 1.0, 20), 3)[:, None]
     y = np.sin(3.0 * X[:, 0])
-    lml, _ = _lml_evaluator("Matern52", (X - X.mean()) / X.std(),
-                            (y - y.mean()) / y.std(), 1e-20)
-    assert lml(np.zeros(2)) == -np.inf
-    model = gp_fit(X, y, jitter=1e-20)
-    assert 1e-20 < model.jitter <= gp_module.MAX_JITTER
-    assert np.isfinite(gp_predict(model, X)[0]).all()
-    monkeypatch.setattr(gp_module, "MAX_JITTER", 1e-19)
+    x_std, y_std = (X - X.mean()) / X.std(), (y - y.mean()) / y.std()
+    for kind in ("Matern52", "RBF"):
+        assert np.isfinite(
+            _lml_evaluator(kind, x_std, y_std, DEFAULT_JITTER)[0](np.zeros(1))[0])
+        model = gp_fit(X, y, kind=kind)
+        assert model.jitter == DEFAULT_JITTER * model.kernel.variance
+        assert np.abs(gp_predict(model, X)[0] - y).max() < 1e-6
+    assert _lml_evaluator("Matern52", x_std, y_std, 1e-20)[0](
+        np.zeros(1))[0] == -np.inf
     with pytest.raises(SingularKernel):
         gp_fit(X, y, jitter=1e-20)

@@ -75,6 +75,19 @@ def test_negative_orientation_is_flipped():
     assert signed_areas(mesh.nodes, mesh.triangles)[0] > 0
 
 
+def test_callers_arrays_stay_writeable_and_unchanged():
+    # C-contiguous float64 nodes and int64 triangles are the layouts the
+    # mesh stores, so only a copy keeps the caller's arrays its own
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[0, 2, 1]])
+    mesh = build_surface_mesh(nodes, tris)
+    assert nodes.flags.writeable and tris.flags.writeable
+    assert not mesh.nodes.flags.writeable and not mesh.triangles.flags.writeable
+    assert tris.tolist() == [[0, 2, 1]]
+    nodes[1, 0] = 2.0
+    assert mesh.nodes[1, 0] == 1.0
+
+
 def test_hexagon_center_maps_to_origin():
     angles = np.arange(6) * np.pi / 3
     nodes = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1),
@@ -229,7 +242,7 @@ def test_non_finite_boundary_fails_the_embedding_checks():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [0.5, 0.5]])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    loop = build_surface_mesh(nodes.copy(), tris).boundary_loop
+    loop = build_surface_mesh(nodes, tris).boundary_loop
     nodes[2, 0] = np.nan
     with pytest.raises(SolveFailure, match="4 non-positive"):
         tutte_embed(SurfaceMesh2D(nodes, tris, loop))
