@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError, IoFailure, VersionMismatch
+from .errors import ConfigInvalid, FormatError, IoFailure, VersionMismatch
 
 FORMAT_VERSION = 4
 
@@ -57,7 +57,7 @@ def decoding(path: Path):
     try:
         yield
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            OverflowError) as exc:
+            OverflowError, ConfigInvalid) as exc:
         raise FormatError(f"malformed content: {type(exc).__name__}: {exc}",
                           path=path) from exc
 

@@ -137,7 +137,7 @@ class RankDeficient(MeshBenchError):
 
 
 class SingularKernel(MeshBenchError):
-    """Kernel matrix not positive definite at maximum jitter."""
+    """Kernel matrix plus nugget has no Cholesky factor; no jitter is added."""
 
 
 class DegenerateInputs(MeshBenchError):

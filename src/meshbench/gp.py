@@ -17,8 +17,8 @@ a log-space box, stopping on a fixed budget, a small gain or a failed line
 search (a trial whose R + g I does not factorise only shortens the step).
 The same data always yields the same model, on any machine and thread
 count.  The likelihood uses the lower triangle of R + g I alone, built and
-factorised in place by LAPACK.  A fitted model stores s2 as its kernel
-variance and g s2 as its (absolute) jitter.
+factorised in place by LAPACK; the fit and gp_predict use that one factor.
+A fitted model stores s2 as its variance and g s2 as its (absolute) jitter.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -31,16 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (cho_solve, cholesky, get_blas_funcs,
-                          get_lapack_funcs, solve_triangular)
+from scipy.linalg import (cho_solve, get_blas_funcs, get_lapack_funcs,
+                          solve_triangular)
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
 KERNEL_KINDS = ("Matern52", "RBF")
 
-#: the nugget g and its escalation cap, both relative to the kernel variance
+#: the nugget g, relative to the kernel variance
 DEFAULT_JITTER = 1e-12
-MAX_JITTER = 1e-6
 
 #: log-space search bounds of the lengthscales, 1e-3..1e3
 _LS_BOUNDS = (np.log(1e-3), np.log(1e3))
@@ -61,8 +60,9 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigInvalid(f"unknown kernel kind '{self.kind}'")
-        if self.variance <= 0 or np.any(self.lengthscales <= 0):
-            raise ConfigInvalid("kernel parameters must be strictly positive")
+        if not (0 < self.variance < np.inf and np.all(
+                (self.lengthscales > 0) & (self.lengthscales < np.inf))):
+            raise ConfigInvalid("kernel parameters must be finite and > 0")
 
 
 def _scaled_sq_dists(x1: np.ndarray, x2: np.ndarray,
@@ -128,26 +128,10 @@ def _standardize_inputs(x: np.ndarray):
     return (x - mean) / std, mean, std
 
 
-def _chol_with_escalation(k_matrix: np.ndarray, jitter: float):
-    """Cholesky of K + jitter I, escalating jitter tenfold up to MAX_JITTER
-    times the largest diagonal entry of K (a kernel matrix's variance)."""
-    n = k_matrix.shape[0]
-    max_jitter = MAX_JITTER * np.max(np.diag(k_matrix))
-    while True:
-        try:
-            lower = cholesky(k_matrix + jitter * np.eye(n), lower=True)
-            return lower, jitter
-        except np.linalg.LinAlgError:
-            pass
-        if jitter >= max_jitter:
-            raise SingularKernel(
-                f"kernel matrix not positive definite at jitter {jitter:g}")
-        jitter = min(jitter * 10.0, max_jitter)
-
-
 def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
     """The concentrated LML at log-lengthscales theta = (log l_1..d), summed
-    over the columns of ``y`` (n,) or (n, k), and its gradient.
+    over the columns of ``y`` (n,) or (n, k), its gradient, and the n x n
+    buffer that holds L (zeros above it) after a finite ``lml(theta)``.
 
     ``lml(theta)`` returns the LML at its maximiser in the variance,
     -(nk/2) (log(2 pi s2) + 1) - k sum log diag L, and that maximiser
@@ -217,7 +201,7 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
         np.multiply(r2, values, out=r2)
         return -2.0 * inv_l2 * np.dot(sq_dists_unit, r2)
 
-    return lml, gradient
+    return lml, gradient, k_matrix
 
 
 def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpModel:
@@ -226,17 +210,17 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
     ``jitter`` is the nugget relative to the kernel variance.
 
     Raises DegenerateInputs when every target column is constant, for fewer
-    than two points or non-finite entries; SingularKernel if the start
-    kernel does not factorise, or the fitted one not at the maximum jitter
-    escalation.
+    than two points, no input dimensions or non-finite entries;
+    SingularKernel if R + g I does not factorise at the start or at the
+    fitted lengthscales.
     """
     if kind not in KERNEL_KINDS:
         raise ConfigInvalid(f"unknown kernel kind '{kind}'")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
-    if n < 2:
-        raise DegenerateInputs(f"need at least 2 training points, got {n}")
+    if n < 2 or d == 0:
+        raise DegenerateInputs(f"need 2+ points and 1+ inputs, got {x.shape}")
     if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ShapeMismatch(f"{n} inputs vs targets of shape {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -251,8 +235,8 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
 
     lower_b, upper_b = _LS_BOUNDS
     theta = np.zeros(d)  # start at l_d = 1
-    lml, gradient = _lml_evaluator(kind, x_std, y_std, jitter)
-    value, variance = lml(theta)
+    lml, gradient, lower = _lml_evaluator(kind, x_std, y_std, jitter)
+    value = lml(theta)[0]
     if value == -np.inf:
         raise SingularKernel(f"start kernel singular at nugget {jitter:g}")
     grad = gradient(theta)
@@ -267,13 +251,13 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
         while step >= _MIN_STEP:
             trial = np.clip(theta + step * direction, lower_b, upper_b)
             # -inf where R + jitter I fails, which no step accepts
-            trial_value, trial_variance = lml(trial)
+            trial_value = lml(trial)[0]
             if trial_value >= value + _ARMIJO * (grad @ (trial - theta)):
                 break
             step *= _SHRINK
         else:
             break
-        s, theta, variance = trial - theta, trial, trial_variance
+        s, theta = trial - theta, trial
         if trial_value - value <= _MIN_GAIN * abs(trial_value):
             break
         value, trial_grad = trial_value, gradient(trial)
@@ -283,14 +267,16 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
             inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / curvature
         step = min(1.0, 2.0 * step)
 
-    del lml, gradient  # the evaluator's buffers go before K is rebuilt
-    kernel = Kernel(kind=kind, variance=variance, lengthscales=np.exp(theta))
-    k_matrix = kernel_matrix(kernel, x_std, x_std)
-    lower, final_jitter = _chol_with_escalation(k_matrix, jitter * variance)
-    alpha = np.ascontiguousarray(cho_solve((lower, True), y_std))
+    # refactorise where gp_predict will: log(exp(theta)) may differ from theta
+    lengthscales = np.exp(theta)
+    value, variance = lml(np.log(lengthscales))
+    if value == -np.inf:
+        raise SingularKernel(f"fitted kernel singular at nugget {jitter:g}")
+    kernel = Kernel(kind=kind, variance=variance, lengthscales=lengthscales)
+    alpha = np.ascontiguousarray(cho_solve((lower, True), y_std) / variance)
     return GpModel(kernel=kernel, x_train=x_std, alpha=alpha, x_mean=x_mean,
                    x_std=x_scale, y_mean=y_mean if y.ndim == 2 else float(y_mean),
-                   y_std=y_scale, jitter=final_jitter)
+                   y_std=y_scale, jitter=jitter * variance)
 
 
 def gp_mean(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
@@ -307,13 +293,15 @@ def gp_mean(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
 
 def gp_predict(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (clamped at zero, shared by all target
-    columns) per query point.  The fit's code refactors K + jitter I, so
-    the Cholesky factor has the bits of the fit's."""
+    columns) per query point, from the fit's factor of R + g I, rebuilt
+    bit for bit (g = jitter / variance; 1 + g rounds as in the fit)."""
     mean, k_star = gp_mean(model, x_query)
-    k_matrix = kernel_matrix(model.kernel, model.x_train, model.x_train)
-    lower, _ = _chol_with_escalation(k_matrix, model.jitter)
+    s2 = model.kernel.variance
+    # any targets will do: the factor does not depend on them
+    lml, _, lower = _lml_evaluator(model.kernel.kind, model.x_train,
+                                   np.ones(len(k_star)), model.jitter / s2)
+    if lml(np.log(model.kernel.lengthscales))[0] == -np.inf:
+        raise SingularKernel(f"kernel singular at jitter {model.jitter:g}")
     v = solve_triangular(lower, k_star, lower=True)
-    var_std = model.kernel.variance - np.einsum("ij,ij->j", v, v)
-    var_std = np.clip(var_std, 0.0, None)
-    var = (model.y_std ** 2) * var_std
-    return mean, var
+    var_std = np.clip(s2 - np.einsum("ij,ij->j", v, v) / s2, 0.0, None)
+    return mean, model.y_std ** 2 * var_std

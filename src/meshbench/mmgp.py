@@ -436,6 +436,11 @@ def load_model(root_path) -> MmgpModel:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
                         singular_values=read(doc_b["singular_values"]))
 
+    def positive(text: str) -> float:  # an output scale or jitter
+        if not 0 < (value := parse_real(text)) < np.inf:
+            raise ValueError(f"{text} is not positive and finite")
+        return value
+
     def regressor_from(doc_r, real) -> Regressor:  # real: as in save_model
         if doc_r["kind"] == "constant":
             return Regressor(constant=real(doc_r["value"]))
@@ -444,8 +449,8 @@ def load_model(root_path) -> MmgpModel:
                         lengthscales=read(doc_r["lengthscales"]))
         gp = GpModel(kernel=kernel, alpha=read(doc_r["alpha"]),
                      **gp_inputs, y_mean=real(doc_r["y_mean"]),
-                     y_std=parse_real(doc_r["y_std"]),
-                     jitter=parse_real(doc_r["jitter"]))
+                     y_std=positive(doc_r["y_std"]),
+                     jitter=positive(doc_r["jitter"]))
         return Regressor(gp=gp)
 
     with blobs, decoding(manifest):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .edges import boundary_edges
-from .errors import PointOutsideDomain, ShapeMismatch
+from .errors import IndexOutOfRange, PointOutsideDomain, ShapeMismatch
 
 #: default snap tolerance (fraction of the source bounding-box diagonal);
 #: coincident domains leak only by rounding, so the default is tight
@@ -138,6 +138,12 @@ def build_transfer(source_nodes, source_triangles, targets,
     pts = np.ascontiguousarray(targets, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ShapeMismatch(f"targets must be (k, 2), got {pts.shape}")
+    if (nodes.ndim != 2 or nodes.shape[1] != 2 or triangles.ndim != 2
+            or triangles.shape[1] != 3 or not triangles.size):
+        raise ShapeMismatch(f"source must be (n, 2) nodes and (m >= 1, 3) "
+                            f"triangles, got {nodes.shape}, {triangles.shape}")
+    if triangles.min() < 0 or triangles.max() >= len(nodes):
+        raise IndexOutOfRange(f"source triangle ids outside [0, {len(nodes)})")
     if not (np.isfinite(nodes).all() and np.isfinite(pts).all()):
         raise ShapeMismatch("positions must be finite")
 
@@ -173,7 +179,7 @@ def build_transfer(source_nodes, source_triangles, targets,
         owner, slot = (boundary_edges(triangles) if boundary is None
                        else boundary)
         if owner.size == 0:
-            raise PointOutsideDomain("the source mesh has no triangles")
+            raise PointOutsideDomain("the source mesh has no boundary")
         q0 = nodes[triangles[owner, slot]]
         q1 = nodes[triangles[owner, (slot + 1) % 3]]
         edge = q1 - q0

@@ -281,6 +281,21 @@ def test_predict_with_mismatched_names_exits_1(generated, tmp_path, capsys):
     assert "ShapeMismatch" in err
 
 
+def test_fit_without_gp_inputs_exits_1(tmp_path, capsys):
+    from meshbench import SynthConfig, generate, save_dataset
+    ds = generate(SynthConfig(n_samples=12, seed=3, min_nodes_per_side=6,
+                              max_nodes_per_side=6, amplitude_range=(0.0, 0.0)))
+    ds.problem.in_scalars_names = []
+    save_dataset(ds, tmp_path / "flat")
+    config = tmp_path / "nomorph.cfg"
+    config.write_text("morphing = off\n")
+    code, _, err = run_cli(capsys, "mmgp", "fit", "--train",
+                           str(tmp_path / "flat"), "--config", str(config),
+                           "--model", str(tmp_path / "model"))
+    assert code == 1
+    assert "DegenerateInputs" in err and "1+ inputs" in err
+
+
 def test_info_warns_on_empty_splits(tmp_path, capsys):
     from meshbench import Dataset, ProblemDefinition, Sample, save_dataset
     ds = Dataset(samples=[Sample(scalars={"x": 1.0}),

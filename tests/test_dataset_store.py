@@ -625,7 +625,18 @@ _CORRUPTIONS += [
     pytest.param("model", _reshape_blob(lambda d: d["gp_inputs"]["x_mean"],
                                         lambda a: a[:-1]),
                  FormatError, id="model-gp_input_mean"),
+    pytest.param("model", _reshape_blob(
+        lambda d: _first_gp(d)["lengthscales"],
+        lambda a: np.where(np.arange(a.size) == 0, np.nan, a)),
+        FormatError, id="model-gp_lengthscale_nan"),
 ]
+# a GP's variance, output scale and jitter must be positive and finite
+_CORRUPTIONS += [
+    pytest.param("model", _edit("model.manifest", lambda d, key=key, text=text:
+                                _first_gp(d).update({key: text})),
+                 FormatError, id=f"model-gp_{key}_{text}")
+    for key, text in [("variance", "nan"), ("variance", "-1.0"),
+                      ("y_std", "nan"), ("jitter", "nan"), ("jitter", "-1.0")]]
 
 
 @pytest.mark.parametrize("kind, corrupt, error", _CORRUPTIONS)

@@ -15,7 +15,6 @@ from meshbench.errors import (
 from meshbench.gp import (
     DEFAULT_JITTER,
     _LS_BOUNDS,
-    _chol_with_escalation,
     _lml_evaluator,
     gp_mean,
     kernel_matrix,
@@ -71,8 +70,10 @@ def test_rbf_matches_formula_oracle():
 
 
 def test_kernel_params_must_be_positive():
-    with pytest.raises(ConfigInvalid):
-        Kernel("RBF", 0.0, np.array([1.0]))
+    for variance, lengthscale in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                  (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ConfigInvalid):
+            Kernel("RBF", variance, np.array([1.0, lengthscale]))
     with pytest.raises(ConfigInvalid):
         Kernel("Nope", 1.0, np.array([1.0]))
 
@@ -88,6 +89,11 @@ def test_constant_targets_rejected():
 def test_single_point_rejected():
     with pytest.raises(DegenerateInputs):
         gp_fit(np.zeros((1, 1)), np.array([1.0]))
+
+
+def test_no_input_dimensions_rejected():
+    with pytest.raises(DegenerateInputs, match="1\\+ inputs"):
+        gp_fit(np.zeros((5, 0)), np.arange(5.0))
 
 
 def test_nonfinite_rejected():
@@ -187,17 +193,6 @@ def test_predict_dimension_mismatch():
         gp_predict(model, np.zeros((1, 3)))
 
 
-def test_jitter_escalation_then_singular():
-    # escalation succeeds on a PSD-but-singular matrix
-    singular = np.ones((3, 3))
-    lower, jitter = _chol_with_escalation(singular, 1e-10)
-    assert jitter <= 1e-6
-    # an indefinite matrix stays unfactorizable at max jitter
-    indefinite = np.array([[1.0, 0.0], [0.0, -5.0]])
-    with pytest.raises(SingularKernel):
-        _chol_with_escalation(indefinite, 1e-10)
-
-
 def test_duplicate_inputs_survive_via_jitter():
     X = np.array([[0.5], [0.5], [1.0]])
     y = np.array([1.0, 1.0, 2.0])
@@ -218,15 +213,24 @@ def test_gp_mean_is_gp_predict_mean():
 
 @pytest.mark.parametrize("kind", ["Matern52", "RBF"])
 def test_gp_predict_refactors_the_fits_cholesky_factor(kind, monkeypatch):
-    factors = []
+    # per evaluator that gp_fit or gp_predict builds: its buffer, and a copy
+    # of it after each finite LML, the factor of R + g I there
+    evaluators = []
 
-    def recording(k_matrix, jitter):
-        lower, used = real(k_matrix, jitter)
-        factors.append(lower)
-        return lower, used
+    def recording(*args):
+        lml, gradient, buffer = real(*args)
+        factors = []
+        evaluators.append((buffer, factors))
 
-    real = gp_module._chol_with_escalation
-    monkeypatch.setattr(gp_module, "_chol_with_escalation", recording)
+        def recorded(log_ls):
+            value = lml(log_ls)
+            if np.isfinite(value[0]):
+                factors.append(buffer.copy())
+            return value
+        return recorded, gradient, buffer
+
+    real = gp_module._lml_evaluator
+    monkeypatch.setattr(gp_module, "_lml_evaluator", recording)
     rng = np.random.default_rng(28)
     X = rng.uniform(0, 1, size=(25, 2))
     Y = np.stack([np.sin(4.0 * X[:, 0]), X[:, 1] ** 2, X[:, 0] * X[:, 1]],
@@ -234,16 +238,55 @@ def test_gp_predict_refactors_the_fits_cholesky_factor(kind, monkeypatch):
     model = gp_fit(X, Y, kind=kind)
     Xq = rng.uniform(0, 1, size=(6, 2))
     mean, var = gp_predict(model, Xq)
-    fit_factor, predict_factor = factors
-    assert predict_factor.tobytes() == fit_factor.tobytes()
+    (fit_buffer, fit_factors), (predict_buffer, predict_factors) = evaluators
+    # the fit solved with its last factor, which nothing overwrote
+    fit_factor = fit_factors[-1]
+    assert fit_buffer.tobytes() == fit_factor.tobytes()
+    y_std = (Y - model.y_mean) / model.y_std
+    assert model.alpha.tobytes() == np.ascontiguousarray(cho_solve(
+        (fit_factor, True), y_std) / model.kernel.variance).tobytes()
+    assert len(predict_factors) == 1
+    assert predict_factors[0].tobytes() == fit_factor.tobytes()
+    assert predict_buffer.tobytes() == fit_factor.tobytes()
     # the variance a model storing the fit's factor computed
     k_star = kernel_matrix(model.kernel, model.x_train,
                            (Xq - model.x_mean) / model.x_std)
     v = solve_triangular(fit_factor, k_star, lower=True)
+    s2 = model.kernel.variance
     want = model.y_std ** 2 * np.clip(
-        model.kernel.variance - np.einsum("ij,ij->j", v, v), 0.0, None)
+        s2 - np.einsum("ij,ij->j", v, v) / s2, 0.0, None)
     assert var.tobytes() == want.tobytes()
     assert mean.shape == (6, 3) and var.shape == (6,)
+
+
+@pytest.mark.parametrize("kind", ["Matern52", "RBF"])
+def test_no_dense_training_kernel_is_built(kind, monkeypatch):
+    # the evaluator's packed lower triangle is the only training kernel
+    pairs = []
+
+    def recording(kernel, x1, x2):
+        pairs.append((x1, x2))
+        return real(kernel, x1, x2)
+
+    real = gp_module.kernel_matrix
+    monkeypatch.setattr(gp_module, "kernel_matrix", recording)
+    rng = np.random.default_rng(36)
+    X = rng.uniform(0, 1, size=(20, 2))
+    model = gp_fit(X, np.sin(3.0 * X[:, 0]) + X[:, 1], kind=kind)
+    gp_predict(model, rng.uniform(0, 1, size=(4, 2)))
+    assert pairs  # gp_mean's train-query covariance
+    assert not any(x2.shape == model.x_train.shape for _, x2 in pairs)
+
+
+def test_gp_predict_raises_where_the_model_does_not_factorise():
+    # a repeated input and no nugget: R is singular
+    x_train = np.array([[0.0], [0.0], [1.0]])
+    model = gp_module.GpModel(
+        kernel=Kernel("Matern52", 1.0, np.ones(1)), x_train=x_train,
+        alpha=np.ones(3), x_mean=np.zeros(1), x_std=np.ones(1), y_mean=0.0,
+        y_std=1.0, jitter=0.0)
+    with pytest.raises(SingularKernel):
+        gp_predict(model, np.array([[0.5]]))
 
 
 def test_multi_output_fit_shares_one_output_scale():
@@ -345,7 +388,7 @@ def central_differences(log_ls, kind, x, y, h):
 
 
 def _check_evaluator_against_oracle(kind, x, y, rng):
-    lml, gradient = _lml_evaluator(kind, x, y, DEFAULT_JITTER)
+    lml, gradient, _ = _lml_evaluator(kind, x, y, DEFAULT_JITTER)
     finite = compared = 0
     for _ in range(20):
         log_ls = rng.uniform(*_LS_BOUNDS, size=3)
@@ -445,7 +488,7 @@ def test_projected_gradient_vanishes_at_the_fit(kind):
     model = gp_fit(X, y, kind=kind)
     x_std, y_std = _standardized(X, y)
     log_ls = np.log(model.kernel.lengthscales)
-    lml, gradient = _lml_evaluator(kind, x_std, y_std, DEFAULT_JITTER)
+    lml, gradient, _ = _lml_evaluator(kind, x_std, y_std, DEFAULT_JITTER)
     lml(np.zeros(3))
     start = gradient(np.zeros(3))
     assert lml(log_ls)[1] == model.kernel.variance
@@ -504,12 +547,12 @@ def test_no_trial_fails_to_factorise_on_collinear_inputs(seed, monkeypatch):
     trials = []
 
     def recording(*args):
-        lml, gradient = real(*args)
+        lml, gradient, factor = real(*args)
 
         def recorded(log_ls):
             trials.append(lml(log_ls))
             return trials[-1]
-        return recorded, gradient
+        return recorded, gradient, factor
 
     real = gp_module._lml_evaluator
     monkeypatch.setattr(gp_module, "_lml_evaluator", recording)
@@ -554,8 +597,7 @@ def test_fitted_system_is_positive_definite_on_collinear_inputs(kind):
 def test_repeated_inputs_factorise_at_the_start():
     # 20 points, each three times: R is singular at the start, and the
     # default nugget is above the rounding of its factorisation, so the
-    # search needs no escalation there; a nugget below that rounding is
-    # a SingularKernel
+    # start factorises; a nugget below that rounding is a SingularKernel
     X = np.repeat(np.linspace(0.0, 1.0, 20), 3)[:, None]
     y = np.sin(3.0 * X[:, 0])
     x_std, y_std = (X - X.mean()) / X.std(), (y - y.mean()) / y.std()

@@ -226,6 +226,15 @@ def test_non_finite_training_sample_raises_typed_error(morphing, coordinate,
         mmgp_fit(ds, ds.problem, config)
 
 
+def test_no_gp_inputs_raises_degenerate_inputs():
+    # no input scalars, and one flat shape that leaves no shape mode
+    ds = generate(SynthConfig(n_samples=12, seed=3, min_nodes_per_side=6,
+                              max_nodes_per_side=6, amplitude_range=(0.0, 0.0)))
+    ds.problem.in_scalars_names = []
+    with pytest.raises(DegenerateInputs, match="1\\+ inputs"):
+        mmgp_fit(ds, ds.problem, MmgpConfig(morphing=False))
+
+
 @pytest.mark.parametrize("morphing,res", [(False, (9, 9)), (True, (8, 12))])
 def test_constant_output_field_predicted_constant(morphing, res):
     ds = generate(SynthConfig(n_samples=10, seed=6, min_nodes_per_side=res[0],

@@ -8,7 +8,7 @@ from scipy.spatial import Delaunay
 from meshbench import (SynthConfig, apply_transfer, build_surface_mesh,
                        build_transfer, tutte_embed)
 from meshbench.edges import boundary_edges
-from meshbench.errors import PointOutsideDomain, ShapeMismatch
+from meshbench.errors import IndexOutOfRange, PointOutsideDomain, ShapeMismatch
 from meshbench.mmgp import extract_triangle_geometry
 from meshbench.synthetic import build_plate_sample
 from meshbench.transfer import _barycentric, _stable_order, _UniformGrid
@@ -213,6 +213,20 @@ def test_apply_transfer_shape_mismatch():
     op = build_transfer(nodes, tris, [[0.5, 0.4]])
     with pytest.raises(ShapeMismatch):
         apply_transfer(op, np.zeros(7))
+
+
+@pytest.mark.parametrize("nodes, tris, error", [
+    (np.eye(3, 2), [[0, 1, -1]], IndexOutOfRange),
+    (np.eye(3, 2), [[0, 1, 3]], IndexOutOfRange),
+    (np.zeros((0, 2)), np.zeros((0, 3), dtype=int), ShapeMismatch),
+    (np.eye(3, 2), np.zeros((0, 3), dtype=int), ShapeMismatch),
+    (np.eye(3, 2), [0, 1, 2], ShapeMismatch),
+    (np.eye(3), [[0, 1, 2]], ShapeMismatch),
+], ids=["negative_id", "id_past_end", "empty", "no_triangles",
+        "flat_triangles", "3d_nodes"])
+def test_malformed_source_mesh_raises_typed_error(nodes, tris, error):
+    with pytest.raises(error):
+        build_transfer(nodes, tris, [[0.2, 0.2]])
 
 
 def test_deterministic_tie_break_smallest_triangle_id():
