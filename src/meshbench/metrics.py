@@ -6,9 +6,8 @@ Field RRMSE over a test set of n samples::
 
 where N_i is the entity count of sample i at the field's location and the
 sup norm is the maximum *absolute* component (so sign conventions cannot
-zero the denominator).  Scalar RRMSE::
-
-    sqrt( (1/n) * sum_i  |ref_i - pred_i|^2 / |ref_i|^2 )
+zero the denominator).  A scalar is scored as a one-entry field: its RRMSE
+is the N_i = 1 case, where the sup norm is |ref_i|.
 
 The submission score ``total_error`` is the unweighted mean of all
 per-output RRMSEs.  A reference whose norm falls below 1e-30 is a hard
@@ -36,6 +35,7 @@ from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
     DegenerateReference,
+    FormatError,
     MissingOutput,
     NoPartition,
     NoSuchSplit,
@@ -115,51 +115,42 @@ def _paired(refs, preds):
     return [(i, ref, pred) for i, (ref, pred) in enumerate(zip(refs, preds))]
 
 
-def _check_finite(key, ref, pred) -> None:
-    if not np.isfinite(ref).all():
-        raise DegenerateReference(f"sample {key}: reference is not finite")
-    if not np.isfinite(pred).all():
-        raise MissingOutput(f"sample {key}: prediction is not finite")
-
-
-def rrmse_field(refs, preds) -> float:
-    """Field RRMSE; refs/preds are per-sample arrays (mapping or sequence)."""
-    pairs = _paired(refs, preds)
-    if not pairs:
-        raise ShapeMismatch("empty sample set")
-    terms = np.empty(len(pairs))
-    for i, (key, ref, pred) in enumerate(pairs):
+def _rrmse(triples, output: str = "") -> float:
+    """RRMSE over ``(key, ref, pred)`` triples of 1-D values; ``output``
+    prefixes the sample in error messages."""
+    if not triples:
+        raise ShapeMismatch(f"{output}empty sample set")
+    terms = np.empty(len(triples))
+    for i, (key, ref, pred) in enumerate(triples):
         ref = np.asarray(ref, dtype=np.float64)
         pred = np.asarray(pred, dtype=np.float64)
         if ref.shape != pred.shape or ref.ndim != 1:
             raise ShapeMismatch(
-                f"sample {key}: reference shape {ref.shape} vs prediction "
-                f"shape {pred.shape}")
-        _check_finite(key, ref, pred)
+                f"{output}sample {key}: reference shape {ref.shape} vs "
+                f"prediction shape {pred.shape}")
+        if not np.isfinite(ref).all():
+            raise DegenerateReference(
+                f"{output}sample {key}: reference is not finite")
+        if not np.isfinite(pred).all():
+            raise MissingOutput(f"{output}sample {key}: prediction is not finite")
         sup = np.max(np.abs(ref)) if ref.size else 0.0
         if sup < DEGENERATE_NORM:
-            raise DegenerateReference(
-                f"sample {key}: reference sup norm {sup} below {DEGENERATE_NORM}")
+            raise DegenerateReference(f"{output}sample {key}: reference sup "
+                                      f"norm {sup} below {DEGENERATE_NORM}")
         diff = ref - pred
         terms[i] = (diff @ diff) / ref.size / (sup * sup)
-    return float(np.sqrt(np.sum(terms) / len(pairs)))
+    return float(np.sqrt(np.sum(terms) / len(triples)))
+
+
+def rrmse_field(refs, preds) -> float:
+    """Field RRMSE; refs/preds are per-sample arrays (mapping or sequence)."""
+    return _rrmse(_paired(refs, preds))
 
 
 def rrmse_scalar(refs, preds) -> float:
     """Scalar RRMSE; refs/preds are per-sample reals (mapping or sequence)."""
-    pairs = _paired(refs, preds)
-    if not pairs:
-        raise ShapeMismatch("empty sample set")
-    terms = np.empty(len(pairs))
-    for i, (key, ref, pred) in enumerate(pairs):
-        ref = float(ref)
-        pred = float(pred)
-        _check_finite(key, ref, pred)
-        if abs(ref) < DEGENERATE_NORM:
-            raise DegenerateReference(
-                f"sample {key}: |reference| {abs(ref)} below {DEGENERATE_NORM}")
-        terms[i] = (ref - pred) ** 2 / ref ** 2
-    return float(np.sqrt(np.sum(terms) / len(pairs)))
+    return _rrmse([(key, [float(ref)], [float(pred)])
+                   for key, ref, pred in _paired(refs, preds)])
 
 
 # ---------------------------------------------------------------------------
@@ -182,46 +173,29 @@ def total_error(problem: ProblemDefinition, reference: Dataset,
         raise ShapeMismatch("empty id set to score")
 
     report = ScoreReport()
-    for name in sorted(problem.out_fields_names):
-        refs: dict[int, np.ndarray] = {}
-        preds: dict[int, np.ndarray] = {}
-        for sid in ids:
-            refs[sid] = find_reference_field(reference.sample_at(sid), name)
-            entry = bundle.predictions.get(sid)
-            if entry is None or name not in entry.fields:
-                raise MissingOutput(
-                    f"bundle lacks field '{name}' for sample {sid}")
-            preds[sid] = entry.fields[name]
-        report.field_rrmse[name] = _scored(rrmse_field, f"field '{name}'",
-                                           refs, preds)
-
-    for name in sorted(problem.out_scalars_names):
-        refs_s: dict[int, float] = {}
-        preds_s: dict[int, float] = {}
-        for sid in ids:
-            refs_s[sid] = reference.sample_at(sid).get_scalar(name)
-            entry = bundle.predictions.get(sid)
-            if entry is None or name not in entry.scalars:
-                raise MissingOutput(
-                    f"bundle lacks scalar '{name}' for sample {sid}")
-            preds_s[sid] = entry.scalars[name]
-        report.scalar_rrmse[name] = _scored(rrmse_scalar, f"scalar '{name}'",
-                                            refs_s, preds_s)
-
-    values = [report.field_rrmse[n] for n in sorted(report.field_rrmse)]
-    values += [report.scalar_rrmse[n] for n in sorted(report.scalar_rrmse)]
-    if not values:
+    scores = {"field": report.field_rrmse, "scalar": report.scalar_rrmse}
+    outputs = sorted({("field", name) for name in problem.out_fields_names}
+                     | {("scalar", name) for name in problem.out_scalars_names})
+    if not outputs:
         raise MissingOutput("problem declares no outputs to score")
-    report.total_error = float(np.mean(values))
+    for kind, name in outputs:
+        triples = []
+        for sid in ids:
+            sample = reference.sample_at(sid)
+            entry = bundle.predictions.get(sid) or SamplePrediction()
+            if kind == "field":
+                ref, predicted = find_reference_field(sample, name), entry.fields
+            else:
+                ref, predicted = [sample.get_scalar(name)], entry.scalars
+            if name not in predicted:
+                raise MissingOutput(
+                    f"bundle lacks {kind} '{name}' for sample {sid}")
+            pred = predicted[name]
+            triples.append((sid, ref, pred if kind == "field" else [pred]))
+        scores[kind][name] = _rrmse(triples, f"{kind} '{name}', ")
+    report.total_error = float(np.mean([scores[kind][name]
+                                        for kind, name in outputs]))
     return report
-
-
-def _scored(rrmse, output: str, refs, preds) -> float:
-    """``rrmse(refs, preds)``, with ``output`` named in its errors."""
-    try:
-        return rrmse(refs, preds)
-    except (ShapeMismatch, DegenerateReference, MissingOutput) as exc:
-        raise type(exc)(f"{output}, {exc}") from None
 
 
 def score_hidden(problem: ProblemDefinition, reference: Dataset,
@@ -266,12 +240,15 @@ def load_bundle(root_path) -> PredictionBundle:
     bundle = PredictionBundle()
     with BlobReader(manifest) as blobs, decoding(manifest):
         for entry in doc.get("samples", []):
-            sid = int(entry["id"])
+            sid = entry["id"]
+            if type(sid) is not int or sid in bundle.predictions:
+                raise FormatError(f"sample id {sid!r} is not an integer or "
+                                  f"is listed twice", path=manifest)
+            prediction = bundle.prediction_for(sid)
             for name, value in (entry.get("scalars") or {}).items():
-                bundle.set_scalar(sid, name, parse_real(value))
+                prediction.scalars[name] = parse_real(value)
             for name, array_entry in (entry.get("fields") or {}).items():
-                bundle.prediction_for(sid).fields[name] = \
-                    blobs.read(array_entry, "float64")
+                prediction.fields[name] = blobs.read(array_entry, "float64")
     return bundle
 
 

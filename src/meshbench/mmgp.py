@@ -20,7 +20,7 @@ given to the GP fits, the one pooled stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -55,13 +55,34 @@ class MmgpConfig:
     jitter: float = DEFAULT_JITTER  # the GP nugget, relative to the variance
 
     def validate(self) -> None:
-        if self.shape_modes < 1 or self.field_modes < 1:
-            raise ConfigInvalid("mode counts must be at least 1")
+        if type(self.morphing) is not bool:
+            raise ConfigInvalid(f"morphing must be a boolean, not "
+                                f"{self.morphing!r}")
+        if not all(type(n) is int and n >= 1
+                   for n in (self.shape_modes, self.field_modes)):
+            raise ConfigInvalid("mode counts must be integers of at least 1")
         if self.kernel not in ("Matern52", "RBF"):
             raise ConfigInvalid(f"unknown kernel '{self.kernel}'")
+        if type(self.train_split) is not str:
+            raise ConfigInvalid(f"train_split must be a name, not "
+                                f"{self.train_split!r}")
         if not 0 < self.jitter < np.inf:
             raise ConfigInvalid(f"jitter must be positive and finite, "
                                 f"not {self.jitter}")
+
+
+_CONFIG_KEYS = sorted(f.name for f in fields(MmgpConfig))
+
+
+def _config_from(values: dict) -> MmgpConfig:
+    """The default config with ``values`` in place, validated: the decoder
+    shared by config files and stored models."""
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise ConfigInvalid(f"unknown config key '{key}'")
+    config = replace(MmgpConfig(), **values)
+    config.validate()
+    return config
 
 
 def parse_config_text(text: str) -> MmgpConfig:
@@ -76,29 +97,22 @@ def parse_config_text(text: str) -> MmgpConfig:
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
 
-    config = MmgpConfig()
     for key, value in values.items():
         try:
             if key == "morphing":
                 word = value.lower()
                 if word not in _BOOL_WORDS:
                     raise ValueError(f"not a boolean: {value!r}")
-                config = replace(config, morphing=_BOOL_WORDS[word])
+                values[key] = _BOOL_WORDS[word]
             elif key in ("shape_modes", "field_modes"):
-                config = replace(config, **{key: int(value)})
+                values[key] = int(value)
             elif key == "kernel":
-                config = replace(
-                    config, kernel=_KERNEL_ALIASES.get(value.lower(), value))
-            elif key == "train_split":
-                config = replace(config, train_split=value)
+                values[key] = _KERNEL_ALIASES.get(value.lower(), value)
             elif key == "jitter":
-                config = replace(config, jitter=float(value))
-            else:
-                raise ConfigInvalid(f"unknown config key '{key}'")
+                values[key] = float(value)
         except (ValueError, TypeError) as exc:
             raise ConfigInvalid(f"bad value for '{key}': {exc}") from None
-    config.validate()
-    return config
+    return _config_from(values)
 
 
 def load_config(path) -> MmgpConfig:
@@ -458,15 +472,11 @@ def load_model(root_path) -> MmgpModel:
         gp_inputs = ({key: read(inputs_doc[key]) for key in _GP_INPUTS}
                      if inputs_doc is not None else None)
         cfg = doc["config"]
+        if sorted(cfg) != _CONFIG_KEYS:
+            raise ConfigInvalid(f"config keys {sorted(cfg)} are not "
+                                f"{_CONFIG_KEYS}")
         model = MmgpModel(
-            config=MmgpConfig(
-                morphing=bool(cfg["morphing"]),
-                shape_modes=int(cfg["shape_modes"]),
-                field_modes=int(cfg["field_modes"]),
-                kernel=cfg["kernel"],
-                train_split=cfg["train_split"],
-                jitter=parse_real(cfg["jitter"]),
-            ),
+            config=_config_from({**cfg, "jitter": parse_real(cfg["jitter"])}),
             in_scalars=list(doc["in_scalars"]),
             out_fields=list(doc["out_fields"]),
             out_scalars=list(doc["out_scalars"]),

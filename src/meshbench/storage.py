@@ -29,7 +29,7 @@ from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
                     decoding, format_real, parse_real, read_manifest,
                     write_manifest)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
-from .errors import FormatError, InvalidDataset, IoFailure
+from .errors import FormatError, InvalidDataset, IoFailure, MeshBenchError
 from .sample import Sample
 from .tree import (
     Base,
@@ -180,7 +180,11 @@ def read_sample(manifest_path: Path) -> Sample:
         if time in trees:
             raise FormatError(f"duplicate tree time {time!r}",
                               path=manifest_path)
-        trees[time] = build_tree(bases, time, links)
+        try:
+            trees[time] = build_tree(bases, time, links)
+        except MeshBenchError as exc:
+            raise FormatError(f"invalid tree: {type(exc).__name__}: {exc}",
+                              path=manifest_path) from exc
     return Sample(trees=trees, scalars=scalars, time_series=time_series)
 
 

@@ -512,7 +512,10 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
                     f"duplicate field '{f.name}' at {f.location.value}")
             continue
         seen_fields.add(key)
-        if f.location is Location.Vertex:
+        if f.values.ndim != 1:
+            out.add(DimensionMismatch, fpath,
+                    f"field values must be 1-D, got shape {f.values.shape}")
+        elif f.location is Location.Vertex:
             if f.values.shape[0] != z.n_vertices:
                 out.add(DimensionMismatch, fpath,
                         f"Vertex field length {f.values.shape[0]} differs from "
@@ -534,6 +537,10 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
             out.add(DuplicateName, tpath, f"duplicate tag '{t.name}'")
             continue
         seen_tags.add((t.name, t.kind))
+        if t.ids.ndim != 1:
+            out.add(DimensionMismatch, tpath,
+                    f"tag ids must be 1-D, got shape {t.ids.shape}")
+            continue
         if t.kind is TagKind.ElementTag and elements_pending:
             out.note(tpath, "ElementTag range unchecked (elements linked)")
             continue

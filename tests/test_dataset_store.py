@@ -568,6 +568,9 @@ _CORRUPTIONS += [
         "dataset/samples/sample_000000001/sample.manifest",
         lambda d: d["trees"][1].update(time=d["trees"][0]["time"])),
         FormatError, id="dataset-duplicate_tree_time"),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
+        "bases"][0]["zones"][0]["fields"][0]["values"].update(shape=[4, 1])),
+        FormatError, id="dataset-field_not_1d"),
     pytest.param("dataset", _drop_second_sample, FormatError,
                  id="dataset-sample_numbering"),
     pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
@@ -598,6 +601,12 @@ _CORRUPTIONS += [
                  id="bundle-empty_manifest"),
     pytest.param("bundle", _edit("bundle.manifest", lambda d: d["samples"][0][
         "scalars"].update(u_max="fast")), FormatError, id="bundle-scalar_text"),
+    pytest.param("bundle", _edit("bundle.manifest", lambda d: d["samples"][1]
+                                 .update(id=d["samples"][0]["id"])),
+                 FormatError, id="bundle-id_twice"),
+    pytest.param("bundle", _edit("bundle.manifest",
+                                 lambda d: d["samples"][1].update(id=5.7)),
+                 FormatError, id="bundle-id_not_integer"),
     pytest.param("model", _edit("model.manifest", lambda d: d.pop("config")),
                  FormatError, id="model-missing_config"),
     pytest.param("model", _replace("model.manifest", '"format_version": 4',
@@ -637,6 +646,18 @@ _CORRUPTIONS += [
                  FormatError, id=f"model-gp_{key}_{text}")
     for key, text in [("variance", "nan"), ("variance", "-1.0"),
                       ("y_std", "nan"), ("jitter", "nan"), ("jitter", "-1.0")]]
+# the stored config is decoded and validated as a config file is
+_CORRUPTIONS += [
+    pytest.param("model", _edit("model.manifest", lambda d, key=key, value=value:
+                                d["config"].update({key: value})),
+                 FormatError, id=f"model-config_{key}_{value}")
+    for key, value in [("morphing", "off"), ("jitter", "nan"),
+                       ("kernel", "Nope"), ("shape_modes", -3),
+                       ("field_modes", 2.7), ("train_split", 7),
+                       ("unknown", 1)]]
+_CORRUPTIONS.append(pytest.param(
+    "model", _edit("model.manifest", lambda d: d["config"].pop("kernel")),
+    FormatError, id="model-config_missing_key"))
 
 
 @pytest.mark.parametrize("kind, corrupt, error", _CORRUPTIONS)

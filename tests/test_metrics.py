@@ -72,6 +72,17 @@ def test_rrmse_scalar_values():
     assert abs(rrmse_scalar([1.0, 4.0], [2.0, 2.0]) - expected) < 1e-15
 
 
+def test_rrmse_scalar_is_the_one_entry_field_case():
+    # bit for bit: x ** 2 and x * x round differently for a few of these draws
+    rng = np.random.default_rng(2)
+    refs = rng.normal(size=4000)
+    preds = refs + rng.normal(size=4000)
+    for sid, (ref, pred) in enumerate(zip(refs, preds)):
+        assert rrmse_scalar([ref], [pred]) == rrmse_field([[ref]], [[pred]])
+        assert rrmse_scalar({sid: ref}, {sid: pred}) == \
+            rrmse_field({sid: [ref]}, {sid: [pred]})
+
+
 def test_rrmse_matches_oracle_randomized():
     rng = np.random.default_rng(123)
     for _ in range(100):

@@ -73,6 +73,16 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("jitter = nan")
     with pytest.raises(ConfigInvalid):
         parse_config_text("jitter = inf")
+    with pytest.raises(ConfigInvalid):
+        parse_config_text("shape_modes = 2.7")
+
+
+@pytest.mark.parametrize("values", [
+    {"morphing": "off"}, {"shape_modes": 2.7}, {"field_modes": True},
+    {"train_split": 7}])
+def test_config_validate_checks_types(values):
+    with pytest.raises(ConfigInvalid):
+        MmgpConfig(**values).validate()
 
 
 def test_load_config_rejects_non_utf8(tmp_path):

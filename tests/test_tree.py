@@ -88,6 +88,31 @@ def test_validate_vertex_field_length():
     assert "5" in message and "4" in message
 
 
+@pytest.mark.parametrize("shape", [(), (4, 1), (1, 4)])
+@pytest.mark.parametrize("location", [Location.Vertex, Location.CellCenter,
+                                      Location.FaceCenter])
+def test_field_values_must_be_1d(shape, location):
+    zone = dataclasses.replace(square_zone(), fields=(
+        FieldArray("f", location, np.zeros(shape)),))
+    tree = MeshTree(bases=(Base("B", 2, 2, (zone,)),), time=0.0)
+    assert validate_tree(tree).violations == [
+        ("B/Fluid/fields/f", f"field values must be 1-D, got shape {shape}")]
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        build_tree(tree.bases)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 1)])
+@pytest.mark.parametrize("kind", [TagKind.NodalTag, TagKind.ElementTag])
+def test_tag_ids_must_be_1d(shape, kind):
+    zone = dataclasses.replace(square_zone(), tags=(
+        TagSet("t", kind, np.zeros(shape, dtype=np.int64)),))
+    tree = MeshTree(bases=(Base("B", 2, 2, (zone,)),), time=0.0)
+    assert validate_tree(tree).violations == [
+        ("B/Fluid/tags/t", f"tag ids must be 1-D, got shape {shape}")]
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        build_tree(tree.bases)
+
+
 def test_validate_structured_dims_product():
     zone = Zone(name="S", zone_type=ZoneType.Structured, n_vertices=8,
                 coordinates=np.zeros((8, 3)), structured_dims=(3, 3, 1))
