@@ -33,7 +33,8 @@ from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
                      ShapeMismatch)
 from .gp import DEFAULT_JITTER, GpModel, Kernel, gp_fit, gp_mean
-from .morphing import build_surface_mesh, tutte_embed
+from .morphing import (build_surface_mesh, connectivity_key, tutte_embed,
+                       tutte_system)
 from .parallel import parallel_map
 from .pod import PodBasis, pod_basis, pod_project, pod_reconstruct
 from .sample import Sample, find_reference_field
@@ -215,10 +216,22 @@ class MmgpModel:
         return self.shape_basis.n_modes + len(self.in_scalars)
 
 
-def _morph(coords, triangles):
-    """The mesh embedded onto the unit disk, as (positions, triangles)."""
-    surface = build_surface_mesh(coords, triangles)
-    return tutte_embed(surface).positions, surface.triangles
+def _morph_group(geometries):
+    """Embed meshes that share one ``connectivity_key`` onto the unit disk,
+    in order, yielding each one's (positions, triangles, boundary edges).
+
+    The boundary loop, the boundary edges and the Tutte system are built
+    from the first mesh and shared by the rest; drop the generator to free
+    them.
+    """
+    system = edges = None
+    for coords, triangles in geometries:
+        loop = None if system is None else system.boundary_loop
+        surface = build_surface_mesh(coords, triangles, loop)
+        if system is None:
+            system = tutte_system(surface)
+            edges = boundary_edges(surface.triangles)
+        yield tutte_embed(surface, system).positions, surface.triangles, edges
 
 
 def _preprocess_sample(coords, triangles, morphing, common_nodes,
@@ -226,9 +239,9 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
     """Shape vector of one sample, the transfer onto the common mesh and,
     given ``common_triangles``, the one back (both None without morphing).
 
-    ``morphed`` is the sample's ``_morph`` result if the caller has it
-    already.  Fit and predict share this path; it alone sets the snap
-    allowance.
+    ``morphed`` is the sample's item of ``_morph_group`` if the caller has
+    it already; otherwise the sample is morphed as a group of one.  Fit and
+    predict share this path; it alone sets the snap allowance.
     """
     if not morphing:
         if coords.shape[0] != len(common_nodes):
@@ -237,11 +250,11 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
                 f"the common mesh {len(common_nodes)}")
         return np.concatenate([coords[:, 0], coords[:, 1]]), None, None
 
-    def transfer(nodes, tris, targets):
+    def transfer(nodes, tris, targets, boundary):
         # both boundaries are polygons inscribed in the unit circle, so no
         # target lies farther outside the source than the sagitta of its
         # longest boundary chord L, plus rounding slack
-        boundary = owner, slot = boundary_edges(tris)
+        owner, slot = boundary
         chord = np.linalg.norm(nodes[tris[owner, slot]]
                                - nodes[tris[owner, (slot + 1) % 3]],
                                axis=1).max()
@@ -251,11 +264,13 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
                               tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL,
                               boundary=boundary)
 
-    positions, disk_triangles = (_morph(coords, triangles) if morphed is None
-                                 else morphed)
-    op_to = transfer(positions, disk_triangles, common_nodes)
+    if morphed is None:
+        morphed = next(_morph_group([(coords, triangles)]))
+    positions, disk_triangles, boundary = morphed
+    op_to = transfer(positions, disk_triangles, common_nodes, boundary)
     op_from = (None if common_triangles is None else
-               transfer(common_nodes, common_triangles, positions))
+               transfer(common_nodes, common_triangles, positions,
+                        boundary_edges(common_triangles)))
     shape_vec = np.concatenate([apply_transfer(op_to, coords[:, 0]),
                                 apply_transfer(op_to, coords[:, 1])])
     return shape_vec, op_to, op_from
@@ -278,17 +293,26 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     samples = [dataset.sample_at(i) for i in ids]
     geometries = [extract_triangle_geometry(s) for s in samples]
 
-    first = None
     if config.morphing:
-        # the common mesh is the first training sample morphed to the disk
-        first = _morph(*geometries[0])
-        common_nodes, common_triangles = first
+        # one connectivity at a time, so that one Tutte system is alive;
+        # groups come in order of their first id, so sample 0, morphed to
+        # the disk, is the common mesh before any transfer needs it
+        groups = {}
+        for i, geometry in enumerate(geometries):
+            groups.setdefault(connectivity_key(*geometry), []).append(i)
+        groups = list(groups.values())  # frees the keys: triangle copies
+        pre = [None] * len(ids)
+        for members in groups:
+            for i, morphed in zip(members, _morph_group(
+                    [geometries[i] for i in members])):
+                if i == 0:
+                    common_nodes, common_triangles = morphed[:2]
+                pre[i] = _preprocess_sample(*geometries[i], True,
+                                            common_nodes, morphed=morphed)
     else:
         common_nodes, common_triangles = geometries[0]
-
-    pre = [_preprocess_sample(*geometry, config.morphing, common_nodes,
-                              morphed=first if i == 0 else None)
-           for i, geometry in enumerate(geometries)]
+        pre = [_preprocess_sample(*geometry, False, common_nodes)
+               for geometry in geometries]
     shape_snapshots = np.stack([vec for vec, _, _ in pre])
     ops = [op for _, op, _ in pre]
 

@@ -10,14 +10,22 @@ interpolation onto one common discretization.
 
 The rotational gauge is fixed deterministically: the boundary cycle starts
 at its lowest node id and runs counter-clockwise.
+
+With uniform weights everything but the boundary positions depends on the
+triangles alone: the boundary loop, the interior system, its ordering and
+its Cholesky factor.  Meshes that share their (oriented) triangles, which
+:func:`connectivity_key` tells apart, can therefore share one
+:class:`TutteSystem` and pay only for their own right-hand side and two
+triangular solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -55,13 +63,28 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
-    """Normalize arrays, enforce CCW orientation, extract the boundary.
+@dataclass(frozen=True)
+class TutteSystem:
+    """The connectivity-dependent part of a Tutte embedding, shared by
+    every mesh with the same :func:`connectivity_key`.
 
-    Negatively oriented triangles are flipped (the geometry is unchanged);
-    non-finite nodes and degenerate (zero-area) triangles are rejected.  The
-    mesh holds read-only copies of both arrays, never the caller's own.
+    Row ``i`` of the interior system is node ``rows[i]`` (reverse
+    Cuthill-McKee order); ``factor`` is the upper Cholesky factor of its
+    Laplacian in LAPACK banded storage.  Boundary neighbor ``rhs_nodes[j]``
+    adds its position to row ``rhs_rows[j]`` of the right-hand side.
     """
+
+    boundary_loop: np.ndarray  # (b,) int64
+    rows: np.ndarray           # (ni,) int64
+    rhs_rows: np.ndarray       # (e,) int64
+    rhs_nodes: np.ndarray      # (e,) int64
+    factor: np.ndarray         # (bandwidth + 1, ni) float64
+
+
+def _oriented(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 and int64 copies of the arrays, each negatively
+    oriented triangle flipped; rejects malformed arrays, non-finite nodes
+    and degenerate (zero-area) triangles."""
     nodes = np.array(nodes, dtype=np.float64, order="C")
     triangles = np.array(triangles, dtype=np.int64)
     if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -84,9 +107,35 @@ def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
 
     nodes.setflags(write=False)
     triangles.setflags(write=False)
-    mesh = SurfaceMesh2D(nodes, triangles, np.empty(0, dtype=np.int64))
-    loop = extract_boundary_loop(mesh)
-    return SurfaceMesh2D(nodes, triangles, loop)
+    return nodes, triangles
+
+
+def connectivity_key(nodes, triangles) -> bytes:
+    """Equal for two meshes exactly when :func:`build_surface_mesh` gives
+    them the same node count and triangles, so that they share their
+    boundary loop and :class:`TutteSystem`; raises as that function does
+    on a malformed mesh."""
+    nodes, triangles = _oriented(nodes, triangles)
+    return np.int64(len(nodes)).tobytes() + triangles.tobytes()
+
+
+def build_surface_mesh(nodes, triangles,
+                       boundary_loop: Optional[np.ndarray] = None
+                       ) -> SurfaceMesh2D:
+    """Normalize arrays, enforce CCW orientation, extract the boundary.
+
+    Negatively oriented triangles are flipped (the geometry is unchanged);
+    non-finite nodes and degenerate (zero-area) triangles are rejected.  The
+    mesh holds read-only copies of both arrays, never the caller's own.
+    ``boundary_loop`` is the loop of a mesh with the same
+    :func:`connectivity_key`, when the caller has one; it is not extracted
+    again.
+    """
+    nodes, triangles = _oriented(nodes, triangles)
+    if boundary_loop is None:
+        boundary_loop = extract_boundary_loop(
+            SurfaceMesh2D(nodes, triangles, np.empty(0, dtype=np.int64)))
+    return SurfaceMesh2D(nodes, triangles, boundary_loop)
 
 
 def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
@@ -157,33 +206,32 @@ def _boundary_circle_positions(mesh: SurfaceMesh2D) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
+def tutte_embed(mesh: SurfaceMesh2D,
+                system: Optional[TutteSystem] = None) -> MorphedMesh:
     """Embed the mesh into the unit disk with uniform barycentric weights.
 
     Boundary nodes land exactly on the unit circle; each interior node
     solves x_i = mean of its neighbors, a sparse symmetric positive
-    definite system.  Its unknowns are ordered by reverse Cuthill-McKee and
-    it is solved by a banded Cholesky factorization, which stores
-    (bandwidth + 1) * n floats for n interior nodes: about 13 MB at 120
-    nodes per side, growing like n**1.5 on planar meshes, whose RCM
-    bandwidth grows like sqrt(n).
+    definite system.  ``system`` is ``tutte_system`` of a mesh with the
+    same :func:`connectivity_key`, when the caller shares one across such
+    meshes; without it the mesh's own is built.  Either way the mesh's own
+    work is its boundary positions, its right-hand side and two banded
+    triangular solves.
     """
-    n = len(mesh.nodes)
-    loop = mesh.boundary_loop
-    if loop.size == 0:
-        loop = extract_boundary_loop(mesh)
-        mesh = SurfaceMesh2D(mesh.nodes, mesh.triangles, loop)
+    if mesh.boundary_loop.size == 0:
+        mesh = replace(mesh, boundary_loop=extract_boundary_loop(mesh))
+    if system is None:
+        system = tutte_system(mesh)
 
-    positions = np.zeros((n, 2))
-    positions[loop] = _boundary_circle_positions(mesh)
-
-    is_boundary = np.zeros(n, dtype=bool)
-    is_boundary[loop] = True
-    interior = np.flatnonzero(~is_boundary)
-
-    if interior.size:
-        positions[interior] = _solve_interior(mesh, positions, interior,
-                                              is_boundary)
+    positions = np.zeros((len(mesh.nodes), 2))
+    positions[mesh.boundary_loop] = _boundary_circle_positions(mesh)
+    if system.rows.size:
+        rhs = np.stack([np.bincount(system.rhs_rows,
+                                    weights=positions[system.rhs_nodes, k],
+                                    minlength=system.rows.size)
+                        for k in range(2)], axis=1)
+        positions[system.rows] = cho_solve_banded(
+            (system.factor, False), rhs, overwrite_b=True, check_finite=False)
 
     embedded_areas = signed_areas(positions, mesh.triangles)
     # written so that NaN areas and radii fail too
@@ -191,7 +239,7 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
     if inverted:
         raise SolveFailure(f"embedding produced {inverted} non-positive "
                            f"triangle(s)")
-    radii = np.linalg.norm(positions[interior], axis=1)
+    radii = np.linalg.norm(positions[system.rows], axis=1)
     if not np.all(radii < 1.0):
         raise SolveFailure("an interior node escaped the open unit disk")
 
@@ -199,12 +247,37 @@ def tutte_embed(mesh: SurfaceMesh2D) -> MorphedMesh:
     return MorphedMesh(positions=positions, source=mesh)
 
 
-def _interior_system(mesh: SurfaceMesh2D, positions, interior, is_boundary):
+def tutte_system(mesh: SurfaceMesh2D) -> TutteSystem:
+    """Order and factor the Tutte system of a mesh with a boundary loop.
+
+    The unknowns are ordered by reverse Cuthill-McKee and the Laplacian is
+    factored by banded Cholesky, which stores (bandwidth + 1) * n floats
+    for n interior nodes: about 13 MB at 120 nodes per side, growing like
+    n**1.5 on planar meshes, whose RCM bandwidth grows like sqrt(n).
+    """
+    is_boundary = np.zeros(len(mesh.nodes), dtype=bool)
+    is_boundary[mesh.boundary_loop] = True
+    interior = np.flatnonzero(~is_boundary)
+    if not interior.size:
+        return TutteSystem(mesh.boundary_loop, interior, interior, interior,
+                           np.empty((1, 0)))
+    ab, perm, rhs_rows, rhs_nodes = _interior_system(mesh, interior,
+                                                     is_boundary)
+    try:
+        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolveFailure(f"the Tutte system is singular ({exc})") from None
+    return TutteSystem(mesh.boundary_loop, interior[perm], rhs_rows,
+                       rhs_nodes, factor)
+
+
+def _interior_system(mesh: SurfaceMesh2D, interior, is_boundary):
     """The Tutte system of the interior nodes in reverse Cuthill-McKee
-    order, as ``(ab, rhs, perm)``: row ``i`` is interior node
-    ``interior[perm[i]]``, ``ab`` holds the Laplacian's upper band in
-    LAPACK banded storage and ``rhs`` the summed positions of each row's
-    boundary neighbors.
+    order, as ``(ab, perm, rhs_rows, rhs_nodes)``: row ``i`` is interior
+    node ``interior[perm[i]]``, ``ab`` holds the Laplacian's upper band in
+    LAPACK banded storage, and boundary node ``rhs_nodes[j]`` is a
+    neighbor of row ``rhs_rows[j]``, whose right-hand side sums such
+    neighbors' positions.
 
     Every edge at an interior node is shared by two triangles, and the
     mesh has no duplicate directed edge, so an interior node's out-edges
@@ -237,18 +310,4 @@ def _interior_system(mesh: SurfaceMesh2D, positions, interior, is_boundary):
     ab = np.zeros((band + 1, ni))
     ab[band] = np.bincount(row, minlength=ni)
     ab[band + ra - rb, rb] = -1.0
-    rhs = np.stack([np.bincount(row[pinned], weights=positions[dst[pinned], k],
-                                minlength=ni) for k in range(2)], axis=1)
-    return ab, rhs, perm
-
-
-def _solve_interior(mesh: SurfaceMesh2D, positions, interior, is_boundary):
-    ab, rhs, perm = _interior_system(mesh, positions, interior, is_boundary)
-    try:
-        solution = solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True,
-                                 check_finite=False)
-    except LinAlgError as exc:
-        raise SolveFailure(f"the Tutte system is singular ({exc})") from None
-    out = np.empty_like(solution)
-    out[perm] = solution
-    return out
+    return ab, perm, row[pinned], dst[pinned]

@@ -273,10 +273,17 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
     doc = read_manifest(infos_path)
+
+    def sample_id(sid) -> int:
+        if type(sid) is not int:
+            raise FormatError(f"sample id {sid!r} is not an integer",
+                              path=infos_path)
+        return sid
+
     with decoding(infos_path):
         hidden, rows = None, doc.get("hidden_partition")
         if rows is not None:
-            hidden = {int(sid): subset for sid, subset in rows}
+            hidden = {sample_id(sid): subset for sid, subset in rows}
             if len(hidden) != len(rows):
                 raise FormatError("hidden_partition labels a sample id twice",
                                   path=infos_path)
@@ -286,7 +293,7 @@ def _read_problem(problem_dir: Path) -> ProblemDefinition:
             out_scalars_names=list(doc.get("out_scalars_names", [])),
             in_fields_names=list(doc.get("in_fields_names", [])),
             out_fields_names=list(doc.get("out_fields_names", [])),
-            splits={name: [int(sid) for sid in ids]
+            splits={name: [sample_id(sid) for sid in ids]
                     for name, ids in doc.get("splits", {}).items()},
             hidden_partition=hidden,
         )

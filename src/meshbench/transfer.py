@@ -7,9 +7,12 @@ of its boundary edges (the edges of exactly one triangle), so a target no
 triangle contains is snapped onto the nearest boundary edge: it gets the
 weights ``(1 - t, t)`` on that edge's two vertices.  A target farther out
 than a tolerance (a fraction of the source bounding-box diagonal) is an
-error.  Applying the operator to a per-vertex field then evaluates the
-source's piecewise-linear interpolant at each target, which reproduces
-affine fields exactly.
+error.  The snap looks up a second uniform grid, of the boundary edges'
+bounding boxes grown by that tolerance, so a target meets only the edges
+that can lie within reach, and still gets the all-edge scan's nearest
+edge and tie-break.  Applying the operator to a per-vertex field then
+evaluates the source's piecewise-linear interpolant at each target, which
+reproduces affine fields exactly.
 """
 
 from __future__ import annotations
@@ -64,28 +67,29 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 
 
 class _UniformGrid:
-    """Bins triangles into a uniform grid over the source bounding box.
+    """Bins boxes (of triangles or edges) into a uniform grid over the box
+    ``[lo, hi]``, about one cell per box.
 
     Compressed rows: cell ``c`` holds ``items[offsets[c]:offsets[c + 1]]``,
-    the ids of the triangles whose bounding box overlaps it, ascending.
+    the ids of the boxes that overlap it, ascending.  Points and boxes
+    outside ``[lo, hi]`` are clipped to its border cells.
     """
 
-    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
-        self.lo = nodes.min(axis=0)
-        hi = nodes.max(axis=0)
-        extent = np.maximum(hi - self.lo, 1e-300)
-        self.ncell = max(1, int(np.sqrt(len(triangles))))
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray,
+                 box_hi: np.ndarray):
+        self.lo = lo
+        extent = np.maximum(hi - lo, 1e-300)
+        self.ncell = max(1, int(np.sqrt(len(box_lo))))
         self.cell_size = extent / self.ncell
 
-        a, b, c = _corners(nodes, triangles)
-        lo_cells = self._cell_of(np.minimum(np.minimum(a, b), c))
-        span = self._cell_of(np.maximum(np.maximum(a, b), c)) - lo_cells + 1
-        tri, j = _ragged(span[:, 0] * span[:, 1])
-        span_y = span[tri, 1]
-        keys = ((lo_cells[tri, 0] + j // span_y) * self.ncell
-                + lo_cells[tri, 1] + j % span_y)
-        # a stable sort keeps each cell's triangle ids ascending
-        self.items = tri[_stable_order(keys)]
+        lo_cells = self._cell_of(box_lo)
+        span = self._cell_of(box_hi) - lo_cells + 1
+        item, j = _ragged(span[:, 0] * span[:, 1])
+        span_y = span[item, 1]
+        keys = ((lo_cells[item, 0] + j // span_y) * self.ncell
+                + lo_cells[item, 1] + j % span_y)
+        # a stable sort keeps each cell's ids ascending
+        self.items = item[_stable_order(keys)]
         self.offsets = np.concatenate([[0], np.cumsum(
             np.bincount(keys, minlength=self.ncell * self.ncell))])
 
@@ -94,13 +98,33 @@ class _UniformGrid:
         return np.clip(rel.astype(np.int64), 0, self.ncell - 1)
 
     def candidates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point ids, triangle ids) pairing every point with each triangle
-        of its own cell, point-major, triangle ids ascending."""
+        """(point ids, item ids) pairing every point with each item of its
+        own cell, point-major, item ids ascending."""
         cells = self._cell_of(points)
         cell = cells[:, 0] * self.ncell + cells[:, 1]
         start = self.offsets[cell]
         pair_t, j = _ragged(self.offsets[cell + 1] - start)
         return pair_t, self.items[start[pair_t] + j]
+
+
+def _triangle_grid(nodes: np.ndarray, triangles: np.ndarray) -> _UniformGrid:
+    """The triangles binned by their bounding boxes over the nodes' box."""
+    a, b, c = _corners(nodes, triangles)
+    return _UniformGrid(nodes.min(axis=0), nodes.max(axis=0),
+                        np.minimum(np.minimum(a, b), c),
+                        np.maximum(np.maximum(a, b), c))
+
+
+def _nearest_on_edges(points, q0, q1):
+    """Parameter ``t`` of the point of each edge ``(1 - t) q0 + t q1``
+    nearest to its paired point, and the squared distance to it."""
+    edge = q1 - q0
+    length2 = np.einsum("ij,ij->i", edge, edge)
+    dot = np.einsum("ij,ij->i", points - q0, edge)
+    t = np.clip(np.divide(dot, length2, out=np.zeros_like(dot),
+                          where=length2 > 0), 0.0, 1.0)
+    gap = points - ((1.0 - t)[:, None] * q0 + t[:, None] * q1)
+    return t, np.einsum("ij,ij->i", gap, gap)
 
 
 def _barycentric(nodes, triangles, tri_ids, points):
@@ -148,7 +172,7 @@ def build_transfer(source_nodes, source_triangles, targets,
         raise ShapeMismatch("positions must be finite")
 
     k = len(pts)
-    grid = _UniformGrid(nodes, triangles)
+    grid = _triangle_grid(nodes, triangles)
     bbox_diag = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0)))
     snap_dist = tol * bbox_diag
 
@@ -182,30 +206,36 @@ def build_transfer(source_nodes, source_triangles, targets,
             raise PointOutsideDomain("the source mesh has no boundary")
         q0 = nodes[triangles[owner, slot]]
         q1 = nodes[triangles[owner, (slot + 1) % 3]]
-        edge = q1 - q0
-        length2 = np.einsum("ij,ij->i", edge, edge)
-        step = max(1, (1 << 18) // owner.size)  # bounds (target, edge) pairs
-        for start in range(0, missing.size, step):
-            rows = missing[start:start + step]
-            p = pts[rows, None, :]
-            dot = np.einsum("rek,ek->re", p - q0, edge)
-            t = np.clip(np.divide(dot, length2, out=np.zeros_like(dot),
-                                  where=length2 > 0), 0.0, 1.0)
-            gap = p - ((1.0 - t)[..., None] * q0 + t[..., None] * q1)
-            dist2 = np.einsum("rek,rek->re", gap, gap)
-            near = np.argmin(dist2, axis=1)
-            r = np.arange(rows.size)
-            dist = np.sqrt(dist2[r, near])
-            if (dist > snap_dist).any():
-                j = int(np.argmax(dist > snap_dist))
-                raise PointOutsideDomain(
-                    f"target {rows[j]} at {pts[rows[j]].tolist()} lies "
-                    f"{dist[j]:.3e} from the source mesh "
-                    f"(allowed {snap_dist:.3e})")
-            weights[rows] = 0.0
-            weights[rows, slot[near]] = 1.0 - t[r, near]
-            weights[rows, (slot[near] + 1) % 3] = t[r, near]
-            element_ids[rows] = owner[near]
+        # an edge within snap_dist of a target overlaps the target's cell
+        # once its box is grown by snap_dist, plus slack for rounding in
+        # the coordinates; a farther candidate is harmless, as each target
+        # takes its nearest
+        reach = snap_dist + 1e-12 * (bbox_diag + np.abs(nodes).max())
+        box_lo, box_hi = np.minimum(q0, q1) - reach, np.maximum(q0, q1) + reach
+        edges = _UniformGrid(box_lo.min(axis=0), box_hi.max(axis=0),
+                             box_lo, box_hi)
+        pair_t, pair_e = edges.candidates(pts[missing])
+        t, dist2 = _nearest_on_edges(pts[missing[pair_t]], q0[pair_e],
+                                     q1[pair_e])
+        # a stable sort keeps edge ids ascending among equal distances, so
+        # each target's first pair holds its nearest, smallest edge
+        order = np.lexsort((dist2, pair_t))
+        best = order[np.diff(pair_t[order], prepend=-1) != 0]
+        dist = np.full(missing.size, np.inf)
+        dist[pair_t[best]] = np.sqrt(dist2[best])
+        if (dist > snap_dist).any():
+            j = missing[np.argmax(dist > snap_dist)]
+            # the all-edge distance, for the message only
+            _, scan = _nearest_on_edges(pts[j], q0, q1)
+            raise PointOutsideDomain(
+                f"target {j} at {pts[j].tolist()} lies "
+                f"{np.sqrt(scan.min()):.3e} from the source mesh "
+                f"(allowed {snap_dist:.3e})")
+        near, t = pair_e[best], t[best]
+        weights[missing] = 0.0
+        weights[missing, slot[near]] = 1.0 - t
+        weights[missing, (slot[near] + 1) % 3] = t
+        element_ids[missing] = owner[near]
 
     vertex_ids = np.take(triangles, element_ids, axis=0)
     weights.setflags(write=False)

@@ -588,6 +588,22 @@ _CORRUPTIONS += [
                                   lambda d: d["hidden_partition"].append(
                                       [d["hidden_partition"][0][0], "Private"])),
                  FormatError, id="dataset-partition_id_twice"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["hidden_partition"][0].__setitem__(
+                                      0, 1.7)),
+                 FormatError, id="dataset-partition_id_fraction"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["hidden_partition"][0].__setitem__(
+                                      0, True)),
+                 FormatError, id="dataset-partition_id_bool"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: next(iter(d["splits"].values()))
+                                  .append(1.7)),
+                 FormatError, id="dataset-split_id_fraction"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: next(iter(d["splits"].values()))
+                                  .append(True)),
+                 FormatError, id="dataset-split_id_bool"),
     pytest.param("bundle", _replace("bundle.manifest", '"dtype": "float64"',
                                     '"dtype": "int64"'),
                  FormatError, id="bundle-blob_dtype_int64"),

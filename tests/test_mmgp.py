@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
 from meshbench import (
     Base,
@@ -34,7 +35,9 @@ from meshbench.errors import (
 from meshbench.mmgp import (Regressor, _fit_regressor,
                             extract_triangle_geometry, load_config,
                             parse_config_text)
-from meshbench.morphing import build_surface_mesh, tutte_embed
+from meshbench.morphing import (build_surface_mesh, connectivity_key,
+                                extract_boundary_loop, signed_areas,
+                                tutte_embed)
 from meshbench.pod import pod_project, pod_reconstruct
 from meshbench.synthetic import build_plate_sample
 from meshbench.transfer import build_transfer
@@ -118,18 +121,105 @@ def test_regressor_count_matches_config_arithmetic():
     assert model.gp_input_dim == config.shape_modes + 2  # scalars a, p
 
 
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _train_connectivities(ds):
+    """Distinct (oriented) triangulations of the training samples."""
+    return {build_surface_mesh(*extract_triangle_geometry(
+        ds.sample_at(i))).triangles.tobytes()
+        for i in ds.problem.splits["train"]}
+
+
 def test_fit_morphs_each_training_sample_once(monkeypatch):
-    calls = []
-
-    def counted(surface):
-        calls.append(surface)
-        return tutte_embed(surface)
-
-    monkeypatch.setattr("meshbench.mmgp.tutte_embed", counted)
+    # one embedding per sample; one boundary walk and one Cholesky
+    # factorisation of the Laplacian per distinct training connectivity
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=7))
+    n_train = len(ds.problem.splits["train"])
+    n_connectivities = len(_train_connectivities(ds))
+    assert n_connectivities < n_train
+    calls = {"embed": 0, "loop": 0, "factor": 0}
+    monkeypatch.setattr("meshbench.mmgp.tutte_embed",
+                        _counted(calls, "embed", tutte_embed))
+    monkeypatch.setattr("meshbench.morphing.extract_boundary_loop",
+                        _counted(calls, "loop", extract_boundary_loop))
+    monkeypatch.setattr("meshbench.morphing.cholesky_banded",
+                        _counted(calls, "factor", cholesky_banded))
     mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
-    assert len(calls) == len(ds.problem.splits["train"])
+    assert calls == {"embed": n_train, "loop": n_connectivities,
+                     "factor": n_connectivities}
+
+
+def _with_zone_edit(ds, sid, edit):
+    """Sample ``sid`` rebuilt with ``edit(zone)`` in place of its zone."""
+    samples = [ds.sample_at(i) for i in range(ds.n_samples)]
+    s = samples[sid]
+    trees = {t: build_tree([Base(tree.bases[0].name, 2, 2,
+                                 (edit(tree.bases[0].zones[0]),))], tree.time)
+             for t, tree in s.trees.items()}
+    samples[sid] = Sample(trees=trees, scalars=s.scalars)
+    return Dataset(samples=samples, infos=dict(ds.infos), problem=ds.problem)
+
+
+def _clockwise(zone):
+    return zone_with(zone, element_blocks=[
+        replace(block, connectivity=block.connectivity[:, [0, 2, 1]])
+        for block in zone.element_blocks])
+
+
+def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
+    ds = generate(SynthConfig(n_samples=10, seed=3, min_nodes_per_side=5,
+                              max_nodes_per_side=7))
+    train = ds.problem.splits["train"]
+    geometries = {i: extract_triangle_geometry(ds.sample_at(i))
+                  for i in train}
+    # a clockwise copy of a mesh whose connectivity another sample shares
+    sid, other = next((i, j) for i in train for j in train if j != i
+                      and np.array_equal(geometries[i][1], geometries[j][1]))
+    ds = _with_zone_edit(ds, sid, _clockwise)
+    coords, triangles = extract_triangle_geometry(ds.sample_at(sid))
+    assert (signed_areas(coords, triangles) < 0).all()
+    assert connectivity_key(coords, triangles) == connectivity_key(
+        *geometries[other])
+    assert len(_train_connectivities(ds)) > 1
+
+    morphs = {}
+
+    def recorded(surface, system=None):
+        morphed = tutte_embed(surface, system)
+        morphs[surface.nodes.tobytes()] = morphed.positions
+        return morphed
+
+    monkeypatch.setattr("meshbench.mmgp.tutte_embed", recorded)
+    mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    assert len(morphs) == len(train)
+    for i in train:
+        coords, triangles = extract_triangle_geometry(ds.sample_at(i))
+        alone = tutte_embed(build_surface_mesh(coords, triangles))
+        assert morphs[coords.tobytes()].tobytes() == alone.positions.tobytes()
+
+
+@pytest.mark.parametrize("node, message", [
+    (np.nan, "node 7 has a non-finite coordinate"),
+    (8, "degenerate \\(zero area\\)")])  # node 7 moved onto node 8
+def test_bad_sample_of_a_shared_connectivity_raises_its_error(node, message):
+    ds = generate(SynthConfig(n_samples=12, seed=3, min_nodes_per_side=6,
+                              max_nodes_per_side=6))
+    assert len(_train_connectivities(ds)) == 1
+
+    def edit(zone):
+        coords = zone.coordinates.copy()
+        coords[7] = np.nan if np.isnan(node) else coords[node]
+        return zone_with(zone, coordinates=coords)
+
+    ds = _with_zone_edit(ds, ds.problem.splits["train"][-1], edit)
+    with pytest.raises(NotDiskTopology, match=message):
+        mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
 
 
 def test_training_sample_error_bounded_by_pod_truncation():
@@ -195,28 +285,20 @@ def _with_nan_at_interior_node(ds, sid, coordinate):
     """Sample ``sid`` rebuilt with NaN at its interior node 7 (row 1,
     column 1 of a 6-per-side plate): its y coordinate, or its value of
     field "u"."""
-    samples = [ds.sample_at(i) for i in range(ds.n_samples)]
-    s = samples[sid]
-    trees = {}
-    for t, tree in s.trees.items():
-        zone = tree.bases[0].zones[0]
+    def edit(zone):
         if coordinate:
             coords = zone.coordinates.copy()
             coords[7, 1] = np.nan
-            zone = zone_with(zone, coordinates=coords)
-        else:
-            fields = []
-            for f in zone.fields:
-                if f.name == "u":
-                    values = f.values.copy()
-                    values[7] = np.nan
-                    f = make_field("u", values)
-                fields.append(f)
-            zone = zone_with(zone, fields=fields)
-        trees[t] = build_tree([Base(tree.bases[0].name, 2, 2, (zone,))],
-                              tree.time)
-    samples[sid] = Sample(trees=trees, scalars=s.scalars)
-    return Dataset(samples=samples, infos=dict(ds.infos), problem=ds.problem)
+            return zone_with(zone, coordinates=coords)
+        fields = []
+        for f in zone.fields:
+            if f.name == "u":
+                values = f.values.copy()
+                values[7] = np.nan
+                f = make_field("u", values)
+            fields.append(f)
+        return zone_with(zone, fields=fields)
+    return _with_zone_edit(ds, sid, edit)
 
 
 @pytest.mark.parametrize("morphing", [False, True])
@@ -406,26 +488,22 @@ def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
 
 
 def test_transfers_find_boundary_edges_once(monkeypatch):
-    calls = {"edges": 0, "transfers": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr("meshbench.mmgp.boundary_edges",
-                        counted(boundary_edges, "edges"))
-    monkeypatch.setattr("meshbench.transfer.boundary_edges",
-                        counted(boundary_edges, "edges"))
-    monkeypatch.setattr("meshbench.mmgp.build_transfer",
-                        counted(build_transfer, "transfers"))
+    # once per distinct training connectivity in fit; in predict, once for
+    # the sample and once for the common mesh
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=9))
+    n_connectivities = len(_train_connectivities(ds))
+    assert n_connectivities < len(ds.problem.splits["train"])
+    calls = {"edges": 0, "transfers": 0}
+    for module in ("mmgp", "transfer"):
+        monkeypatch.setattr(f"meshbench.{module}.boundary_edges",
+                            _counted(calls, "edges", boundary_edges))
+    monkeypatch.setattr("meshbench.mmgp.build_transfer",
+                        _counted(calls, "transfers", build_transfer))
     model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
     mmgp_predict(model, ds.sample_at(ds.problem.splits["test"][0]))
     assert calls["transfers"] == len(ds.problem.splits["train"]) + 2
-    assert calls["edges"] == calls["transfers"]
+    assert calls["edges"] == n_connectivities + 2
 
 
 def test_coarsest_plates_predict_and_far_targets_stay_rejected():

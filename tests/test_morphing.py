@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from meshbench import build_surface_mesh, extract_boundary_loop, tutte_embed
 from meshbench.edges import boundary_edges
 from meshbench.errors import NotDiskTopology, SolveFailure
 from meshbench.morphing import (SurfaceMesh2D, _boundary_circle_positions,
-                                _interior_system, signed_areas)
+                                _interior_system, connectivity_key,
+                                signed_areas, tutte_system)
 
 from conftest import random_disk_mesh
 
@@ -192,13 +194,59 @@ def test_rcm_bandwidth_grows_like_sqrt_n_on_irregular_meshes():
         is_boundary = np.zeros(n, dtype=bool)
         is_boundary[mesh.boundary_loop] = True
         interior = np.flatnonzero(~is_boundary)
-        positions = np.zeros((n, 2))
-        ab, rhs, perm = _interior_system(mesh, positions, interior,
-                                         is_boundary)
+        ab, perm, _, _ = _interior_system(mesh, interior, is_boundary)
         assert ab.shape == (ab.shape[0], interior.size)
         assert sorted(perm.tolist()) == list(range(interior.size))
         assert ab.shape[0] - 1 <= RCM_BANDWIDTH_PER_SQRT_N * np.sqrt(
             interior.size)
+
+
+def solveh_banded_reference(mesh):
+    """Positions from one ``solveh_banded`` call on the assembled system,
+    whose bits a factor shared across meshes must reproduce."""
+    n = len(mesh.nodes)
+    is_boundary = np.zeros(n, dtype=bool)
+    is_boundary[mesh.boundary_loop] = True
+    interior = np.flatnonzero(~is_boundary)
+    ab, perm, rhs_rows, rhs_nodes = _interior_system(mesh, interior,
+                                                     is_boundary)
+    positions = np.zeros((n, 2))
+    positions[mesh.boundary_loop] = _boundary_circle_positions(mesh)
+    rhs = np.stack([np.bincount(rhs_rows, weights=positions[rhs_nodes, k],
+                                minlength=interior.size) for k in range(2)],
+                   axis=1)
+    positions[interior[perm]] = solveh_banded(ab, rhs)
+    return positions
+
+
+def test_shared_factor_reproduces_solveh_banded_bits():
+    for _, mesh in randomized_delaunay_meshes():
+        # the same triangles on sheared nodes share the first mesh's system
+        moved = build_surface_mesh(mesh.nodes @ [[1.1, 0.2], [0.1, 0.9]] + 3.0,
+                                   mesh.triangles)
+        system = tutte_system(mesh)
+        for m in (mesh, moved):
+            expected = solveh_banded_reference(m).tobytes()
+            assert tutte_embed(m).positions.tobytes() == expected
+            assert tutte_embed(m, system).positions.tobytes() == expected
+
+
+def test_connectivity_key_tells_shared_triangulations_apart():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [0.5, 0.5]])
+    tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    key = connectivity_key(nodes, tris)
+    # other positions, or triangles given clockwise, keep the key
+    assert connectivity_key(nodes * 2.0 + 1.0, tris) == key
+    assert connectivity_key(nodes, tris[:, [0, 2, 1]]) == key
+    # other triangles, or one more (unused) node, change it
+    assert connectivity_key(nodes, tris[[1, 2, 3, 0]]) != key
+    extra = np.vstack([nodes, [[2.0, 2.0]]])
+    assert connectivity_key(extra, tris) != key
+    with pytest.raises(NotDiskTopology, match="belong to no triangle"):
+        build_surface_mesh(extra, tris)
+    with pytest.raises(NotDiskTopology, match="zero area"):
+        connectivity_key(np.vstack([nodes[:4], nodes[:1]]), tris)
 
 
 @pytest.mark.parametrize("second_disk, message", [

@@ -11,7 +11,7 @@ from meshbench.edges import boundary_edges
 from meshbench.errors import IndexOutOfRange, PointOutsideDomain, ShapeMismatch
 from meshbench.mmgp import extract_triangle_geometry
 from meshbench.synthetic import build_plate_sample
-from meshbench.transfer import _barycentric, _stable_order, _UniformGrid
+from meshbench.transfer import _barycentric, _stable_order, _triangle_grid
 
 from conftest import random_disk_mesh, square_triangulation
 
@@ -59,6 +59,34 @@ def oracle_snap_value(nodes, tris, point, field):
     return (bary / bary.sum()) @ field[tris[t]]
 
 
+def scan_snap(nodes, tris, point):
+    """All-edge scan in Python floats: the nearest boundary edge's owner
+    and weights (ties to the smallest edge index), its distance, and
+    whether another edge ties with it."""
+    owner, slot = boundary_edges(tris)
+    p0, p1 = (float(x) for x in point)
+    best, tied = None, False
+    for e in range(owner.size):
+        (a0, a1), (b0, b1) = (nodes[tris[owner[e], (slot[e] + j) % 3]].tolist()
+                              for j in (0, 1))
+        e0, e1 = b0 - a0, b1 - a1
+        length2 = e0 * e0 + e1 * e1
+        dot = (p0 - a0) * e0 + (p1 - a1) * e1
+        t = min(max(dot / length2, 0.0), 1.0) if length2 > 0 else 0.0
+        g0 = p0 - ((1.0 - t) * a0 + t * b0)
+        g1 = p1 - ((1.0 - t) * a1 + t * b1)
+        dist2 = g0 * g0 + g1 * g1
+        if best is not None and dist2 == best[0]:
+            tied = True
+        if best is None or dist2 < best[0]:
+            best, tied = (dist2, e, t), False
+    dist2, e, t = best
+    weights = np.zeros(3)
+    weights[slot[e]] = 1.0 - t
+    weights[(slot[e] + 1) % 3] = t
+    return owner[e], weights, np.sqrt(dist2), tied
+
+
 def probes_outside_unit_square(rng, n):
     """Points up to 0.05 outside each side of the unit square, and beyond
     its corners."""
@@ -78,18 +106,54 @@ def probes_outside_unit_square(rng, n):
 def test_snap_matches_bruteforce_oracle(seed):
     nodes, tris = square_triangulation(seed=seed, n_interior=40)
     rng = np.random.default_rng(seed)
-    probes = probes_outside_unit_square(rng, 10)
+    # all outside the source's bounding box, so their grid cells are
+    # clipped; the probes below the bottom side's inner vertices and beyond
+    # the corners are as near to two edges meeting at a vertex
+    probes = np.vstack([probes_outside_unit_square(rng, 10),
+                        nodes[4:9] - [0.0, 0.01]])
     field = rng.normal(size=len(nodes))
     op = build_transfer(nodes, tris, probes, tol=0.05)
     out = apply_transfer(op, field)
+    ties = 0
     for i, p in enumerate(probes):
         expected = oracle_snap_value(nodes, tris, p, field)
         assert abs(out[i] - expected) < 1e-12
+        owner, weights, _, tied = scan_snap(nodes, tris, p)
+        assert op.element_ids[i] == owner
+        assert op.weights[i].tobytes() == weights.tobytes()
+        ties += tied
+    assert ties >= 9
     # boundary edges handed in by the caller give the same operator
     given = build_transfer(nodes, tris, probes, tol=0.05,
                            boundary=boundary_edges(tris))
     for a, b in zip(astuple(op), astuple(given)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_snap_matches_scan_on_a_fine_polygon():
+    # 400 chords of the unit circle in a 20 x 20 edge grid: a target out
+    # on the circle, or beyond it, can sit in a cell that its nearest
+    # chord's own box misses
+    k = 400
+    angle = 2.0 * np.pi * np.arange(k) / k
+    nodes = np.vstack([np.stack([np.cos(angle), np.sin(angle)], axis=1),
+                       [[0.0, 0.0]]])
+    tris = np.stack([np.arange(k), (np.arange(k) + 1) % k,
+                     np.full(k, k)], axis=1)
+    rng = np.random.default_rng(25)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 300)
+    radius = np.concatenate([rng.uniform(1.0, 1.04, 200), np.ones(100)])
+    probes = np.vstack([np.stack([radius * np.cos(phi),
+                                  radius * np.sin(phi)], axis=1),
+                        1.03 * nodes[:k:40]])  # beyond vertices: ties
+    op = build_transfer(nodes, tris, probes, tol=0.02)
+    ties = 0
+    for i, p in enumerate(probes):
+        owner, weights, _, tied = scan_snap(nodes, tris, p)
+        assert op.element_ids[i] == owner
+        assert op.weights[i].tobytes() == weights.tobytes()
+        ties += tied
+    assert ties >= 10
 
 
 def test_snap_to_boundary_vertex_takes_smallest_owner_id():
@@ -128,6 +192,33 @@ def test_far_outside_point_rejected():
     nodes, tris = four_triangle_mesh()
     with pytest.raises(PointOutsideDomain):
         build_transfer(nodes, tris, [[1.1414, 0.5]], tol=1e-8)
+
+
+@pytest.mark.parametrize("far", [
+    [1.06, 1.06],   # 0.085 from the corner, in a cell with edges
+    [-3.0, 9.0],    # far beyond the grid, clipped into a corner cell
+])
+def test_snap_error_names_the_first_far_target_and_its_distance(far):
+    nodes, tris = square_triangulation(seed=21, n_interior=40)
+    # tol = 0.05 allows 0.05 * sqrt(2) = 0.0707 of the unit square
+    targets = np.array([[0.5, 0.5], [1.05, 0.5], far, [2.0, 2.0]])
+    _, _, dist, _ = scan_snap(nodes, tris, targets[2])
+    with pytest.raises(PointOutsideDomain) as err:
+        build_transfer(nodes, tris, targets, tol=0.05)
+    assert str(err.value).startswith(
+        f"target 2 at {targets[2].tolist()} lies {dist:.3e} from the source "
+        f"mesh (allowed {0.05 * np.sqrt(2):.3e})")
+
+
+def test_snap_error_for_a_target_in_a_cell_without_edges():
+    # two unit squares 3 apart: the edge grid's 2 x 2 cells split between
+    # them, and the off-diagonal cells hold no edge
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    nodes = np.vstack([square, square + 3.0])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7]])
+    with pytest.raises(PointOutsideDomain,
+                       match=r"target 0 at \[0.5, 3.5\] lies 2.500e\+00 "):
+        build_transfer(nodes, tris, [[0.5, 3.5]], tol=0.1)
 
 
 def test_barely_outside_point_snaps():
@@ -252,7 +343,7 @@ def grid_rows_oracle(grid, nodes, tris):
 def test_grid_rows_match_per_triangle_bbox_loop(seed):
     rng = np.random.default_rng(seed)
     nodes, tris = random_disk_mesh(rng, int(rng.integers(20, 300)))
-    grid = _UniformGrid(nodes, tris.astype(np.int64))
+    grid = _triangle_grid(nodes, tris.astype(np.int64))
     assert grid.offsets[0] == 0
     assert grid.offsets[-1] == len(grid.items)
     for c, expected in enumerate(grid_rows_oracle(grid, nodes, tris)):
@@ -284,7 +375,7 @@ def test_radix_order_equals_int64_stable_argsort_beyond_16_bits():
     v00 = (np.arange(r - 1)[:, None] * r + np.arange(r - 1)).ravel()
     tris = np.concatenate([np.stack([v00, v00 + r, v00 + r + 1], axis=1),
                            np.stack([v00, v00 + r + 1, v00 + 1], axis=1)])
-    grid = _UniformGrid(nodes, tris)
+    grid = _triangle_grid(nodes, tris)
     assert len(tris) > 65_536 and grid.ncell ** 2 > 65_536
 
     # every (triangle, overlapped cell) pair, triangle-major
