@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -212,9 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--train", required=True, help="training dataset directory")
     q.add_argument("--config", required=True, help="key = value config file")
     q.add_argument("--model", required=True, help="output model directory")
-    q.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    q.add_argument("--threads", type=int, default=1,
                    help="worker threads for the GP fits, the only pooled "
-                        "stage (default: all cores; 1 or less: sequential)")
+                        "stage (default: 1, sequential; with more, set "
+                        "OPENBLAS_NUM_THREADS=1)")
     q.set_defaults(func=_cmd_mmgp_fit)
 
     q = mmgp_sub.add_parser("predict", help="predict outputs for a split")

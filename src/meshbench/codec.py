@@ -50,6 +50,13 @@ def parse_real(s: str) -> float:
     return float(s)
 
 
+def parse_name(value) -> str:
+    """A stored name, which is a JSON string and nothing else."""
+    if type(value) is not str:
+        raise TypeError(f"name {value!r} is not a string")
+    return value
+
+
 @contextmanager
 def decoding(path: Path):
     """Report a missing key, wrong type or unparsable or out-of-range value

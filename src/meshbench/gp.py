@@ -20,6 +20,10 @@ count.  The likelihood uses the lower triangle of R + g I alone, built and
 factorised in place by LAPACK; the fit and gp_predict use that one factor.
 A fitted model stores s2 as its variance and g s2 as its (absolute) jitter.
 
+The fit calls LAPACK and BLAS through the function pointers that scipy's
+Cython modules export, by ctypes, which releases the GIL for the length of
+each call; so fits on several threads factorise at the same time.
+
 Kernels (r is the ARD-scaled distance):
 
     Matern52:  s2 * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r)
@@ -28,11 +32,11 @@ Kernels (r is the ARD-scaled distance):
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (cho_solve, get_blas_funcs, get_lapack_funcs,
-                          solve_triangular)
+from scipy.linalg import cython_blas, cython_lapack, solve_triangular
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
@@ -121,6 +125,99 @@ class GpModel:
     jitter: float               # K + jitter I was factorised
 
 
+def _exported(module, name: str, *argtypes):
+    """The routine that scipy's Cython ``module`` exports as ``name``, as a
+    ctypes function (every argument a pointer, Fortran style)."""
+    capsule = module.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(
+        get_pointer(capsule, get_name(capsule)))
+
+
+_CHAR, _INT, _ARRAY = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                       ctypes.c_void_p)
+_REAL = ctypes.POINTER(ctypes.c_double)
+_dpotrf = _exported(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dpotri = _exported(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
+_dpotrs = _exported(cython_lapack, "dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT,
+                    _ARRAY, _INT, _INT)
+_dtrtrs = _exported(cython_lapack, "dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT,
+                    _ARRAY, _INT, _ARRAY, _INT, _INT)
+_dsyrk = _exported(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _REAL,
+                   _ARRAY, _INT, _REAL, _ARRAY, _INT)
+
+
+def _address(a: np.ndarray, shape: tuple) -> int:
+    """Where ``a`` starts, once it is known to be a writable Fortran-ordered
+    float64 array whose leading dimensions are ``shape``."""
+    if not (a.dtype == np.float64 and a.flags.f_contiguous
+            and a.flags.writeable and a.ndim <= 2
+            and a.shape[:len(shape)] == shape):
+        raise ValueError(f"need a writable Fortran-ordered float64 array of "
+                         f"shape {shape}+, got {a.dtype} {a.shape}")
+    return a.ctypes.data
+
+
+def _lapack(routine, *args) -> int:
+    """Call ``routine`` with ``args`` and its trailing ``info``; return
+    ``info``, raising on an illegal argument (info < 0)."""
+    info = ctypes.c_int()
+    routine(*args, ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"LAPACK argument {-info.value} is illegal")
+    return info.value
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _columns(b: np.ndarray) -> int:
+    return b.shape[1] if b.ndim == 2 else 1
+
+
+def _potrf(a: np.ndarray) -> int:
+    """Lower Cholesky factor L of the (n, n) ``a`` in place of its lower
+    triangle; info > 0 where ``a`` is not positive definite."""
+    n = len(a)
+    return _lapack(_dpotrf, b"L", _int(n), _address(a, (n, n)), _int(n))
+
+
+def _potri(a: np.ndarray) -> int:
+    """(L L^T)^-1 in place of L, the lower triangle of ``a``."""
+    n = len(a)
+    return _lapack(_dpotri, b"L", _int(n), _address(a, (n, n)), _int(n))
+
+
+def _potrs(a: np.ndarray, b: np.ndarray) -> int:
+    """X = (L L^T)^-1 B in place of ``b`` (n,) or (n, k), with L the lower
+    triangle of ``a``."""
+    n = len(a)
+    return _lapack(_dpotrs, b"L", _int(n), _int(_columns(b)),
+                   _address(a, (n, n)), _int(n), _address(b, (n,)), _int(n))
+
+
+def _trtrs(a: np.ndarray, b: np.ndarray) -> int:
+    """X = L^-1 B in place of ``b`` (n,) or (n, k), with L the lower
+    triangle of ``a``; info > 0 where L has a zero on its diagonal."""
+    n = len(a)
+    return _lapack(_dtrtrs, b"L", b"N", b"N", _int(n), _int(_columns(b)),
+                   _address(a, (n, n)), _int(n), _address(b, (n,)), _int(n))
+
+
+def _syrk(alpha: float, a: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """C = alpha A A^T + beta C in the lower triangle of ``c`` (n, n), for
+    ``a`` (n,) or (n, k)."""
+    n = len(c)
+    _dsyrk(b"L", b"N", _int(n), _int(_columns(a)),
+           ctypes.byref(ctypes.c_double(alpha)), _address(a, (n,)), _int(n),
+           ctypes.byref(ctypes.c_double(beta)), _address(c, (n, n)), _int(n))
+
+
 def _standardize_inputs(x: np.ndarray):
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -140,11 +237,12 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
     differences of the n(n+1)/2 lower-triangle pairs are computed once.
     Each new theta fills only the lower triangle of one reused
     Fortran-ordered buffer, which LAPACK's lower Cholesky factorises in
-    place, and needs one (multi-RHS) triangular solve.  ``gradient(theta)``
+    place, and needs one (multi-RHS) triangular solve.  Every LAPACK and
+    BLAS call runs without the GIL.  ``gradient(theta)``
     must follow a finite ``lml(theta)``: it turns that factor into
     (R + nugget I)^-1 in place.
     """
-    y = y.reshape(len(y), -1)
+    y = np.asfortranarray(y.reshape(len(y), -1))  # read only: solves copy it
     n, k = y.shape
     cols, rows = np.triu_indices(n)  # lower-triangle pairs, column by column
     m = len(rows)
@@ -159,9 +257,6 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
     k_matrix = flat.reshape(n, n, order="F")
     lower_index = rows + n * cols
     diag_index = np.arange(n) * (n + 1)
-    potrf, potri, potrs, trtrs = get_lapack_funcs(
-        ("potrf", "potri", "potrs", "trtrs"), (k_matrix,))
-    syrk = get_blas_funcs("syrk", (k_matrix,))
     variance = np.nan  # the maximiser at the last finite lml
 
     def lml(theta: np.ndarray) -> tuple[float, float]:
@@ -170,22 +265,23 @@ def _lml_evaluator(kind: str, x: np.ndarray, y: np.ndarray, nugget: float):
         _kernel_values(kind, 1.0, r2, values, scratch)
         flat[lower_index] = values[:m]
         flat[diag_index] += nugget
-        lower, info = potrf(k_matrix, lower=1, overwrite_a=1, clean=0)
-        if info > 0:
+        if _potrf(k_matrix) > 0:
             return -np.inf, np.nan
-        z = trtrs(lower, y, lower=1)[0].ravel(order="F")
+        z = y.copy(order="F")
+        _trtrs(k_matrix, z)
+        z = z.ravel(order="F")
         variance = float(z @ z) / (n * k)
         return (float(-0.5 * n * k * (np.log(2.0 * np.pi * variance) + 1.0)
-                      - k * np.sum(np.log(np.diag(lower)))), variance)
+                      - k * np.sum(np.log(np.diag(k_matrix)))), variance)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
         """1/2 tr(W dR/dtheta) with W = a a^T / s2 - k (R + nugget I)^-1,
         a = (R + nugget I)^-1 y and dR/dlog l_j = -2 (dk/dr2) r2_j: the
         gradient of the full LML at s2, whose own derivative there is 0."""
-        alpha = potrs(k_matrix, y, lower=1)[0]
-        potri(k_matrix, lower=1, overwrite_c=1)
-        syrk(1.0 / variance, alpha, beta=-k, c=k_matrix, lower=1,
-             overwrite_c=1)  # W
+        alpha = y.copy(order="F")
+        _potrs(k_matrix, alpha)
+        _potri(k_matrix)
+        _syrk(1.0 / variance, alpha, -k, k_matrix)  # W
         inv_l2 = np.exp(-2.0 * theta)
         np.dot(inv_l2, sq_dists_unit, out=r2)
         if kind == "RBF":  # dk/dr2 = -k / 2
@@ -273,7 +369,9 @@ def gp_fit(x, y, kind: str = "Matern52", jitter: float = DEFAULT_JITTER) -> GpMo
     if value == -np.inf:
         raise SingularKernel(f"fitted kernel singular at nugget {jitter:g}")
     kernel = Kernel(kind=kind, variance=variance, lengthscales=lengthscales)
-    alpha = np.ascontiguousarray(cho_solve((lower, True), y_std) / variance)
+    alpha = np.array(y_std, order="F")
+    _potrs(lower, alpha)
+    alpha = np.ascontiguousarray(alpha / variance)
     return GpModel(kernel=kernel, x_train=x_std, alpha=alpha, x_mean=x_mean,
                    x_std=x_scale, y_mean=y_mean if y.ndim == 2 else float(y_mean),
                    y_std=y_scale, jitter=jitter * variance)

@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_manifest)
+                    decoding, format_real, parse_name, parse_real,
+                    read_manifest)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
@@ -216,18 +217,21 @@ class MmgpModel:
         return self.shape_basis.n_modes + len(self.in_scalars)
 
 
-def _morph_group(geometries):
-    """Embed meshes that share one ``connectivity_key`` onto the unit disk,
-    in order, yielding each one's (positions, triangles, boundary edges).
+#: an empty boundary loop: the mesh's group extracts it once for all
+_NO_LOOP = np.empty(0, dtype=np.int64)
+
+
+def _morph_group(surfaces):
+    """Embed surface meshes that share one ``connectivity_key`` onto the
+    unit disk, in order, yielding each one's (positions, triangles,
+    boundary edges).
 
     The boundary loop, the boundary edges and the Tutte system are built
-    from the first mesh and shared by the rest; drop the generator to free
-    them.
+    from the first mesh and shared by the rest, whose own loops may be
+    left out; drop the generator to free them.
     """
     system = edges = None
-    for coords, triangles in geometries:
-        loop = None if system is None else system.boundary_loop
-        surface = build_surface_mesh(coords, triangles, loop)
+    for surface in surfaces:
         if system is None:
             system = tutte_system(surface)
             edges = boundary_edges(surface.triangles)
@@ -265,7 +269,7 @@ def _preprocess_sample(coords, triangles, morphing, common_nodes,
                               boundary=boundary)
 
     if morphed is None:
-        morphed = next(_morph_group([(coords, triangles)]))
+        morphed = next(_morph_group([build_surface_mesh(coords, triangles)]))
     positions, disk_triangles, boundary = morphed
     op_to = transfer(positions, disk_triangles, common_nodes, boundary)
     op_from = (None if common_triangles is None else
@@ -294,17 +298,23 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     geometries = [extract_triangle_geometry(s) for s in samples]
 
     if config.morphing:
+        # each mesh is oriented once, its boundary loop left to its group
+        surfaces = dict(enumerate(build_surface_mesh(*geometry, _NO_LOOP)
+                                  for geometry in geometries))
+        # the oriented triangles replace the extracted copies, freeing them
+        geometries = [(coords, surfaces[i].triangles)
+                      for i, (coords, _) in enumerate(geometries)]
         # one connectivity at a time, so that one Tutte system is alive;
         # groups come in order of their first id, so sample 0, morphed to
         # the disk, is the common mesh before any transfer needs it
         groups = {}
-        for i, geometry in enumerate(geometries):
-            groups.setdefault(connectivity_key(*geometry), []).append(i)
+        for i, surface in surfaces.items():
+            groups.setdefault(connectivity_key(surface), []).append(i)
         groups = list(groups.values())  # frees the keys: triangle copies
         pre = [None] * len(ids)
-        for members in groups:
+        for members in groups:  # a group's surfaces are freed after it
             for i, morphed in zip(members, _morph_group(
-                    [geometries[i] for i in members])):
+                    [surfaces.pop(i) for i in members])):
                 if i == 0:
                     common_nodes, common_triangles = morphed[:2]
                 pre[i] = _preprocess_sample(*geometries[i], True,
@@ -501,9 +511,9 @@ def load_model(root_path) -> MmgpModel:
                                 f"{_CONFIG_KEYS}")
         model = MmgpModel(
             config=_config_from({**cfg, "jitter": parse_real(cfg["jitter"])}),
-            in_scalars=list(doc["in_scalars"]),
-            out_fields=list(doc["out_fields"]),
-            out_scalars=list(doc["out_scalars"]),
+            in_scalars=[parse_name(name) for name in doc["in_scalars"]],
+            out_fields=[parse_name(name) for name in doc["out_fields"]],
+            out_scalars=[parse_name(name) for name in doc["out_scalars"]],
             common_nodes=read(doc["common_nodes"]),
             common_triangles=read(doc["common_triangles"], "int64"),
             shape_basis=basis_from(doc["shape_basis"]),

@@ -110,13 +110,11 @@ def _oriented(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
     return nodes, triangles
 
 
-def connectivity_key(nodes, triangles) -> bytes:
-    """Equal for two meshes exactly when :func:`build_surface_mesh` gives
-    them the same node count and triangles, so that they share their
-    boundary loop and :class:`TutteSystem`; raises as that function does
-    on a malformed mesh."""
-    nodes, triangles = _oriented(nodes, triangles)
-    return np.int64(len(nodes)).tobytes() + triangles.tobytes()
+def connectivity_key(mesh: SurfaceMesh2D) -> bytes:
+    """Equal for two meshes from :func:`build_surface_mesh` exactly when
+    they have the same node count and (oriented) triangles, so that they
+    share their boundary loop and :class:`TutteSystem`."""
+    return np.int64(len(mesh.nodes)).tobytes() + mesh.triangles.tobytes()
 
 
 def build_surface_mesh(nodes, triangles,
@@ -129,7 +127,8 @@ def build_surface_mesh(nodes, triangles,
     mesh holds read-only copies of both arrays, never the caller's own.
     ``boundary_loop`` is the loop of a mesh with the same
     :func:`connectivity_key`, when the caller has one; it is not extracted
-    again.
+    again.  An empty one leaves the loop out, for :func:`tutte_system` or
+    :func:`tutte_embed` to extract when they need it.
     """
     nodes, triangles = _oriented(nodes, triangles)
     if boundary_loop is None:
@@ -218,10 +217,10 @@ def tutte_embed(mesh: SurfaceMesh2D,
     work is its boundary positions, its right-hand side and two banded
     triangular solves.
     """
-    if mesh.boundary_loop.size == 0:
-        mesh = replace(mesh, boundary_loop=extract_boundary_loop(mesh))
     if system is None:
         system = tutte_system(mesh)
+    if mesh.boundary_loop.size == 0:
+        mesh = replace(mesh, boundary_loop=system.boundary_loop)
 
     positions = np.zeros((len(mesh.nodes), 2))
     positions[mesh.boundary_loop] = _boundary_circle_positions(mesh)
@@ -248,13 +247,16 @@ def tutte_embed(mesh: SurfaceMesh2D,
 
 
 def tutte_system(mesh: SurfaceMesh2D) -> TutteSystem:
-    """Order and factor the Tutte system of a mesh with a boundary loop.
+    """Order and factor the Tutte system of a mesh, extracting its boundary
+    loop if the mesh has none.
 
     The unknowns are ordered by reverse Cuthill-McKee and the Laplacian is
     factored by banded Cholesky, which stores (bandwidth + 1) * n floats
     for n interior nodes: about 13 MB at 120 nodes per side, growing like
     n**1.5 on planar meshes, whose RCM bandwidth grows like sqrt(n).
     """
+    if mesh.boundary_loop.size == 0:
+        mesh = replace(mesh, boundary_loop=extract_boundary_loop(mesh))
     is_boundary = np.zeros(len(mesh.nodes), dtype=bool)
     is_boundary[mesh.boundary_loop] = True
     interior = np.flatnonzero(~is_boundary)

@@ -1,10 +1,11 @@
 """Thread-pool helper with deterministic, order-preserving results.
 
 Only the per-regressor GP fits of ``mmgp_fit`` run on it; every other stage
-runs sequentially.  The fits gain little: scipy's LAPACK wrappers hold the
-GIL, so the factorisations of two fits run one at a time and only the numpy
-work between them overlaps.  Results are collected positionally, so a run
-with N threads is bitwise identical to a sequential run.
+runs sequentially.  The fits' LAPACK and BLAS calls release the GIL, so the
+factorisations of several fits run at the same time; with more than one
+worker, pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or BLAS threads
+and workers oversubscribe the cores.  Results are collected positionally,
+so a run with N threads is bitwise identical to a sequential run.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_manifest,
-                    write_manifest)
+                    decoding, format_real, parse_name, parse_real,
+                    read_manifest, write_manifest)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure, MeshBenchError
 from .sample import Sample
@@ -114,7 +114,8 @@ def _tree_args(doc: dict, blobs: BlobReader) -> tuple:
 
 def _base_from_doc(doc: dict, blobs: BlobReader) -> Base:
     zones = tuple(_zone_from_doc(z, blobs) for z in doc.get("zones", []))
-    return Base(doc["name"], int(doc["cell_dim"]), int(doc["phys_dim"]), zones)
+    return Base(parse_name(doc["name"]), int(doc["cell_dim"]),
+                int(doc["phys_dim"]), zones)
 
 
 def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
@@ -128,16 +129,16 @@ def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
             tuple(int(x) for x in b["global_range"]))
         for b in doc.get("element_blocks", []))
     fields = tuple(
-        FieldArray(f["name"], Location(f["location"]),
+        FieldArray(parse_name(f["name"]), Location(f["location"]),
                    blobs.read(f["values"], "float64"))
         for f in doc.get("fields", []))
     tags = tuple(
-        TagSet(t["name"], TagKind(t["kind"]),
+        TagSet(parse_name(t["name"]), TagKind(t["kind"]),
                blobs.read(t["ids"], "int64"))
         for t in doc.get("tags", []))
     dims = doc.get("structured_dims")
     return Zone(
-        name=doc["name"],
+        name=parse_name(doc["name"]),
         zone_type=ZoneType(doc["zone_type"]),
         n_vertices=int(doc["n_vertices"]),
         coordinates=coordinates,
@@ -280,6 +281,9 @@ def _read_problem(problem_dir: Path) -> ProblemDefinition:
                               path=infos_path)
         return sid
 
+    def names(key: str) -> list[str]:
+        return [parse_name(name) for name in doc.get(key, [])]
+
     with decoding(infos_path):
         hidden, rows = None, doc.get("hidden_partition")
         if rows is not None:
@@ -289,10 +293,10 @@ def _read_problem(problem_dir: Path) -> ProblemDefinition:
                                   path=infos_path)
         return ProblemDefinition(
             task=doc.get("task", "Regression"),
-            in_scalars_names=list(doc.get("in_scalars_names", [])),
-            out_scalars_names=list(doc.get("out_scalars_names", [])),
-            in_fields_names=list(doc.get("in_fields_names", [])),
-            out_fields_names=list(doc.get("out_fields_names", [])),
+            in_scalars_names=names("in_scalars_names"),
+            out_scalars_names=names("out_scalars_names"),
+            in_fields_names=names("in_fields_names"),
+            out_fields_names=names("out_fields_names"),
             splits={name: [sample_id(sid) for sid in ids]
                     for name, ids in doc.get("splits", {}).items()},
             hidden_partition=hidden,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import meshbench.cli as cli_module
 from meshbench import load_bundle, load_dataset
 from meshbench.cli import main
 
@@ -109,6 +110,25 @@ def test_full_surrogate_loop(generated, tmp_path, capsys):
                            "--pred", str(bundle_dir))
     assert code == 0
     assert out.splitlines()[-1].startswith("total_error")
+
+
+def test_fit_runs_the_gp_fits_sequentially_by_default(generated, tmp_path,
+                                                      capsys, monkeypatch):
+    # more pool threads only pay with BLAS pinned to one thread each
+    calls = []
+
+    def recorded(*args, threads):
+        calls.append(threads)
+        return fit(*args, threads=threads)
+
+    fit = cli_module.mmgp_fit
+    monkeypatch.setattr(cli_module, "mmgp_fit", recorded)
+    config = tmp_path / "mmgp.cfg"
+    config.write_text("shape_modes = 2\nfield_modes = 2\n")
+    code, _, _ = run_cli(capsys, "mmgp", "fit", "--train", str(generated),
+                         "--config", str(config),
+                         "--model", str(tmp_path / "model"))
+    assert code == 0 and calls == [1]
 
 
 def test_score_perfect_bundle(generated, tmp_path, capsys):

@@ -604,6 +604,26 @@ _CORRUPTIONS += [
                                   lambda d: next(iter(d["splits"].values()))
                                   .append(True)),
                  FormatError, id="dataset-split_id_bool"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["in_scalars_names"].__setitem__(
+                                      0, ["P"])),
+                 FormatError, id="dataset-scalar_name_list"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["out_fields_names"].append(
+                                      {"mach": 1})),
+                 FormatError, id="dataset-field_name_dict"),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
+        "bases"][0].update(name=["Base_2_2"])),
+        FormatError, id="dataset-base_name_list"),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
+        "bases"][0]["zones"][0].update(name={"Fluid": 1})),
+        FormatError, id="dataset-zone_name_dict"),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
+        "bases"][0]["zones"][0]["fields"][0].update(name=["mach"])),
+        FormatError, id="dataset-field_name_list"),
+    pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
+        "bases"][0]["zones"][0]["tags"][0].update(name=["inlet"])),
+        FormatError, id="dataset-tag_name_list"),
     pytest.param("bundle", _replace("bundle.manifest", '"dtype": "float64"',
                                     '"dtype": "int64"'),
                  FormatError, id="bundle-blob_dtype_int64"),
@@ -674,6 +694,10 @@ _CORRUPTIONS += [
 _CORRUPTIONS.append(pytest.param(
     "model", _edit("model.manifest", lambda d: d["config"].pop("kernel")),
     FormatError, id="model-config_missing_key"))
+_CORRUPTIONS.append(pytest.param(
+    "model", _edit("model.manifest",
+                   lambda d: d["in_scalars"].__setitem__(0, ["a"])),
+    FormatError, id="model-scalar_name_list"))
 
 
 @pytest.mark.parametrize("kind, corrupt, error", _CORRUPTIONS)

@@ -1,8 +1,10 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import blas, cho_solve, cholesky, lapack, solve_triangular
 
 import meshbench.gp as gp_module
 from meshbench import Kernel, gp_fit, gp_predict, kernel_eval
@@ -16,6 +18,11 @@ from meshbench.gp import (
     DEFAULT_JITTER,
     _LS_BOUNDS,
     _lml_evaluator,
+    _potrf,
+    _potri,
+    _potrs,
+    _syrk,
+    _trtrs,
     gp_mean,
     kernel_matrix,
 )
@@ -456,6 +463,82 @@ def test_lml_evaluator_failed_factorisation_is_minus_inf(kind):
     assert dense_profile(log_ls, kind, x, y, 1e-16)[0] == -np.inf
     value, variance = _lml_evaluator(kind, x, y, 1e-16)[0](log_ls)
     assert value == -np.inf and np.isnan(variance)
+
+
+def _spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return np.asfortranarray(a @ a.T / n + np.eye(n))
+
+
+@pytest.mark.parametrize("columns", [None, 8])
+def test_foreign_lapack_calls_match_scipy_bit_for_bit(columns):
+    rng = np.random.default_rng(51)
+    n = 60
+    a = _spd(rng, n)
+    b = np.asfortranarray(rng.normal(size=(n,) if columns is None
+                                     else (n, columns)))
+
+    factor = a.copy(order="F")
+    assert _potrf(factor) == 0
+    want, info = lapack.dpotrf(a, lower=1, clean=0)
+    assert info == 0 and factor.tobytes() == want.tobytes()
+
+    for ours, theirs in [(_potrs, lapack.dpotrs), (_trtrs, lapack.dtrtrs)]:
+        x = b.copy(order="F")
+        assert ours(factor, x) == 0
+        want, info = theirs(factor, b, lower=1)
+        assert info == 0 and x.tobytes() == want.tobytes()
+
+    inverse = factor.copy(order="F")
+    assert _potri(inverse) == 0
+    want, info = lapack.dpotri(factor, lower=1)
+    assert info == 0 and inverse.tobytes() == want.tobytes()
+
+    c = inverse.copy(order="F")
+    _syrk(0.7, b, -3.0, c)
+    want = blas.dsyrk(0.7, b, beta=-3.0, c=inverse, lower=1)
+    assert c.tobytes() == want.tobytes()
+
+
+def test_foreign_potrf_reports_an_indefinite_matrix():
+    a = _spd(np.random.default_rng(52), 12)
+    a[5, 5] = -1.0
+    want = lapack.dpotrf(a, lower=1, clean=0)[1]
+    assert want > 0 and _potrf(a.copy(order="F")) == want
+
+
+def test_foreign_calls_reject_buffers_lapack_cannot_take():
+    a = _spd(np.random.default_rng(53), 6)
+    for bad in (np.ascontiguousarray(a[:, :5]), a.astype(np.float32),
+                a[:5, :5]):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            _potrf(bad)
+    with pytest.raises(ValueError, match="Fortran-ordered float64"):
+        _trtrs(a, np.ones((6, 2)))  # C-ordered right-hand side
+
+
+def test_foreign_potrf_releases_the_gil():
+    # while one thread factors, a Python loop on this one keeps running:
+    # no gap between its steps spans half of the factorisation
+    a = _spd(np.random.default_rng(54), 1500)
+    window = []
+
+    def factor():
+        start = time.perf_counter()
+        info = _potrf(a)
+        window.extend([start, time.perf_counter(), info])
+
+    steps = []
+    worker = threading.Thread(target=factor)
+    worker.start()
+    while worker.is_alive():
+        steps.append(time.perf_counter())
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    start, end, info = window
+    assert info == 0
+    inside = [start] + [t for t in steps if start < t < end] + [end]
+    assert max(np.diff(inside)) < 0.5 * (end - start)
 
 
 def _fitted_theta(model):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
 
+import meshbench.morphing as morphing_module
 from meshbench import (
     Base,
     Dataset,
@@ -136,14 +137,17 @@ def _train_connectivities(ds):
 
 
 def test_fit_morphs_each_training_sample_once(monkeypatch):
-    # one embedding per sample; one boundary walk and one Cholesky
-    # factorisation of the Laplacian per distinct training connectivity
+    # one orientation check and one embedding per sample; one boundary walk
+    # and one Cholesky factorisation of the Laplacian per distinct training
+    # connectivity
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=7))
     n_train = len(ds.problem.splits["train"])
     n_connectivities = len(_train_connectivities(ds))
     assert n_connectivities < n_train
-    calls = {"embed": 0, "loop": 0, "factor": 0}
+    calls = {"orient": 0, "embed": 0, "loop": 0, "factor": 0}
+    monkeypatch.setattr("meshbench.morphing._oriented",
+                        _counted(calls, "orient", morphing_module._oriented))
     monkeypatch.setattr("meshbench.mmgp.tutte_embed",
                         _counted(calls, "embed", tutte_embed))
     monkeypatch.setattr("meshbench.morphing.extract_boundary_loop",
@@ -151,8 +155,8 @@ def test_fit_morphs_each_training_sample_once(monkeypatch):
     monkeypatch.setattr("meshbench.morphing.cholesky_banded",
                         _counted(calls, "factor", cholesky_banded))
     mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
-    assert calls == {"embed": n_train, "loop": n_connectivities,
-                     "factor": n_connectivities}
+    assert calls == {"orient": n_train, "embed": n_train,
+                     "loop": n_connectivities, "factor": n_connectivities}
 
 
 def _with_zone_edit(ds, sid, edit):
@@ -184,8 +188,8 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
     ds = _with_zone_edit(ds, sid, _clockwise)
     coords, triangles = extract_triangle_geometry(ds.sample_at(sid))
     assert (signed_areas(coords, triangles) < 0).all()
-    assert connectivity_key(coords, triangles) == connectivity_key(
-        *geometries[other])
+    assert connectivity_key(build_surface_mesh(coords, triangles)) == \
+        connectivity_key(build_surface_mesh(*geometries[other]))
     assert len(_train_connectivities(ds)) > 1
 
     morphs = {}

@@ -235,18 +235,38 @@ def test_connectivity_key_tells_shared_triangulations_apart():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [0.5, 0.5]])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    key = connectivity_key(nodes, tris)
+
+    def key_of(nodes, tris):  # the mesh without its boundary loop
+        return connectivity_key(
+            build_surface_mesh(nodes, tris, np.empty(0, dtype=np.int64)))
+
+    key = key_of(nodes, tris)
+    assert connectivity_key(build_surface_mesh(nodes, tris)) == key
     # other positions, or triangles given clockwise, keep the key
-    assert connectivity_key(nodes * 2.0 + 1.0, tris) == key
-    assert connectivity_key(nodes, tris[:, [0, 2, 1]]) == key
+    assert key_of(nodes * 2.0 + 1.0, tris) == key
+    assert key_of(nodes, tris[:, [0, 2, 1]]) == key
     # other triangles, or one more (unused) node, change it
-    assert connectivity_key(nodes, tris[[1, 2, 3, 0]]) != key
+    assert key_of(nodes, tris[[1, 2, 3, 0]]) != key
     extra = np.vstack([nodes, [[2.0, 2.0]]])
-    assert connectivity_key(extra, tris) != key
+    assert key_of(extra, tris) != key
     with pytest.raises(NotDiskTopology, match="belong to no triangle"):
         build_surface_mesh(extra, tris)
     with pytest.raises(NotDiskTopology, match="zero area"):
-        connectivity_key(np.vstack([nodes[:4], nodes[:1]]), tris)
+        key_of(np.vstack([nodes[:4], nodes[:1]]), tris)
+
+
+def test_a_mesh_without_its_loop_embeds_as_with_it():
+    pts, tris = random_disk_mesh(np.random.default_rng(7), 120)
+    mesh = build_surface_mesh(pts, tris)
+    bare = build_surface_mesh(pts, tris, np.empty(0, dtype=np.int64))
+    assert bare.boundary_loop.size == 0
+    system = tutte_system(bare)
+    assert system.boundary_loop.tobytes() == mesh.boundary_loop.tobytes()
+    for morphed in (tutte_embed(bare), tutte_embed(bare, system)):
+        assert morphed.source.boundary_loop.tobytes() == \
+            mesh.boundary_loop.tobytes()
+        assert morphed.positions.tobytes() == \
+            tutte_embed(mesh).positions.tobytes()
 
 
 @pytest.mark.parametrize("second_disk, message", [
