@@ -12,10 +12,16 @@ zero-length span).  A manifest without arrays has no blob.
 Manifests, ``infos.yaml`` and ``problem_infos.yaml`` are strict JSON
 documents (no NaN or infinity), each written on one line with a trailing
 LF.  Non-ASCII characters, lone surrogates included, are written as
-``\\u`` escapes, so these files are ASCII.  Real scalars embedded in
-manifests are strings holding the shortest decimal form that restores the
-exact double (Python ``repr``).  A file that does not decode as UTF-8 is
-malformed.
+``\\u`` escapes, so these files are ASCII.  A file that does not decode as
+UTF-8 is malformed.
+
+Readers take each stored value, through the ``decode_*`` accessors, in the
+one JSON type its writer gives it, so no value loads in another spelling:
+an integer is a JSON integer >= 0, never a bool or a float; a real is a
+string holding exactly the shortest decimal form restoring the double
+(``repr``: ``"1.5"``, never ``"1.50"`` or ``1.5``); a name is a string; a
+shape is a list of integers; a kind is one of its known words; sample ids
+increase strictly.  Every key the writer writes is required.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
@@ -34,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, FormatError, IoFailure, VersionMismatch
+from .errors import FormatError, IoFailure, MeshBenchError, VersionMismatch
 
 FORMAT_VERSION = 4
 
@@ -46,25 +52,65 @@ def format_real(x: float) -> str:
     return repr(float(x))
 
 
-def parse_real(s: str) -> float:
-    return float(s)
+def decode_int(value) -> int:
+    """A stored integer: a JSON integer >= 0, never a bool or a float."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not an integer >= 0")
+    return value
 
 
-def parse_name(value) -> str:
+def decode_real(value) -> float:
+    """A stored real: exactly the string ``format_real`` writes for it."""
+    if type(value) is not str or format_real(x := float(value)) != value:
+        raise ValueError(f"{value!r} is not a real as format_real writes it")
+    return x
+
+
+def decode_name(value) -> str:
     """A stored name, which is a JSON string and nothing else."""
     if type(value) is not str:
         raise TypeError(f"name {value!r} is not a string")
     return value
 
 
+def decode_kind(value, kinds):
+    """One of the words ``kinds`` lists, or the member of the Enum class
+    ``kinds`` whose value it is."""
+    enum = isinstance(kinds, type)
+    if type(value) is not str or not (enum or value in kinds):
+        raise ValueError(f"kind {value!r} is not one of {list(kinds)}")
+    return kinds(value) if enum else value
+
+
+def decode_list(value, item=None) -> list:
+    """A JSON array, each entry decoded by ``item`` when given."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a list")
+    return value if item is None else [item(entry) for entry in value]
+
+
+def decode_shape(value) -> tuple[int, ...]:
+    """An array shape: a list of integers >= 0."""
+    return tuple(decode_list(value, decode_int))
+
+
+def decode_ids(value) -> list[int]:
+    """Sample ids: integers >= 0 in strictly increasing order, as written."""
+    if (ids := decode_list(value, decode_int)) != sorted(set(ids)):
+        raise ValueError(f"sample ids {ids} are not strictly increasing")
+    return ids
+
+
 @contextmanager
 def decoding(path: Path):
-    """Report a missing key, wrong type or unparsable or out-of-range value
-    met while decoding ``path`` as a FormatError on it."""
+    """Report a missing key or a bad value met while decoding ``path``, or
+    an invalid object built from it, as a FormatError on it."""
     try:
         yield
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            OverflowError, ConfigInvalid) as exc:
+            OverflowError, MeshBenchError) as exc:
         raise FormatError(f"malformed content: {type(exc).__name__}: {exc}",
                           path=path) from exc
 
@@ -138,22 +184,12 @@ class BlobReader:
                     path=self.path, offset=at)
             position = end
 
-    def read(self, entry: dict, dtype: str) -> np.ndarray:
-        """The read-only array of one entry; its dtype must be ``dtype``."""
+    def read(self, entry: dict, dtype: str = "float64") -> np.ndarray:
+        """The read-only ``dtype`` array of one entry; call inside ``decoding``."""
         manifest = self.manifest_path
-        with decoding(manifest):
-            offset = entry["offset"]
-            dtype_name = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-        if dtype_name != dtype:
-            raise FormatError(f"array dtype {dtype_name!r}, expected {dtype}",
-                              path=manifest)
-        if type(offset) is not int or offset < 0:
-            raise FormatError(f"blob {self.path.name} offset {offset!r} is "
-                              f"not an integer >= 0", path=manifest)
-        if any(s < 0 for s in shape):
-            raise FormatError(f"negative array shape {list(shape)}",
-                              path=manifest)
+        offset = decode_int(entry["offset"])
+        decode_kind(entry["dtype"], (dtype,))
+        shape = decode_shape(entry["shape"])
         if self.data is None:
             self.data = _read_bytes(self.path)
             if self.data is None:
@@ -209,7 +245,8 @@ def read_manifest(path: Path) -> dict:
 
 
 def check_version(doc: dict, path: Path) -> None:
-    version = doc.get("format_version")
+    with decoding(path):
+        version = decode_int(doc["format_version"])
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format_version {version!r} not supported "
                               f"(expected {FORMAT_VERSION}) [file: {path}]")

@@ -120,6 +120,8 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             if not 0 <= sid < n:
                 report.add(InvalidDataset, f"splits/{name}",
                            f"sample id {sid} outside [0, {n})")
+        if len(set(ids)) != len(ids):
+            report.add(InvalidDataset, f"splits/{name}", "lists an id twice")
 
     nested = sorted(
         ((int(m.group(1)), name) for name, m in

@@ -30,12 +30,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_real, read_manifest)
+                    decode_ids, decode_list, decode_real, decoding,
+                    format_real, read_manifest)
 from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
     DegenerateReference,
-    FormatError,
     MissingOutput,
     NoPartition,
     NoSuchSplit,
@@ -239,16 +239,11 @@ def load_bundle(root_path) -> PredictionBundle:
     check_version(doc, manifest)
     bundle = PredictionBundle()
     with BlobReader(manifest) as blobs, decoding(manifest):
-        for entry in doc.get("samples", []):
-            sid = entry["id"]
-            if type(sid) is not int or sid in bundle.predictions:
-                raise FormatError(f"sample id {sid!r} is not an integer or "
-                                  f"is listed twice", path=manifest)
-            prediction = bundle.prediction_for(sid)
-            for name, value in (entry.get("scalars") or {}).items():
-                prediction.scalars[name] = parse_real(value)
-            for name, array_entry in (entry.get("fields") or {}).items():
-                prediction.fields[name] = blobs.read(array_entry, "float64")
+        entries = decode_list(doc["samples"])
+        for sid, entry in zip(decode_ids([e["id"] for e in entries]), entries):
+            bundle.predictions[sid] = SamplePrediction(
+                {name: blobs.read(e) for name, e in entry["fields"].items()},
+                {name: decode_real(v) for name, v in entry["scalars"].items()})
     return bundle
 
 

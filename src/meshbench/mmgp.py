@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_name, parse_real,
-                    read_manifest)
+                    decode_kind, decode_list, decode_name, decode_real,
+                    decoding, format_real, read_manifest)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
@@ -68,7 +68,7 @@ class MmgpConfig:
         if type(self.train_split) is not str:
             raise ConfigInvalid(f"train_split must be a name, not "
                                 f"{self.train_split!r}")
-        if not 0 < self.jitter < np.inf:
+        if type(self.jitter) is not float or not 0 < self.jitter < np.inf:
             raise ConfigInvalid(f"jitter must be positive and finite, "
                                 f"not {self.jitter}")
 
@@ -472,48 +472,39 @@ def load_model(root_path) -> MmgpModel:
     manifest = Path(root_path) / "model.manifest"
     doc = read_manifest(manifest)
     check_version(doc, manifest)
-    if doc.get("kind") != "mmgp-model":
-        raise FormatError("not an mmgp model manifest", path=manifest)
-
     blobs = BlobReader(manifest)
-
-    def read(entry, dtype="float64"):
-        return blobs.read(entry, dtype)
+    read = blobs.read
 
     def basis_from(doc_b) -> PodBasis:
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
                         singular_values=read(doc_b["singular_values"]))
 
-    def positive(text: str) -> float:  # an output scale or jitter
-        if not 0 < (value := parse_real(text)) < np.inf:
-            raise ValueError(f"{text} is not positive and finite")
-        return value
-
     def regressor_from(doc_r, real) -> Regressor:  # real: as in save_model
-        if doc_r["kind"] == "constant":
+        if decode_kind(doc_r["kind"], ("constant", "gp")) == "constant":
             return Regressor(constant=real(doc_r["value"]))
         kernel = Kernel(kind=doc_r["kernel"],
-                        variance=parse_real(doc_r["variance"]),
+                        variance=decode_real(doc_r["variance"]),
                         lengthscales=read(doc_r["lengthscales"]))
-        gp = GpModel(kernel=kernel, alpha=read(doc_r["alpha"]),
-                     **gp_inputs, y_mean=real(doc_r["y_mean"]),
-                     y_std=positive(doc_r["y_std"]),
-                     jitter=positive(doc_r["jitter"]))
-        return Regressor(gp=gp)
+        y_std, jitter = decode_real(doc_r["y_std"]), decode_real(doc_r["jitter"])
+        if not (0 < y_std < np.inf and 0 < jitter < np.inf):
+            raise ValueError(f"y_std {y_std} and jitter {jitter} must be > 0")
+        return Regressor(gp=GpModel(
+            kernel=kernel, alpha=read(doc_r["alpha"]), **gp_inputs,
+            y_mean=real(doc_r["y_mean"]), y_std=y_std, jitter=jitter))
 
     with blobs, decoding(manifest):
+        decode_kind(doc["kind"], ("mmgp-model",))
         inputs_doc = doc["gp_inputs"]
         gp_inputs = ({key: read(inputs_doc[key]) for key in _GP_INPUTS}
                      if inputs_doc is not None else None)
-        cfg = doc["config"]
-        if sorted(cfg) != _CONFIG_KEYS:
+        if sorted(cfg := doc["config"]) != _CONFIG_KEYS:
             raise ConfigInvalid(f"config keys {sorted(cfg)} are not "
                                 f"{_CONFIG_KEYS}")
         model = MmgpModel(
-            config=_config_from({**cfg, "jitter": parse_real(cfg["jitter"])}),
-            in_scalars=[parse_name(name) for name in doc["in_scalars"]],
-            out_fields=[parse_name(name) for name in doc["out_fields"]],
-            out_scalars=[parse_name(name) for name in doc["out_scalars"]],
+            config=_config_from({**cfg, "jitter": decode_real(cfg["jitter"])}),
+            in_scalars=decode_list(doc["in_scalars"], decode_name),
+            out_fields=decode_list(doc["out_fields"], decode_name),
+            out_scalars=decode_list(doc["out_scalars"], decode_name),
             common_nodes=read(doc["common_nodes"]),
             common_triangles=read(doc["common_triangles"], "int64"),
             shape_basis=basis_from(doc["shape_basis"]),
@@ -521,7 +512,7 @@ def load_model(root_path) -> MmgpModel:
                          for name, b in doc["field_bases"].items()},
             field_regressors={name: regressor_from(r, read)
                               for name, r in doc["field_regressors"].items()},
-            scalar_regressors={name: regressor_from(r, parse_real)
+            scalar_regressors={name: regressor_from(r, decode_real)
                                for name, r in doc["scalar_regressors"].items()},
         )
         _check_shapes(model, manifest)

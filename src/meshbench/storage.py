@@ -26,10 +26,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decoding, format_real, parse_name, parse_real,
-                    read_manifest, write_manifest)
+                    decode_ids, decode_int, decode_kind, decode_list,
+                    decode_name, decode_real, decode_shape, decoding,
+                    format_real, read_manifest, write_manifest)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
-from .errors import FormatError, InvalidDataset, IoFailure, MeshBenchError
+from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
 from .tree import (
     Base,
@@ -103,49 +104,36 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
 
 def _tree_args(doc: dict, blobs: BlobReader) -> tuple:
     """The (bases, time, links) that ``build_tree`` takes for one tree."""
-    if int(doc.get("index_base", 0)) != 0:
-        raise FormatError("only 0-based node indices are supported",
-                          path=blobs.manifest_path)
-    links = [LinkSpec(parse_real(l["target_time"]), tuple(l["target_paths"]))
-             for l in doc.get("links", [])]
-    bases = [_base_from_doc(b, blobs) for b in doc.get("bases", [])]
-    return bases, parse_real(doc["time"]), links
-
-
-def _base_from_doc(doc: dict, blobs: BlobReader) -> Base:
-    zones = tuple(_zone_from_doc(z, blobs) for z in doc.get("zones", []))
-    return Base(parse_name(doc["name"]), int(doc["cell_dim"]),
-                int(doc["phys_dim"]), zones)
+    if decode_int(doc["index_base"]) != 0:
+        raise ValueError("only 0-based node indices are supported")
+    links = decode_list(doc["links"], lambda l: LinkSpec(
+        decode_real(l["target_time"]),
+        tuple(decode_list(l["target_paths"], decode_name))))
+    bases = decode_list(doc["bases"], lambda b: Base(
+        decode_name(b["name"]), decode_int(b["cell_dim"]),
+        decode_int(b["phys_dim"]),
+        tuple(decode_list(b["zones"], lambda z: _zone_from_doc(z, blobs)))))
+    return bases, decode_real(doc["time"]), links
 
 
 def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
-    coords_entry = doc.get("coordinates")
-    coordinates = (blobs.read(coords_entry, "float64")
-                   if coords_entry is not None else None)
-    blocks = tuple(
-        ElementBlock(
-            ElementType(b["element_type"]),
-            blobs.read(b["connectivity"], "int64"),
-            tuple(int(x) for x in b["global_range"]))
-        for b in doc.get("element_blocks", []))
-    fields = tuple(
-        FieldArray(parse_name(f["name"]), Location(f["location"]),
-                   blobs.read(f["values"], "float64"))
-        for f in doc.get("fields", []))
-    tags = tuple(
-        TagSet(parse_name(t["name"]), TagKind(t["kind"]),
-               blobs.read(t["ids"], "int64"))
-        for t in doc.get("tags", []))
-    dims = doc.get("structured_dims")
+    coords, dims = doc["coordinates"], doc["structured_dims"]
     return Zone(
-        name=parse_name(doc["name"]),
-        zone_type=ZoneType(doc["zone_type"]),
-        n_vertices=int(doc["n_vertices"]),
-        coordinates=coordinates,
-        element_blocks=blocks,
-        fields=fields,
-        tags=tags,
-        structured_dims=tuple(int(d) for d in dims) if dims is not None else None,
+        name=decode_name(doc["name"]),
+        zone_type=decode_kind(doc["zone_type"], ZoneType),
+        n_vertices=decode_int(doc["n_vertices"]),
+        coordinates=blobs.read(coords) if coords is not None else None,
+        element_blocks=tuple(decode_list(doc["element_blocks"], lambda b: (
+            ElementBlock(decode_kind(b["element_type"], ElementType),
+                         blobs.read(b["connectivity"], "int64"),
+                         tuple(decode_list(b["global_range"], decode_int)))))),
+        fields=tuple(decode_list(doc["fields"], lambda f: FieldArray(
+            decode_name(f["name"]), decode_kind(f["location"], Location),
+            blobs.read(f["values"])))),
+        tags=tuple(decode_list(doc["tags"], lambda t: TagSet(
+            decode_name(t["name"]), decode_kind(t["kind"], TagKind),
+            blobs.read(t["ids"], "int64")))),
+        structured_dims=decode_shape(dims) if dims is not None else None,
     )
 
 
@@ -170,23 +158,19 @@ def read_sample(manifest_path: Path) -> Sample:
     """The sample in ``manifest_path`` and the blob beside it."""
     doc = read_manifest(manifest_path)
     with BlobReader(manifest_path) as blobs, decoding(manifest_path):
-        scalars = {name: parse_real(value)
+        scalars = {name: decode_real(value)
                    for name, value in doc["scalars"].items()}
-        time_series = {name: [(parse_real(t), parse_real(v)) for t, v in rows]
+        time_series = {name: [decode_list(row, decode_real)
+                              for row in decode_list(rows)]
                        for name, rows in doc["time_series"].items()}
-        tree_args = [_tree_args(tree, blobs) for tree in doc["trees"]]
+        tree_args = decode_list(doc["trees"], lambda t: _tree_args(t, blobs))
+        times = [time for _, time, _ in tree_args]
+        if times != sorted(set(times)):
+            raise ValueError(f"tree times {times} are not strictly increasing")
     # trees are built once the blob is known to be tiled exactly
-    trees = {}
-    for bases, time, links in tree_args:
-        if time in trees:
-            raise FormatError(f"duplicate tree time {time!r}",
-                              path=manifest_path)
-        try:
-            trees[time] = build_tree(bases, time, links)
-        except MeshBenchError as exc:
-            raise FormatError(f"invalid tree: {type(exc).__name__}: {exc}",
-                              path=manifest_path) from exc
-    return Sample(trees=trees, scalars=scalars, time_series=time_series)
+    with decoding(manifest_path):
+        return Sample(trees={args[1]: build_tree(*args) for args in tree_args},
+                      scalars=scalars, time_series=time_series)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
         "out_scalars_names": list(problem.out_scalars_names),
         "in_fields_names": list(problem.in_fields_names),
         "out_fields_names": list(problem.out_fields_names),
-        "splits": {name: list(problem.splits[name])
+        "splits": {name: sorted(problem.splits[name])
                    for name in sorted(problem.splits)}}
     if problem.hidden_partition is not None:
         doc["hidden_partition"] = [[sid, problem.hidden_partition[sid]]
@@ -252,7 +236,9 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
     infos_path = root / "infos.yaml"
     infos_doc = read_manifest(infos_path)
     check_version(infos_doc, infos_path)
-    infos = infos_doc.get("infos", {}) or {}
+    with decoding(infos_path):
+        if type(infos := infos_doc["infos"]) is not dict:
+            raise TypeError(f"infos {infos!r} is not a JSON object")
 
     problem = _read_problem(root / "problem_definition")
 
@@ -274,31 +260,19 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
     doc = read_manifest(infos_path)
-
-    def sample_id(sid) -> int:
-        if type(sid) is not int:
-            raise FormatError(f"sample id {sid!r} is not an integer",
-                              path=infos_path)
-        return sid
-
-    def names(key: str) -> list[str]:
-        return [parse_name(name) for name in doc.get(key, [])]
-
     with decoding(infos_path):
-        hidden, rows = None, doc.get("hidden_partition")
-        if rows is not None:
-            hidden = {sample_id(sid): subset for sid, subset in rows}
-            if len(hidden) != len(rows):
-                raise FormatError("hidden_partition labels a sample id twice",
-                                  path=infos_path)
+        rows = doc.get("hidden_partition")  # [sample id, subset], when set
+        hidden = None if rows is None else dict(zip(
+            decode_ids([sid for sid, _ in decode_list(rows)]),
+            [decode_name(subset) for _, subset in rows]))
         return ProblemDefinition(
-            task=doc.get("task", "Regression"),
-            in_scalars_names=names("in_scalars_names"),
-            out_scalars_names=names("out_scalars_names"),
-            in_fields_names=names("in_fields_names"),
-            out_fields_names=names("out_fields_names"),
-            splits={name: [sample_id(sid) for sid in ids]
-                    for name, ids in doc.get("splits", {}).items()},
+            task=decode_name(doc["task"]),
+            in_scalars_names=decode_list(doc["in_scalars_names"], decode_name),
+            out_scalars_names=decode_list(doc["out_scalars_names"], decode_name),
+            in_fields_names=decode_list(doc["in_fields_names"], decode_name),
+            out_fields_names=decode_list(doc["out_fields_names"], decode_name),
+            splits={name: decode_ids(ids)
+                    for name, ids in doc["splits"].items()},
             hidden_partition=hidden,
         )
 

@@ -1,5 +1,6 @@
 import datetime
 import json
+import random
 import shutil
 
 import numpy as np
@@ -38,6 +39,7 @@ from meshbench.errors import (
     IdOutOfRange,
     InvalidDataset,
     IoFailure,
+    MeshBenchError,
     MissingLinkTarget,
     NoSuchSplit,
     VersionMismatch,
@@ -186,6 +188,13 @@ def test_save_rejects_out_of_range_split(tmp_path, two_base_sample):
     ds = small_dataset(two_base_sample)
     ds.problem.splits["bogus"] = [5]
     with pytest.raises(InvalidDataset):
+        save_dataset(ds, tmp_path / "ds")
+
+
+def test_save_rejects_split_listing_an_id_twice(tmp_path, two_base_sample):
+    ds = small_dataset(two_base_sample)
+    ds.problem.splits["train"] = [0, 0, 1]
+    with pytest.raises(InvalidDataset, match="splits/train: lists an id twice"):
         save_dataset(ds, tmp_path / "ds")
 
 
@@ -576,6 +585,9 @@ _CORRUPTIONS += [
     pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
                                      '"format_version": 3'),
                  VersionMismatch, id="dataset-format_version"),
+    pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
+                                     '"format_version": 4.0'),
+                 FormatError, id="dataset-format_version_real"),
     pytest.param("dataset", _write("infos.yaml", ""), FormatError,
                  id="dataset-empty_infos"),
     pytest.param("dataset", _write("problem_definition/problem_infos.yaml", ""),
@@ -604,6 +616,13 @@ _CORRUPTIONS += [
                                   lambda d: next(iter(d["splits"].values()))
                                   .append(True)),
                  FormatError, id="dataset-split_id_bool"),
+    # the writer lists split ids strictly increasing
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["splits"].update(test=[1, 1])),
+                 FormatError, id="dataset-split_id_twice"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d["splits"].update(test=[2, 1])),
+                 FormatError, id="dataset-split_ids_unsorted"),
     pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
                                   lambda d: d["in_scalars_names"].__setitem__(
                                       0, ["P"])),
@@ -738,3 +757,87 @@ def test_yaml_manifest_asks_to_regenerate(tmp_path, two_base_sample,
                        match="JSON since format 3: regenerate or refit") as err:
         _LOADERS[kind](root)
     assert name in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# every artifact that loads re-saves to itself: one JSON leaf edited at a
+# time, the file must fail to load with a typed error naming it, or load and
+# re-save to the same document; an edit of problem_infos.yaml may instead
+# give a dataset that save_dataset refuses (an unknown subset word, say)
+
+_SAMPLE = "dataset/samples/sample_000000001/sample.manifest"  # links, series
+
+
+#: kind -> (file edited, load(root), save(loaded, out), file re-saved in out)
+_RESAVED = {
+    "infos": ("infos.yaml", load_dataset, save_dataset, "infos.yaml"),
+    "problem_infos": ("problem_definition/problem_infos.yaml", load_dataset,
+                      save_dataset, "problem_definition/problem_infos.yaml"),
+    "sample": (_SAMPLE, lambda root: read_sample(root / _SAMPLE),
+               lambda sample, out: write_sample(sample, out / SAMPLE_MANIFEST),
+               SAMPLE_MANIFEST),
+    "model": ("model.manifest", load_model, save_model, "model.manifest"),
+    "bundle": ("bundle.manifest", load_bundle, save_bundle, "bundle.manifest"),
+}
+
+_LEAF_VALUES = [None, "x", [], {}, True, 1, -1, 2.5, "2", "1.50"]
+
+
+def _leaves(doc, path=()):
+    """(key path, value) of every leaf: a scalar, or an empty list or object."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key in doc if isinstance(doc, dict) else range(len(doc)):
+            yield from _leaves(doc[key], path + (key,))
+    else:
+        yield path, doc
+
+
+def _with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(_RESAVED))
+def test_every_leaf_edit_fails_or_resaves_to_itself(tmp_path, two_base_sample,
+                                                   saved_artifacts, kind):
+    name, load, save, saved_name = _RESAVED[kind]
+    root = tmp_path / "root"
+    if kind in ("model", "bundle"):
+        shutil.copytree(saved_artifacts / kind, root)
+    else:
+        ds = small_dataset(two_base_sample)
+        ds.problem.hidden_partition = {1: "Public", 2: "Private"}
+        save_dataset(ds, root)
+    path = root / name
+    original = path.read_text()
+    doc = json.loads(original)
+    rng = random.Random(kind)
+    edits = [(leaf, value) for leaf, old in _leaves(doc) for value in [
+        *_LEAF_VALUES, rng.choice(["", " ", "Public", "0.0", "nan", "7"]),
+        *([old - 1, old + 1, float(old)] if type(old) is int else [])]]
+    edits = rng.sample(edits, min(len(edits), 250))  # about 0.4 s a file
+    loaded_edits = 0
+    for i, (leaf, value) in enumerate(edits):
+        text = json.dumps(_with_leaf(doc, leaf, value)) + "\n"
+        if text == original:
+            continue
+        path.write_text(text)
+        try:
+            loaded = load(root)
+        except MeshBenchError as exc:
+            assert path.name in str(exc), (leaf, value, exc)
+            continue
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        try:
+            save(loaded, out)
+        except InvalidDataset:
+            assert kind == "problem_infos", (leaf, value)
+            continue
+        assert (out / saved_name).read_text() == text, (leaf, value)
+        loaded_edits += 1
+    assert loaded_edits > 0

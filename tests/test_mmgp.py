@@ -83,7 +83,7 @@ def test_parse_config_rejects_unknown_key():
 
 @pytest.mark.parametrize("values", [
     {"morphing": "off"}, {"shape_modes": 2.7}, {"field_modes": True},
-    {"train_split": 7}])
+    {"train_split": 7}, {"jitter": "x"}, {"jitter": None}, {"jitter": True}])
 def test_config_validate_checks_types(values):
     with pytest.raises(ConfigInvalid):
         MmgpConfig(**values).validate()
