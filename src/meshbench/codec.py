@@ -1,19 +1,16 @@
 """The one on-disk encoding shared by datasets, prediction bundles and models.
 
-Every artifact file is a JSON manifest or the blob beside it.  The arrays
-of one manifest are packed, in the order written, into that one blob,
-named like the manifest with the suffix ``.blob``, as raw little-endian
-IEEE-754 doubles or signed 64-bit integers; the manifest records each
-array's byte offset, dtype and shape, so every array round-trips
-losslessly.  The spans of a manifest's arrays must tile its blob exactly:
-no gap, no overlap and no trailing byte (an empty array takes a
-zero-length span).  A manifest without arrays has no blob.
-
-Manifests, ``infos.yaml`` and ``problem_infos.yaml`` are strict JSON
-documents (no NaN or infinity), each written on one line with a trailing
-LF.  Non-ASCII characters, lone surrogates included, are written as
-``\\u`` escapes, so these files are ASCII.  A file that does not decode as
-UTF-8 is malformed.
+Every artifact is one file: its manifest as one line of strict JSON (no
+NaN or infinity), LF, then the payload, the manifest's arrays packed in
+the order of the document as raw little-endian IEEE-754 doubles or signed
+64-bit integers.  The manifest records each array's byte offset, counted
+from the byte after the LF, its dtype and its shape, so every array
+round-trips losslessly.  Each array must start where the one before it
+ends (an empty one takes a zero-length span there), and no byte may follow
+the last; ``infos.yaml`` and ``problem_infos.yaml`` have no arrays and an
+empty payload.  The JSON line writes non-ASCII characters, lone surrogates
+included, as ``\\u`` escapes, so it is ASCII; a line that does not decode
+as UTF-8 is malformed.
 
 Readers take each stored value, through the ``decode_*`` accessors, in the
 one JSON type its writer gives it, so no value loads in another spelling:
@@ -21,28 +18,30 @@ an integer is a JSON integer >= 0, never a bool or a float; a real is a
 string holding exactly the shortest decimal form restoring the double
 (``repr``: ``"1.5"``, never ``"1.50"`` or ``1.5``); a name is a string; a
 shape is a list of integers; a kind is one of its known words; sample ids
-increase strictly.  Every key the writer writes is required.
+increase strictly.  Every key the writer writes is required, and an object
+whose keys the writer fixes holds no other key; only maps keyed by names
+(scalars, fields, regressors, free metadata) are open.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
-This is format version 4.  Versions 1 and 2 wrote YAML manifests, which
-fail to parse as JSON; version 3 wrote CSV tables beside them.  Their
-datasets, bundles and models must be regenerated or refit.
+This is format version 5.  Versions 1 and 2 wrote YAML manifests, which
+fail to parse as JSON; version 3 wrote CSV tables beside them; version 4
+put a manifest's arrays in a ``.blob`` file beside it.  Their datasets,
+bundles and models must be regenerated or refit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import os
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import FormatError, IoFailure, MeshBenchError, VersionMismatch
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
@@ -101,35 +100,45 @@ def decode_ids(value) -> list[int]:
     return ids
 
 
-@contextmanager
-def decoding(path: Path):
-    """Report a missing key or a bad value met while decoding ``path``, or
-    an invalid object built from it, as a FormatError on it."""
-    try:
-        yield
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            OverflowError, MeshBenchError) as exc:
-        raise FormatError(f"malformed content: {type(exc).__name__}: {exc}",
-                          path=path) from exc
+def decode_object(value, *keys: str) -> dict:
+    """A JSON object with no key but ``keys``; a key it lacks fails when
+    it is read, unless the reader takes it as optional."""
+    if type(value) is not dict:
+        raise TypeError(f"{value!r} is not a JSON object")
+    if unknown := value.keys() - set(keys):
+        raise ValueError(f"unknown keys {sorted(unknown)}, expected {keys}")
+    return value
+
+
+class decoding:
+    """Context manager reporting a missing key or a bad value met while
+    decoding ``path``, or an invalid object built from it, as a FormatError
+    on it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, (KeyError, TypeError, ValueError, AttributeError,
+                            IndexError, OverflowError, MeshBenchError)) \
+                and not isinstance(exc, FormatError):
+            raise FormatError(f"malformed content: {type(exc).__name__}: "
+                              f"{exc}", path=self.path) from exc
 
 
 # ---------------------------------------------------------------------------
-# blobs
+# artifact files
 
-class BlobWriter:
-    """Packs the arrays of one manifest into the blob beside it, which has
-    the manifest's name with the suffix ``.blob``.
+class ArtifactWriter:
+    """Writes one artifact file: :meth:`write` packs an array into the
+    payload and returns its manifest entry; :meth:`write_manifest` writes
+    the manifest line, then the payload."""
 
-    :meth:`write` returns an array's manifest entry; :meth:`write_manifest`
-    writes the blob, then the manifest, so that no manifest with arrays is
-    ever on disk without its blob.
-    """
-
-    def __init__(self, manifest_path: Path):
-        self.manifest_path = manifest_path
-        self.path = manifest_path.with_suffix(".blob")
+    def __init__(self, path: Path):
+        self.path = path
         self.chunks: list[bytes] = []
         self.offset = 0
 
@@ -145,108 +154,80 @@ class BlobWriter:
         return entry
 
     def write_manifest(self, doc: dict) -> None:
-        """The blob (none when no array was written), then ``doc``."""
-        if self.chunks:
-            with open(self.path, "wb") as fh:
-                fh.writelines(self.chunks)
-        write_manifest(self.manifest_path, doc)
+        """``doc`` as one line of strict, ASCII-only JSON, keys in dict
+        order, then LF and the arrays written."""
+        with open(self.path, "wb") as fh:
+            fh.write(json.dumps(doc, allow_nan=False).encode() + b"\n")
+            fh.writelines(self.chunks)
 
 
-class BlobReader:
-    """Reads the array entries of one manifest from the blob beside it,
-    reading the blob file once.
+class ArtifactReader(decoding):
+    """One artifact file, read by one ``open``: its manifest as :attr:`doc`
+    and read-only views of its arrays into the payload that follows.  With
+    ``versioned``, the manifest's ``format_version`` must be this one.
 
-    Use it as a context manager around the reads: on leaving it without an
-    error, the spans read must tile the blob exactly, with no gap, overlap
-    or trailing byte.
+    Use it as a context manager around the decoding, which takes the arrays
+    in the order the writer packed them: an error met inside is reported as
+    :class:`decoding` reports it, and on leaving without an error no payload
+    byte may remain unread.
     """
 
-    def __init__(self, manifest_path: Path):
-        self.manifest_path = manifest_path
-        self.path = manifest_path.with_suffix(".blob")
-        self.data: Optional[bytes] = None
-        self.spans: list[tuple[int, int]] = []
-
-    def __enter__(self) -> "BlobReader":
-        return self
+    def __init__(self, path: Path, versioned: bool = False):
+        self.path = path
+        try:
+            with open(path, "rb") as fh:
+                line = fh.readline()
+                # read(size) fills one bytes object; read() would join two,
+                # whose freed parts fragment the heap (1 MB per 500 samples)
+                self.payload = fh.read(os.fstat(fh.fileno()).st_size
+                                       - len(line))
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise FormatError("file missing", path=path) from None
+        try:
+            self.doc = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc.reason}", path=path,
+                              offset=exc.start) from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"not JSON ({exc}); manifests are JSON since "
+                              f"format 3: regenerate or refit older artifacts",
+                              path=path)
+        if not isinstance(self.doc, dict):
+            raise FormatError(f"expected a JSON object, found "
+                              f"{type(self.doc).__name__}", path=path)
+        if versioned:
+            with decoding(path):
+                version = decode_int(self.doc["format_version"])
+            if version != FORMAT_VERSION:
+                raise VersionMismatch(f"format_version {version!r} not "
+                                      f"supported (expected {FORMAT_VERSION})"
+                                      f" [file: {path}]")
+        self.start = len(line)  # the file offset of payload byte 0
+        self.position = 0
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None or self.data is None:
-            return
-        size, position = len(self.data), 0
-        for start, end in sorted(self.spans) + [(size, size)]:
-            if start != position:
-                at = min(start, position)
-                raise FormatError(
-                    f"the arrays of {self.manifest_path.name} do not tile "
-                    f"the {size}-byte blob: "
-                    f"{'overlap' if start < position else 'gap'} at byte {at}",
-                    path=self.path, offset=at)
-            position = end
+        if exc_type is None and self.position != len(self.payload):
+            self._fail(f"{len(self.payload) - self.position} bytes follow the"
+                       f" last array", self.position)
+        super().__exit__(exc_type, exc, tb)
+
+    def _fail(self, message: str, at: int):
+        raise FormatError(f"the arrays do not tile the {len(self.payload)}-"
+                          f"byte payload: {message}", path=self.path,
+                          offset=self.start + at)
 
     def read(self, entry: dict, dtype: str = "float64") -> np.ndarray:
-        """The read-only ``dtype`` array of one entry; call inside ``decoding``."""
-        manifest = self.manifest_path
+        """The read-only ``dtype`` array of one entry."""
+        decode_object(entry, "offset", "dtype", "shape")
         offset = decode_int(entry["offset"])
         decode_kind(entry["dtype"], (dtype,))
         shape = decode_shape(entry["shape"])
-        if self.data is None:
-            self.data = _read_bytes(self.path)
-            if self.data is None:
-                raise FormatError(f"blob missing (needed by {manifest.name})",
-                                  path=self.path)
+        if offset != self.position:
+            self._fail(f"an array at byte {offset}, where the one before it "
+                       f"ends at byte {self.position}", self.position)
         count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(self.data):
-            raise FormatError(
-                f"{manifest.name} places an array at bytes {offset}..{end} "
-                f"of a {len(self.data)}-byte blob", path=self.path,
-                offset=min(offset, len(self.data)))
-        self.spans.append((offset, end))
-        return np.frombuffer(self.data, dtype=_DTYPES[dtype], count=count,
+        if (end := offset + count * 8) > len(self.payload):
+            self._fail(f"an array ends at byte {end}", len(self.payload))
+        self.position = end
+        return np.frombuffer(self.payload, dtype=_DTYPES[dtype], count=count,
                              offset=offset).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# JSON manifests
-
-def _read_bytes(path: Path) -> Optional[bytes]:
-    """The content of ``path``, or None when no file is there."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        return None
-
-
-def write_manifest(path: Path, doc: dict) -> None:
-    """``doc`` as one line of strict, ASCII-only JSON, keys in dict order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, allow_nan=False) + "\n")
-
-
-def read_manifest(path: Path) -> dict:
-    """The object a JSON manifest holds; anything else is a FormatError."""
-    data = _read_bytes(path)
-    if data is None:
-        raise FormatError("file missing", path=path)
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text: {exc.reason}", path=path,
-                          offset=exc.start) from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not JSON ({exc}); manifests are JSON since format"
-                          f" 3: regenerate or refit older artifacts", path=path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"expected a JSON object, found "
-                          f"{type(doc).__name__}", path=path)
-    return doc
-
-
-def check_version(doc: dict, path: Path) -> None:
-    with decoding(path):
-        version = decode_int(doc["format_version"])
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"format_version {version!r} not supported "
-                              f"(expected {FORMAT_VERSION}) [file: {path}]")

@@ -36,7 +36,7 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack, solve_triangular
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
@@ -400,6 +400,7 @@ def gp_predict(model: GpModel, x_query) -> tuple[np.ndarray, np.ndarray]:
                                    np.ones(len(k_star)), model.jitter / s2)
     if lml(np.log(model.kernel.lengthscales))[0] == -np.inf:
         raise SingularKernel(f"kernel singular at jitter {model.jitter:g}")
-    v = solve_triangular(lower, k_star, lower=True)
+    v = np.asfortranarray(k_star)  # overwritten by L^-1 k_star
+    _trtrs(lower, v)
     var_std = np.clip(s2 - np.einsum("ij,ij->j", v, v) / s2, 0.0, None)
     return mean, model.y_std ** 2 * var_std

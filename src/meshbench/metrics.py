@@ -29,9 +29,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decode_ids, decode_list, decode_real, decoding,
-                    format_real, read_manifest)
+from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
+                    decode_ids, decode_list, decode_object, decode_real,
+                    format_real)
 from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
@@ -214,12 +214,12 @@ def score_hidden(problem: ProblemDefinition, reference: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# bundle persistence (same manifest+blob encoding as the dataset store)
+# bundle persistence (the one-file encoding of the dataset store)
 
 def save_bundle(bundle: PredictionBundle, root_path) -> None:
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
-    writer = BlobWriter(root / "bundle.manifest")
+    writer = ArtifactWriter(root / "bundle.manifest")
     docs = []
     for sid in sorted(bundle.predictions):
         entry = bundle.predictions[sid]
@@ -235,14 +235,15 @@ def save_bundle(bundle: PredictionBundle, root_path) -> None:
 
 def load_bundle(root_path) -> PredictionBundle:
     manifest = Path(root_path) / "bundle.manifest"
-    doc = read_manifest(manifest)
-    check_version(doc, manifest)
     bundle = PredictionBundle()
-    with BlobReader(manifest) as blobs, decoding(manifest):
-        entries = decode_list(doc["samples"])
-        for sid, entry in zip(decode_ids([e["id"] for e in entries]), entries):
+    with ArtifactReader(manifest, versioned=True) as reader:
+        decode_object(reader.doc, "format_version", "samples")
+        entries = decode_list(reader.doc["samples"], lambda e: decode_object(
+            e, "id", "scalars", "fields"))
+        ids = decode_ids([entry["id"] for entry in entries])
+        for sid, entry in zip(ids, entries):
             bundle.predictions[sid] = SamplePrediction(
-                {name: blobs.read(e) for name, e in entry["fields"].items()},
+                {name: reader.read(e) for name, e in entry["fields"].items()},
                 {name: decode_real(v) for name, v in entry["scalars"].items()})
     return bundle
 

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
-                    decode_kind, decode_list, decode_name, decode_real,
-                    decoding, format_real, read_manifest)
+from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
+                    decode_kind, decode_list, decode_name, decode_object,
+                    decode_real, format_real)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
@@ -400,14 +400,14 @@ def mmgp_predict(model: MmgpModel, sample: Sample
 
 
 # ---------------------------------------------------------------------------
-# persistence (same manifest + blob encoding as the dataset store)
+# persistence (the one-file encoding of the dataset store)
 
 _GP_INPUTS = ("x_train", "x_mean", "x_std")
 
 
 def save_model(model: MmgpModel, root_path) -> None:
-    """Write ``model.manifest`` and ``model.blob``; the GP regressors share
-    one copy of their training inputs and standardization."""
+    """Write the one file ``model.manifest``; the GP regressors share one
+    copy of their training inputs and standardization."""
     gps = [r.gp for r in (*model.field_regressors.values(),
                           *model.scalar_regressors.values()) if r.is_gp]
     if any(not np.array_equal(getattr(gp, key), getattr(gps[0], key))
@@ -416,7 +416,7 @@ def save_model(model: MmgpModel, root_path) -> None:
                         "were fit on different inputs")
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
-    writer = BlobWriter(root / "model.manifest")
+    writer = ArtifactWriter(root / "model.manifest")
 
     def basis_doc(basis: PodBasis) -> dict:
         return {"mean": writer.write(basis.mean),
@@ -470,18 +470,20 @@ def save_model(model: MmgpModel, root_path) -> None:
 
 def load_model(root_path) -> MmgpModel:
     manifest = Path(root_path) / "model.manifest"
-    doc = read_manifest(manifest)
-    check_version(doc, manifest)
-    blobs = BlobReader(manifest)
-    read = blobs.read
+    reader = ArtifactReader(manifest, versioned=True)
+    doc, read = reader.doc, reader.read
 
     def basis_from(doc_b) -> PodBasis:
+        decode_object(doc_b, "mean", "modes", "singular_values")
         return PodBasis(mean=read(doc_b["mean"]), modes=read(doc_b["modes"]),
                         singular_values=read(doc_b["singular_values"]))
 
     def regressor_from(doc_r, real) -> Regressor:  # real: as in save_model
         if decode_kind(doc_r["kind"], ("constant", "gp")) == "constant":
+            decode_object(doc_r, "kind", "value")
             return Regressor(constant=real(doc_r["value"]))
+        decode_object(doc_r, "kind", "kernel", "variance", "lengthscales",
+                      "alpha", "y_mean", "y_std", "jitter")
         kernel = Kernel(kind=doc_r["kernel"],
                         variance=decode_real(doc_r["variance"]),
                         lengthscales=read(doc_r["lengthscales"]))
@@ -492,22 +494,29 @@ def load_model(root_path) -> MmgpModel:
             kernel=kernel, alpha=read(doc_r["alpha"]), **gp_inputs,
             y_mean=real(doc_r["y_mean"]), y_std=y_std, jitter=jitter))
 
-    with blobs, decoding(manifest):
+    with reader:
+        decode_object(doc, "format_version", "kind", "config", "in_scalars",
+                      "out_fields", "out_scalars", "common_nodes",
+                      "common_triangles", "shape_basis", "gp_inputs",
+                      "field_bases", "field_regressors", "scalar_regressors")
         decode_kind(doc["kind"], ("mmgp-model",))
-        inputs_doc = doc["gp_inputs"]
-        gp_inputs = ({key: read(inputs_doc[key]) for key in _GP_INPUTS}
-                     if inputs_doc is not None else None)
         if sorted(cfg := doc["config"]) != _CONFIG_KEYS:
             raise ConfigInvalid(f"config keys {sorted(cfg)} are not "
                                 f"{_CONFIG_KEYS}")
+        # the arrays are read in the order save_model packs them
+        common = dict(common_nodes=read(doc["common_nodes"]),
+                      common_triangles=read(doc["common_triangles"], "int64"),
+                      shape_basis=basis_from(doc["shape_basis"]))
+        if (inputs := doc["gp_inputs"]) is not None:
+            decode_object(inputs, *_GP_INPUTS)
+        gp_inputs = None if inputs is None else {
+            key: read(inputs[key]) for key in _GP_INPUTS}
         model = MmgpModel(
             config=_config_from({**cfg, "jitter": decode_real(cfg["jitter"])}),
             in_scalars=decode_list(doc["in_scalars"], decode_name),
             out_fields=decode_list(doc["out_fields"], decode_name),
             out_scalars=decode_list(doc["out_scalars"], decode_name),
-            common_nodes=read(doc["common_nodes"]),
-            common_triangles=read(doc["common_triangles"], "int64"),
-            shape_basis=basis_from(doc["shape_basis"]),
+            **common,
             field_bases={name: basis_from(b)
                          for name, b in doc["field_bases"].items()},
             field_regressors={name: regressor_from(r, read)

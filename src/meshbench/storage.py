@@ -7,28 +7,30 @@ Layout under a dataset root::
       problem_definition/
         problem_infos.yaml                # task, name lists, splits and
                                           # hidden partition (optional)
-      dataset/samples/sample_{9-digit}/
-        sample.manifest                   # scalars, time series, trees
-        sample.blob                       # the arrays of all its trees
+      dataset/samples/
+        sample_{9-digit}.manifest         # scalars, time series, trees and
+                                          # the arrays of all its trees
 
-Every file uses the :mod:`meshbench.codec` encoding (format version 4): a
-sample's manifest holds its scalars, its time series and its mesh trees in
-time order, and records each array's offset, dtype and shape in the one
-blob beside it, whose bytes those arrays tile exactly.  A sample without
-arrays has no blob.  Node indices are written 0-based; each tree declares
-the base.
+Every file uses the :mod:`meshbench.codec` encoding (format version 5): a
+sample's manifest line holds its scalars, its time series and its mesh
+trees in time order, and records each array's offset, dtype and shape in
+the payload that follows it in the same file, whose bytes those arrays
+tile exactly.  ``dataset/samples/`` holds nothing but the sample files,
+numbered from 0.  Node indices are written 0-based; each tree declares the
+base.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import replace
 from pathlib import Path
 
-from .codec import (FORMAT_VERSION, BlobReader, BlobWriter, check_version,
+from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
                     decode_ids, decode_int, decode_kind, decode_list,
-                    decode_name, decode_real, decode_shape, decoding,
-                    format_real, read_manifest, write_manifest)
+                    decode_name, decode_object, decode_real, decode_shape,
+                    decoding, format_real)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
@@ -48,16 +50,10 @@ from .tree import (
     zone_with,
 )
 
-#: the manifest of a sample, inside its directory; its blob lies beside it.
-#: One directory per sample keeps ``dataset/samples/sample_*`` one entry
-#: per sample, which is how tools count the samples of a saved dataset.
-SAMPLE_MANIFEST = "sample.manifest"
-
-
 # ---------------------------------------------------------------------------
 # mesh trees, as documents inside a sample manifest
 
-def _tree_doc(tree: MeshTree, writer: BlobWriter) -> dict:
+def _tree_doc(tree: MeshTree, writer: ArtifactWriter) -> dict:
     return {
         "index_base": 0,
         "time": format_real(tree.time),
@@ -69,7 +65,7 @@ def _tree_doc(tree: MeshTree, writer: BlobWriter) -> dict:
     }
 
 
-def _base_doc(base: Base, writer: BlobWriter) -> dict:
+def _base_doc(base: Base, writer: ArtifactWriter) -> dict:
     return {
         "name": base.name,
         "cell_dim": base.cell_dim,
@@ -78,7 +74,7 @@ def _base_doc(base: Base, writer: BlobWriter) -> dict:
     }
 
 
-def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
+def _zone_doc(zone: Zone, writer: ArtifactWriter) -> dict:
     return {
         "name": zone.name,
         "zone_type": zone.zone_type.value,
@@ -102,37 +98,56 @@ def _zone_doc(zone: Zone, writer: BlobWriter) -> dict:
     }
 
 
-def _tree_args(doc: dict, blobs: BlobReader) -> tuple:
+def _tree_args(doc: dict, reader: ArtifactReader) -> tuple:
     """The (bases, time, links) that ``build_tree`` takes for one tree."""
+    def link(l: dict) -> LinkSpec:
+        decode_object(l, "target_time", "target_paths")
+        return LinkSpec(decode_real(l["target_time"]),
+                        tuple(decode_list(l["target_paths"], decode_name)))
+
+    def base(b: dict) -> Base:
+        decode_object(b, "name", "cell_dim", "phys_dim", "zones")
+        return Base(decode_name(b["name"]), decode_int(b["cell_dim"]),
+                    decode_int(b["phys_dim"]), tuple(decode_list(
+                        b["zones"], lambda z: _zone_from_doc(z, reader))))
+
+    decode_object(doc, "index_base", "time", "links", "bases")
     if decode_int(doc["index_base"]) != 0:
         raise ValueError("only 0-based node indices are supported")
-    links = decode_list(doc["links"], lambda l: LinkSpec(
-        decode_real(l["target_time"]),
-        tuple(decode_list(l["target_paths"], decode_name))))
-    bases = decode_list(doc["bases"], lambda b: Base(
-        decode_name(b["name"]), decode_int(b["cell_dim"]),
-        decode_int(b["phys_dim"]),
-        tuple(decode_list(b["zones"], lambda z: _zone_from_doc(z, blobs)))))
-    return bases, decode_real(doc["time"]), links
+    links = decode_list(doc["links"], link)
+    return decode_list(doc["bases"], base), decode_real(doc["time"]), links
 
 
-def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
+def _zone_from_doc(doc: dict, reader: ArtifactReader) -> Zone:
+    decode_object(doc, "name", "zone_type", "n_vertices", "structured_dims",
+                  "coordinates", "element_blocks", "fields", "tags")
     coords, dims = doc["coordinates"], doc["structured_dims"]
+
+    def block(b: dict) -> ElementBlock:
+        decode_object(b, "element_type", "global_range", "connectivity")
+        return ElementBlock(decode_kind(b["element_type"], ElementType),
+                            reader.read(b["connectivity"], "int64"),
+                            tuple(decode_list(b["global_range"], decode_int)))
+
+    def field(f: dict) -> FieldArray:
+        decode_object(f, "name", "location", "values")
+        return FieldArray(decode_name(f["name"]),
+                          decode_kind(f["location"], Location),
+                          reader.read(f["values"]))
+
+    def tag(t: dict) -> TagSet:
+        decode_object(t, "name", "kind", "ids")
+        return TagSet(decode_name(t["name"]), decode_kind(t["kind"], TagKind),
+                      reader.read(t["ids"], "int64"))
+
     return Zone(
         name=decode_name(doc["name"]),
         zone_type=decode_kind(doc["zone_type"], ZoneType),
         n_vertices=decode_int(doc["n_vertices"]),
-        coordinates=blobs.read(coords) if coords is not None else None,
-        element_blocks=tuple(decode_list(doc["element_blocks"], lambda b: (
-            ElementBlock(decode_kind(b["element_type"], ElementType),
-                         blobs.read(b["connectivity"], "int64"),
-                         tuple(decode_list(b["global_range"], decode_int)))))),
-        fields=tuple(decode_list(doc["fields"], lambda f: FieldArray(
-            decode_name(f["name"]), decode_kind(f["location"], Location),
-            blobs.read(f["values"])))),
-        tags=tuple(decode_list(doc["tags"], lambda t: TagSet(
-            decode_name(t["name"]), decode_kind(t["kind"], TagKind),
-            blobs.read(t["ids"], "int64")))),
+        coordinates=reader.read(coords) if coords is not None else None,
+        element_blocks=tuple(decode_list(doc["element_blocks"], block)),
+        fields=tuple(decode_list(doc["fields"], field)),
+        tags=tuple(decode_list(doc["tags"], tag)),
         structured_dims=decode_shape(dims) if dims is not None else None,
     )
 
@@ -141,8 +156,8 @@ def _zone_from_doc(doc: dict, blobs: BlobReader) -> Zone:
 # samples
 
 def write_sample(sample: Sample, manifest_path: Path) -> None:
-    """Write one sample as ``manifest_path`` plus the blob beside it."""
-    writer = BlobWriter(manifest_path)
+    """Write one sample as the one file ``manifest_path``."""
+    writer = ArtifactWriter(manifest_path)
     writer.write_manifest({
         "scalars": {name: format_real(sample.scalars[name])
                     for name in sorted(sample.scalars)},
@@ -155,19 +170,19 @@ def write_sample(sample: Sample, manifest_path: Path) -> None:
 
 
 def read_sample(manifest_path: Path) -> Sample:
-    """The sample in ``manifest_path`` and the blob beside it."""
-    doc = read_manifest(manifest_path)
-    with BlobReader(manifest_path) as blobs, decoding(manifest_path):
+    """The sample in the file ``manifest_path``."""
+    with ArtifactReader(manifest_path) as reader:
+        doc = decode_object(reader.doc, "scalars", "time_series", "trees")
         scalars = {name: decode_real(value)
                    for name, value in doc["scalars"].items()}
         time_series = {name: [decode_list(row, decode_real)
                               for row in decode_list(rows)]
                        for name, rows in doc["time_series"].items()}
-        tree_args = decode_list(doc["trees"], lambda t: _tree_args(t, blobs))
+        tree_args = decode_list(doc["trees"], lambda t: _tree_args(t, reader))
         times = [time for _, time, _ in tree_args]
         if times != sorted(set(times)):
             raise ValueError(f"tree times {times} are not strictly increasing")
-    # trees are built once the blob is known to be tiled exactly
+    # trees are built once the payload is known to be tiled exactly
     with decoding(manifest_path):
         return Sample(trees={args[1]: build_tree(*args) for args in tree_args},
                       scalars=scalars, time_series=time_series)
@@ -194,8 +209,8 @@ def save_dataset(dataset: Dataset, root_path) -> None:
                              f"({len(report.violations)} violation(s) total)")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        write_manifest(root / "infos.yaml", {"format_version": FORMAT_VERSION,
-                                             "infos": dataset.infos})
+        ArtifactWriter(root / "infos.yaml").write_manifest(
+            {"format_version": FORMAT_VERSION, "infos": dataset.infos})
 
         problem_dir = root / "problem_definition"
         problem_dir.mkdir()
@@ -204,9 +219,8 @@ def save_dataset(dataset: Dataset, root_path) -> None:
         samples_dir = root / "dataset" / "samples"
         samples_dir.mkdir(parents=True)
         for i in range(dataset.n_samples):
-            sample_dir = samples_dir / f"sample_{i:09d}"
-            sample_dir.mkdir()
-            write_sample(dataset.sample_at(i), sample_dir / SAMPLE_MANIFEST)
+            write_sample(dataset.sample_at(i),
+                         samples_dir / f"sample_{i:09d}.manifest")
     except OSError as exc:
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
 
@@ -223,7 +237,7 @@ def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
     if problem.hidden_partition is not None:
         doc["hidden_partition"] = [[sid, problem.hidden_partition[sid]]
                                    for sid in sorted(problem.hidden_partition)]
-    write_manifest(problem_dir / "problem_infos.yaml", doc)
+    ArtifactWriter(problem_dir / "problem_infos.yaml").write_manifest(doc)
 
 
 def load_dataset(root_path, lazy: bool = False) -> Dataset:
@@ -234,22 +248,23 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
     """
     root = Path(root_path)
     infos_path = root / "infos.yaml"
-    infos_doc = read_manifest(infos_path)
-    check_version(infos_doc, infos_path)
-    with decoding(infos_path):
-        if type(infos := infos_doc["infos"]) is not dict:
+    with ArtifactReader(infos_path, versioned=True) as infos_file:
+        doc = decode_object(infos_file.doc, "format_version", "infos")
+        if type(infos := doc["infos"]) is not dict:
             raise TypeError(f"infos {infos!r} is not a JSON object")
 
     problem = _read_problem(root / "problem_definition")
 
     samples_dir = root / "dataset" / "samples"
-    sample_dirs = sorted(samples_dir.glob("sample_*")) if samples_dir.is_dir() else []
-    for i, d in enumerate(sample_dirs):
-        if d.name != f"sample_{i:09d}":
-            raise FormatError(f"sample directories not contiguous: found {d.name}, "
-                              f"expected sample_{i:09d}", path=d)
+    entries = sorted((e.name, e.is_dir()) for e in os.scandir(samples_dir)) \
+        if samples_dir.is_dir() else []
+    for i, (name, is_dir) in enumerate(entries):
+        if is_dir or name != f"sample_{i:09d}.manifest":
+            raise FormatError(f"found {'directory ' if is_dir else ''}{name} "
+                              f"where sample_{i:09d}.manifest belongs",
+                              path=samples_dir / name)
 
-    manifests = [d / SAMPLE_MANIFEST for d in sample_dirs]
+    manifests = [samples_dir / name for name, _ in entries]
     if lazy:
         loaders = [(lambda m=m: read_sample(m)) for m in manifests]
         return Dataset(loaders=loaders, infos=infos, problem=problem)
@@ -259,10 +274,12 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
 
 def _read_problem(problem_dir: Path) -> ProblemDefinition:
     infos_path = problem_dir / "problem_infos.yaml"
-    doc = read_manifest(infos_path)
-    with decoding(infos_path):
+    with ArtifactReader(infos_path) as infos_file:
+        doc = decode_object(infos_file.doc, "task", "in_scalars_names",
+                            "out_scalars_names", "in_fields_names",
+                            "out_fields_names", "splits", "hidden_partition")
         rows = doc.get("hidden_partition")  # [sample id, subset], when set
-        hidden = None if rows is None else dict(zip(
+        hidden = None if "hidden_partition" not in doc else dict(zip(
             decode_ids([sid for sid, _ in decode_list(rows)]),
             [decode_name(subset) for _, subset in rows]))
         return ProblemDefinition(

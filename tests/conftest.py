@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -19,6 +21,17 @@ from meshbench import (
     make_unstructured_zone,
 )
 from meshbench.tree import Zone, ZoneType
+
+
+def read_artifact(path):
+    """The manifest document of an artifact file and the payload after it."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(line), payload
+
+
+def write_artifact(path, doc, payload=b""):
+    """An artifact file holding ``doc`` as its manifest line, then ``payload``."""
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
 
 
 def square_zone(field_values=None, name="Fluid", field_name="mach"):

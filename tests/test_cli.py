@@ -7,6 +7,8 @@ import meshbench.cli as cli_module
 from meshbench import load_bundle, load_dataset
 from meshbench.cli import main
 
+from conftest import read_artifact, write_artifact
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -40,12 +42,12 @@ def test_validate_corrupted_blob_names_file(generated, tmp_path, capsys):
     import shutil
     broken = tmp_path / "broken"
     shutil.copytree(generated, broken)
-    blob = broken / "dataset" / "samples" / "sample_000000000" / "sample.blob"
-    blob.write_bytes(blob.read_bytes()[:-4])
+    path = broken / "dataset" / "samples" / "sample_000000000.manifest"
+    path.write_bytes(path.read_bytes()[:-4])  # cut into its payload
     capsys.readouterr()
     code, out, err = run_cli(capsys, "validate", str(broken), "--strict")
     assert code == 1
-    assert str(blob.relative_to(broken)) in err
+    assert str(path.relative_to(broken)) in err
 
 
 def test_validate_reports_non_finite_infos(generated, tmp_path, capsys):
@@ -166,20 +168,17 @@ def test_score_missing_output_exits_1(generated, tmp_path, capsys):
 
 
 def _spoil_reference(root, sid, name, value):
-    manifest = (root / "dataset" / "samples" / f"sample_{sid:09d}"
-                / "sample.manifest")
-    doc = json.loads(manifest.read_text())
+    path = root / "dataset" / "samples" / f"sample_{sid:09d}.manifest"
+    doc, payload = read_artifact(path)
     if name in doc["scalars"]:
         doc["scalars"][name] = repr(value)
-        manifest.write_text(json.dumps(doc))
-        return
-    zone = doc["trees"][0]["bases"][0]["zones"][0]
-    offset = next(f["values"]["offset"] for f in zone["fields"]
-                  if f["name"] == name)
-    blob = manifest.with_name("sample.blob")
-    data = bytearray(blob.read_bytes())
-    data[offset:offset + 8] = np.float64(value).tobytes()
-    blob.write_bytes(bytes(data))
+    else:
+        zone = doc["trees"][0]["bases"][0]["zones"][0]
+        offset = next(f["values"]["offset"] for f in zone["fields"]
+                      if f["name"] == name)
+        payload = bytearray(payload)
+        payload[offset:offset + 8] = np.float64(value).tobytes()
+    write_artifact(path, doc, bytes(payload))
 
 
 @pytest.mark.parametrize("side, name, value, error", [

@@ -9,6 +9,7 @@ import pytest
 from meshbench import (
     Base,
     Dataset,
+    ElementType,
     LinkSpec,
     Location,
     MmgpConfig,
@@ -16,6 +17,7 @@ from meshbench import (
     ProblemDefinition,
     Sample,
     SynthConfig,
+    TagKind,
     build_tree,
     datasets_equal,
     generate,
@@ -23,6 +25,8 @@ from meshbench import (
     load_dataset,
     load_model,
     make_field,
+    make_tag,
+    make_unstructured_zone,
     mmgp_fit,
     participant_export,
     save_bundle,
@@ -44,10 +48,10 @@ from meshbench.errors import (
     NoSuchSplit,
     VersionMismatch,
 )
-from meshbench.storage import SAMPLE_MANIFEST, read_sample, write_sample
+from meshbench.storage import read_sample, write_sample
 from meshbench.tree import zone_with
 
-from conftest import square_zone
+from conftest import read_artifact, square_zone, write_artifact
 
 
 def small_dataset(two_base_sample):
@@ -101,22 +105,30 @@ def test_layout_matches_contract(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     save_dataset(small_dataset(two_base_sample), root)
     # sample 1 adds a time series and a linked second time step, which go
-    # into the same manifest and blob
+    # into the same file; samples lie flat, one file each
     assert _files(root) == [
-        f"dataset/samples/sample_{i:09d}/sample.{suffix}"
-        for i in range(3) for suffix in ("blob", "manifest")] + [
+        f"dataset/samples/sample_{i:09d}.manifest" for i in range(3)] + [
         "infos.yaml", "problem_definition/problem_infos.yaml"]
+    assert not any(p.is_dir() for p in root.glob("dataset/samples/*"))
     problem_text = (root / "problem_definition"
                     / "problem_infos.yaml").read_text()
     assert json.loads(problem_text)["splits"] == {"test": [1, 2],
                                                   "train": [0]}
-    sample_text = (root / "dataset" / "samples" / "sample_000000001"
-                   / SAMPLE_MANIFEST).read_text()
-    doc = json.loads(sample_text)
+    assert json.loads((root / "infos.yaml").read_text())[
+        "format_version"] == 5
+    doc, payload = read_artifact(
+        root / "dataset" / "samples" / "sample_000000001.manifest")
     assert [tree["time"] for tree in doc["trees"]] == ["0.0", "0.01"]
     assert doc["time_series"] == {"residual": [["0.0", "1.0"],
                                                ["0.01", "0.1"]]}
-    assert "\r" not in problem_text + sample_text  # LF line endings
+    # the payload follows the manifest line, offsets counted from its start
+    coords = doc["trees"][0]["bases"][0]["zones"][0]["coordinates"]
+    assert coords["offset"] == 0 and payload[:64] == np.asarray(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]).tobytes()
+    # LF line endings: no CR in the raw JSON line of either file
+    for path in ("dataset/samples/sample_000000001.manifest",
+                 "problem_definition/problem_infos.yaml"):
+        assert b"\r" not in (root / path).read_bytes().partition(b"\n")[0]
 
 
 def test_unusual_strings_round_trip(tmp_path, two_base_sample):
@@ -135,8 +147,8 @@ def test_unusual_strings_round_trip(tmp_path, two_base_sample):
                  infos=ds.infos, problem=ds.problem)
     save_dataset(ds, tmp_path / "ds")
     for path in (tmp_path / "ds").rglob("*"):
-        if path.suffix in (".yaml", ".manifest"):
-            assert path.read_bytes().isascii(), path.name
+        if path.suffix in (".yaml", ".manifest"):  # the manifest line
+            assert path.read_bytes().partition(b"\n")[0].isascii(), path.name
     loaded = load_dataset(tmp_path / "ds")
     assert loaded.infos == ds.infos
     assert loaded.sample_at(3).get_field_names() == [unusual]
@@ -148,7 +160,9 @@ def test_scalar_exact_decimal_round_trip(tmp_path):
               "e": 12345.678901234567}
     sample = Sample(scalars=values)
     write_sample(sample, tmp_path / "s.manifest")
-    assert not (tmp_path / "s.blob").exists()  # a sample without arrays
+    # a sample without arrays is its manifest line alone
+    assert read_artifact(tmp_path / "s.manifest")[1] == b""
+    assert _files(tmp_path) == ["s.manifest"]
     back = read_sample(tmp_path / "s.manifest")
     for name, value in values.items():
         assert np.float64(back.scalars[name]).tobytes() == \
@@ -225,11 +239,11 @@ def test_save_refuses_non_empty_dir(tmp_path, two_base_sample):
 def test_truncated_blob_reports_file(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     save_dataset(small_dataset(two_base_sample), root)
-    blob = root / "dataset" / "samples" / "sample_000000000" / "sample.blob"
-    blob.write_bytes(blob.read_bytes()[:-3])
+    path = root / "dataset" / "samples" / "sample_000000000.manifest"
+    path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError) as err:
         load_dataset(root, lazy=False)
-    assert blob.name in str(err.value)
+    assert path.name in str(err.value)
 
 
 def test_unknown_format_version(tmp_path, two_base_sample):
@@ -351,8 +365,8 @@ def test_validation_resolves_links(tmp_path, two_base_sample, capsys, spoil,
     # written past validation, as an older writer could have
     root = tmp_path / "ds"
     save_dataset(Dataset(samples=[two_base_sample], infos=infos), root)
-    write_sample(sample, root / "dataset" / "samples" / "sample_000000000"
-                 / SAMPLE_MANIFEST)
+    write_sample(sample,
+                 root / "dataset" / "samples" / "sample_000000000.manifest")
     capsys.readouterr()
     assert main(["validate", str(root), "--strict"]) == 1
     assert "1 violations" in capsys.readouterr().out
@@ -400,7 +414,7 @@ def test_lazy_cache_single_population():
 # corrupt artifacts: every malformed file fails with a typed error naming it
 
 _MANIFESTS = {
-    "dataset": "dataset/samples/sample_000000000/sample.manifest",
+    "dataset": "dataset/samples/sample_000000000.manifest",
     "bundle": "bundle.manifest",
     "model": "model.manifest",
 }
@@ -423,11 +437,10 @@ def saved_artifacts(tmp_path_factory):
     return root
 
 
-def test_artifact_directories_hold_one_manifest_and_one_blob(saved_artifacts):
-    assert _files(saved_artifacts / "bundle") == ["bundle.blob",
-                                                  "bundle.manifest"]
-    assert _files(saved_artifacts / "model") == ["model.blob",
-                                                 "model.manifest"]
+def test_artifact_directories_hold_one_file(saved_artifacts):
+    for kind in ("bundle", "model"):
+        assert sorted(p.name for p in (saved_artifacts / kind).iterdir()) \
+            == [f"{kind}.manifest"]
 
 
 def _write(name, text):
@@ -458,19 +471,20 @@ def _replace(name, old, new):
 
 
 def _edit(name, edit):
+    """Apply ``edit`` to the manifest document of a file, keeping its payload."""
     def corrupt(root):
         path = root / name
-        doc = json.loads(path.read_text())
+        doc, payload = read_artifact(path)
         edit(doc)
-        path.write_text(json.dumps(doc))
+        write_artifact(path, doc, payload)
         return path
     return corrupt
 
 
-def _truncate_blob(root):
-    blob = sorted(root.rglob("*.blob"))[0]
-    blob.write_bytes(blob.read_bytes()[:-3])
-    return blob
+def _truncate_payload(root):
+    path = sorted(root.rglob("*.manifest"))[0]
+    path.write_bytes(path.read_bytes()[:-3])
+    return path
 
 
 def _array_entries(doc):
@@ -485,13 +499,11 @@ def _array_entries(doc):
 
 
 def _reshape_blob(locate, change):
-    """Replace one model array by ``change(array)`` and re-pack the blob,
-    keeping every manifest entry readable and the blob tiled."""
+    """Replace one model array by ``change(array)`` and re-pack the payload,
+    keeping every manifest entry readable and the payload tiled."""
     def corrupt(root):
         path = root / "model.manifest"
-        doc = json.loads(path.read_text())
-        blob = root / "model.blob"
-        data = blob.read_bytes()
+        doc, data = read_artifact(path)
         target = locate(doc)
         packed = []
         for entry in sorted(_array_entries(doc), key=lambda e: e["offset"]):
@@ -504,29 +516,34 @@ def _reshape_blob(locate, change):
                 entry["shape"] = list(array.shape)
             entry["offset"] = sum(len(b) for b in packed)
             packed.append(array.tobytes())
-        blob.write_bytes(b"".join(packed))
-        path.write_text(json.dumps(doc))
+        write_artifact(path, doc, b"".join(packed))
         return path
     return corrupt
 
 
 def _blob_entries(edit):
-    """Apply ``edit`` to the array entries of a manifest, in blob order."""
+    """Apply ``edit`` to the array entries of a manifest, in payload order."""
     def corrupt_doc(doc):
         edit(sorted(_array_entries(doc), key=lambda e: e["offset"]))
     return corrupt_doc
 
 
-def _delete_blob(root):
-    blob = sorted(root.rglob("*.blob"))[0]
-    blob.unlink()
-    return blob
-
-
 def _drop_second_sample(root):
     samples = root / "dataset" / "samples"
-    shutil.rmtree(samples / "sample_000000001")
-    return samples / "sample_000000002"
+    (samples / "sample_000000001.manifest").unlink()
+    return samples / "sample_000000002.manifest"
+
+
+def _add_to_samples(name, directory=False):
+    """An entry ``name`` under dataset/samples/, a directory or a file."""
+    def corrupt(root):
+        path = root / "dataset" / "samples" / name
+        if directory:
+            path.mkdir()
+        else:
+            path.write_text("")
+        return path
+    return corrupt
 
 
 def _first_field(doc, key):
@@ -541,14 +558,13 @@ def _first_gp(doc):
 _CORRUPTIONS = []
 for _kind in ("dataset", "bundle", "model"):
     _CORRUPTIONS += [
-        pytest.param(_kind, _truncate_blob, FormatError,
+        pytest.param(_kind, _truncate_payload, FormatError,
                      id=f"{_kind}-truncated_blob"),
         pytest.param(_kind, _replace(_MANIFESTS[_kind], '"dtype": "float64"',
                                      '"dtype": "float32"'),
                      FormatError, id=f"{_kind}-blob_dtype"),
-        pytest.param(_kind, _append_bytes(_MANIFESTS[_kind].replace(
-            ".manifest", ".blob"), b"\0" * 8),
-            FormatError, id=f"{_kind}-blob_trailing_bytes"),
+        pytest.param(_kind, _append_bytes(_MANIFESTS[_kind], b"\0" * 8),
+                     FormatError, id=f"{_kind}-blob_trailing_bytes"),
         pytest.param(_kind, _edit(_MANIFESTS[_kind], _blob_entries(
             lambda es: es[-1].update(offset=es[-1]["offset"] + 8))),
             FormatError, id=f"{_kind}-offset_past_end"),
@@ -558,8 +574,6 @@ for _kind in ("dataset", "bundle", "model"):
         pytest.param(_kind, _edit(_MANIFESTS[_kind], _blob_entries(
             lambda es: es[0].update(offset=-8))),
             FormatError, id=f"{_kind}-negative_offset"),
-        pytest.param(_kind, _delete_blob, FormatError,
-                     id=f"{_kind}-missing_blob"),
     ]
 _CORRUPTIONS += [
     pytest.param("dataset", _edit(_MANIFESTS["dataset"],
@@ -568,13 +582,13 @@ _CORRUPTIONS += [
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"n_vertices": 4',
                                      '"n_vertices": 1e999'),
                  FormatError, id="dataset-infinite_count"),
-    pytest.param("dataset", _append_bytes(_MANIFESTS["dataset"], b"#\xff\n"),
+    pytest.param("dataset", _replace(_MANIFESTS["dataset"], "}\n", b"}#\xff\n"),
                  FormatError, id="dataset-manifest_not_utf8"),
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"scalars": {"',
                                      b'"scalars": {"\xff'),
                  FormatError, id="dataset-scalars_not_utf8"),
     pytest.param("dataset", _edit(
-        "dataset/samples/sample_000000001/sample.manifest",
+        "dataset/samples/sample_000000001.manifest",
         lambda d: d["trees"][1].update(time=d["trees"][0]["time"])),
         FormatError, id="dataset-duplicate_tree_time"),
     pytest.param("dataset", _edit(_MANIFESTS["dataset"], lambda d: d["trees"][0][
@@ -582,11 +596,18 @@ _CORRUPTIONS += [
         FormatError, id="dataset-field_not_1d"),
     pytest.param("dataset", _drop_second_sample, FormatError,
                  id="dataset-sample_numbering"),
-    pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
-                                     '"format_version": 3'),
+    pytest.param("dataset", _add_to_samples("sample_000000003.manifest",
+                                            directory=True),
+                 FormatError, id="dataset-sample_directory"),
+    pytest.param("dataset", _add_to_samples("sample_000000003"), FormatError,
+                 id="dataset-sample_without_suffix"),
+    pytest.param("dataset", _add_to_samples("notes.txt"), FormatError,
+                 id="dataset-stray_sample_entry"),
+    pytest.param("dataset", _replace("infos.yaml", '"format_version": 5',
+                                     '"format_version": 4'),
                  VersionMismatch, id="dataset-format_version"),
-    pytest.param("dataset", _replace("infos.yaml", '"format_version": 4',
-                                     '"format_version": 4.0'),
+    pytest.param("dataset", _replace("infos.yaml", '"format_version": 5',
+                                     '"format_version": 5.0'),
                  FormatError, id="dataset-format_version_real"),
     pytest.param("dataset", _write("infos.yaml", ""), FormatError,
                  id="dataset-empty_infos"),
@@ -600,6 +621,9 @@ _CORRUPTIONS += [
                                   lambda d: d["hidden_partition"].append(
                                       [d["hidden_partition"][0][0], "Private"])),
                  FormatError, id="dataset-partition_id_twice"),
+    pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
+                                  lambda d: d.update(hidden_partition=None)),
+                 FormatError, id="dataset-partition_null"),
     pytest.param("dataset", _edit("problem_definition/problem_infos.yaml",
                                   lambda d: d["hidden_partition"][0].__setitem__(
                                       0, 1.7)),
@@ -649,8 +673,8 @@ _CORRUPTIONS += [
     pytest.param("bundle", _edit("bundle.manifest",
                                  lambda d: d["samples"][0].pop("id")),
                  FormatError, id="bundle-missing_key"),
-    pytest.param("bundle", _replace("bundle.manifest", '"format_version": 4',
-                                    '"format_version": 3'),
+    pytest.param("bundle", _replace("bundle.manifest", '"format_version": 5',
+                                    '"format_version": 4'),
                  VersionMismatch, id="bundle-format_version"),
     pytest.param("bundle", _write("bundle.manifest", ""), FormatError,
                  id="bundle-empty_manifest"),
@@ -664,8 +688,8 @@ _CORRUPTIONS += [
                  FormatError, id="bundle-id_not_integer"),
     pytest.param("model", _edit("model.manifest", lambda d: d.pop("config")),
                  FormatError, id="model-missing_config"),
-    pytest.param("model", _replace("model.manifest", '"format_version": 4',
-                                   '"format_version": 3'),
+    pytest.param("model", _replace("model.manifest", '"format_version": 5',
+                                   '"format_version": 4'),
                  VersionMismatch, id="model-format_version"),
     pytest.param("model", _write("model.manifest", ""), FormatError,
                  id="model-empty_manifest"),
@@ -733,7 +757,7 @@ def test_corrupt_artifact_raises_typed_error(tmp_path, two_base_sample,
     path = corrupt(root)
     with pytest.raises(error) as err:
         _LOADERS[kind](root)
-    # every sample manifest is named sample.manifest: its directory counts
+    # the error names the file and its directory
     assert path.name in str(err.value) and str(path.parent) in str(err.value)
 
 
@@ -760,12 +784,13 @@ def test_yaml_manifest_asks_to_regenerate(tmp_path, two_base_sample,
 
 
 # ---------------------------------------------------------------------------
-# every artifact that loads re-saves to itself: one JSON leaf edited at a
-# time, the file must fail to load with a typed error naming it, or load and
-# re-save to the same document; an edit of problem_infos.yaml may instead
-# give a dataset that save_dataset refuses (an unknown subset word, say)
+# every artifact that loads re-saves to itself: one JSON leaf edited, or one
+# key added to an object, at a time, the file must fail to load with a typed
+# error naming it, or load and re-save to the same bytes; an edit of
+# problem_infos.yaml may instead give a dataset that save_dataset refuses (an
+# unknown subset word, say)
 
-_SAMPLE = "dataset/samples/sample_000000001/sample.manifest"  # links, series
+_SAMPLE = "dataset/samples/sample_000000001.manifest"  # links, series
 
 
 #: kind -> (file edited, load(root), save(loaded, out), file re-saved in out)
@@ -774,8 +799,8 @@ _RESAVED = {
     "problem_infos": ("problem_definition/problem_infos.yaml", load_dataset,
                       save_dataset, "problem_definition/problem_infos.yaml"),
     "sample": (_SAMPLE, lambda root: read_sample(root / _SAMPLE),
-               lambda sample, out: write_sample(sample, out / SAMPLE_MANIFEST),
-               SAMPLE_MANIFEST),
+               lambda sample, out: write_sample(sample, out / "s.manifest"),
+               "s.manifest"),
     "model": ("model.manifest", load_model, save_model, "model.manifest"),
     "bundle": ("bundle.manifest", load_bundle, save_bundle, "bundle.manifest"),
 }
@@ -790,6 +815,15 @@ def _leaves(doc, path=()):
             yield from _leaves(doc[key], path + (key,))
     else:
         yield path, doc
+
+
+def _objects(doc, path=()):
+    """The key path of every JSON object in ``doc``."""
+    if isinstance(doc, dict):
+        yield path
+    if isinstance(doc, (dict, list)):
+        for key in doc if isinstance(doc, dict) else range(len(doc)):
+            yield from _objects(doc[key], path + (key,))
 
 
 def _with_leaf(doc, path, value):
@@ -813,19 +847,21 @@ def test_every_leaf_edit_fails_or_resaves_to_itself(tmp_path, two_base_sample,
         ds.problem.hidden_partition = {1: "Public", 2: "Private"}
         save_dataset(ds, root)
     path = root / name
-    original = path.read_text()
-    doc = json.loads(original)
+    original = path.read_bytes()
+    doc, payload = read_artifact(path)
     rng = random.Random(kind)
     edits = [(leaf, value) for leaf, old in _leaves(doc) for value in [
         *_LEAF_VALUES, rng.choice(["", " ", "Public", "0.0", "nan", "7"]),
         *([old - 1, old + 1, float(old)] if type(old) is int else [])]]
     edits = rng.sample(edits, min(len(edits), 250))  # about 0.4 s a file
+    # a key no writer writes, with a value that a map of reals accepts: an
+    # object whose keys the writer fixes must refuse it
+    edits += [(key_path + ("~added",), "1.0") for key_path in _objects(doc)]
     loaded_edits = 0
     for i, (leaf, value) in enumerate(edits):
-        text = json.dumps(_with_leaf(doc, leaf, value)) + "\n"
-        if text == original:
+        write_artifact(path, _with_leaf(doc, leaf, value), payload)
+        if (data := path.read_bytes()) == original:
             continue
-        path.write_text(text)
         try:
             loaded = load(root)
         except MeshBenchError as exc:
@@ -838,6 +874,63 @@ def test_every_leaf_edit_fails_or_resaves_to_itself(tmp_path, two_base_sample,
         except InvalidDataset:
             assert kind == "problem_infos", (leaf, value)
             continue
-        assert (out / saved_name).read_text() == text, (leaf, value)
+        assert (out / saved_name).read_bytes() == data, (leaf, value)
         loaded_edits += 1
     assert loaded_edits > 0
+
+
+def test_empty_array_loads_only_at_its_written_offset(tmp_path):
+    # one triangle: coordinates (48 bytes), connectivity (24) and a vertex
+    # field (24) come before the empty tag
+    zone = make_unstructured_zone(
+        "Fluid", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        blocks=[(ElementType.TRI_3, [[0, 1, 2]])],
+        fields=[make_field("u", [1.0, 2.0, 3.0], Location.Vertex)],
+        tags=[make_tag("wall", np.zeros(0, dtype=np.int64),
+                       TagKind.NodalTag)])
+    sample = Sample(trees={0.0: build_tree([Base("B", 2, 2, (zone,))], 0.0)})
+    path = tmp_path / "s.manifest"
+    write_sample(sample, path)
+    doc, payload = read_artifact(path)
+    entry = doc["trees"][0]["bases"][0]["zones"][0]["tags"][0]["ids"]
+    assert (entry["offset"], len(payload)) == (96, 96)
+    assert samples_equal(read_sample(path), sample)
+    entry["offset"] = 0
+    write_artifact(path, doc, payload)
+    with pytest.raises(FormatError, match="s.manifest"):
+        read_sample(path)
+
+
+def _as_format_4(root):
+    """Rewrite the artifacts under ``root`` in the layout of format 4: each
+    manifest line, its version 4, alone in its file, the payload in a
+    ``.blob`` beside it when not empty, each sample in its own directory."""
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        doc, payload = read_artifact(path)
+        if "format_version" in doc:
+            doc["format_version"] = 4
+        if path.parent.name == "samples":
+            path.unlink()
+            path = path.parent / path.stem / "sample.manifest"
+            path.parent.mkdir()
+        write_artifact(path, doc)
+        if payload:
+            path.with_suffix(".blob").write_bytes(payload)
+
+
+@pytest.mark.parametrize("kind, name", [("dataset", "infos.yaml"),
+                                        ("bundle", "bundle.manifest"),
+                                        ("model", "model.manifest")])
+def test_format_4_artifact_is_a_version_mismatch(tmp_path, two_base_sample,
+                                                 saved_artifacts, kind, name):
+    root = tmp_path / kind
+    if kind == "dataset":
+        save_dataset(small_dataset(two_base_sample), root)
+    else:
+        shutil.copytree(saved_artifacts / kind, root)
+    _as_format_4(root)
+    assert any(root.rglob("*.blob"))
+    with pytest.raises(VersionMismatch, match=f"format_version 4 .*{name}"):
+        _LOADERS[kind](root)

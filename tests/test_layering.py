@@ -51,7 +51,7 @@ def _external_imports(path):
             yield node.module.partition(".")[0]
 
 
-# every artifact file is a JSON manifest or its blob
+# every artifact file is a JSON manifest line and its payload
 @pytest.mark.parametrize("codec_module", ["yaml", "csv"])
 def test_no_module_imports(codec_module):
     importers = {path.stem for path in PACKAGE.glob("*.py")

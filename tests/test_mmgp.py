@@ -44,6 +44,8 @@ from meshbench.synthetic import build_plate_sample
 from meshbench.transfer import build_transfer
 from meshbench.tree import Zone, zone_with
 
+from conftest import read_artifact, write_artifact
+
 
 def test_parse_config_text():
     text = """
@@ -357,11 +359,11 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
     _, fields = mmgp_predict(model, sample)
     assert np.all(fields["u"] == 1.0)
 
-    # the empty constant round-trips as a zero-length span of the one blob,
-    # and a model whose rank-0 field has no regressor does not load
+    # the empty constant round-trips as a zero-length span of the one
+    # payload, and a model whose rank-0 field has no regressor does not load
     save_model(model, tmp_path / "model")
     assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [
-        "model.blob", "model.manifest"]
+        "model.manifest"]
     loaded = load_model(tmp_path / "model")
     assert loaded.field_regressors["u"].constant.shape == (0,)
     assert mmgp_predict(loaded, sample)[1]["u"].tobytes() == \
@@ -371,6 +373,13 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
         tmp_path / "no_regressor")
     with pytest.raises(FormatError, match="regressors"):
         load_model(tmp_path / "no_regressor")
+    # a constant regressor holds no key but its kind and value
+    path = tmp_path / "model" / "model.manifest"
+    doc, payload = read_artifact(path)
+    doc["field_regressors"]["u"]["extra"] = "1.0"
+    write_artifact(path, doc, payload)
+    with pytest.raises(FormatError, match="unknown keys"):
+        load_model(tmp_path / "model")
 
 
 def test_constant_coefficient_columns_fall_back_to_a_constant_vector(tmp_path):
@@ -463,9 +472,8 @@ def test_permuted_training_split_gives_the_same_model(tmp_path):
     # edited after construction, so ProblemDefinition did not sort it
     ds.problem.splits[config.train_split].reverse()
     save_model(mmgp_fit(ds, ds.problem, config), tmp_path / "reversed")
-    for name in ("model.manifest", "model.blob"):
-        assert ((tmp_path / "sorted" / name).read_bytes()
-                == (tmp_path / "reversed" / name).read_bytes())
+    assert ((tmp_path / "sorted" / "model.manifest").read_bytes()
+            == (tmp_path / "reversed" / "model.manifest").read_bytes())
 
 
 def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
@@ -473,8 +481,8 @@ def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
                               max_nodes_per_side=10))
     model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
     save_model(model, tmp_path / "model")
-    assert (tmp_path / "model" / "model.manifest").read_text().count(
-        "x_train") == 1
+    assert (tmp_path / "model" / "model.manifest").read_bytes().partition(
+        b"\n")[0].count(b"x_train") == 1
     loaded = load_model(tmp_path / "model")
     gps = [r.gp for r in (*loaded.field_regressors.values(),
                           *loaded.scalar_regressors.values()) if r.is_gp]
