@@ -19,8 +19,10 @@ string holding exactly the shortest decimal form restoring the double
 (``repr``: ``"1.5"``, never ``"1.50"`` or ``1.5``); a name is a string; a
 shape is a list of integers; a kind is one of its known words; sample ids
 increase strictly.  Every key the writer writes is required, and an object
-whose keys the writer fixes holds no other key; only maps keyed by names
-(scalars, fields, regressors, free metadata) are open.
+whose keys the writer fixes holds no other key and holds its keys in the
+writer's order; a map keyed by names (scalars, fields, regressors, splits)
+holds its names in increasing order, as the writer sorts them.  Only free
+metadata (``infos``) is open, kept in document order.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
@@ -101,13 +103,26 @@ def decode_ids(value) -> list[int]:
 
 
 def decode_object(value, *keys: str) -> dict:
-    """A JSON object with no key but ``keys``; a key it lacks fails when
-    it is read, unless the reader takes it as optional."""
+    """A JSON object with no key but ``keys``, in that order, which is the
+    writer's; a key it lacks fails when it is read, unless the reader takes
+    it as optional."""
     if type(value) is not dict:
         raise TypeError(f"{value!r} is not a JSON object")
     if unknown := value.keys() - set(keys):
         raise ValueError(f"unknown keys {sorted(unknown)}, expected {keys}")
+    if list(value) != [key for key in keys if key in value]:
+        raise ValueError(f"keys {list(value)} are not in the order {keys}")
     return value
+
+
+def decode_map(value, item) -> dict:
+    """A map keyed by names, in the increasing order the writer sorts them
+    in, each value decoded by ``item``."""
+    if type(value) is not dict:
+        raise TypeError(f"{value!r} is not a JSON object")
+    if list(value) != sorted(value):
+        raise ValueError(f"keys {list(value)} are not in increasing order")
+    return {name: item(entry) for name, entry in value.items()}
 
 
 class decoding:

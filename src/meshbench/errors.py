@@ -20,7 +20,7 @@ class InvalidName(MeshBenchError):
 
 
 class DimensionMismatch(MeshBenchError):
-    """Array shape or dimension inconsistent with its container."""
+    """Array shape, dimension or dtype inconsistent with its container."""
 
 
 class IndexOutOfRange(MeshBenchError):

@@ -30,8 +30,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
-                    decode_ids, decode_list, decode_object, decode_real,
-                    format_real)
+                    decode_ids, decode_list, decode_map, decode_object,
+                    decode_real, format_real)
 from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
                       partition_problems)
 from .errors import (
@@ -243,8 +243,8 @@ def load_bundle(root_path) -> PredictionBundle:
         ids = decode_ids([entry["id"] for entry in entries])
         for sid, entry in zip(ids, entries):
             bundle.predictions[sid] = SamplePrediction(
-                {name: reader.read(e) for name, e in entry["fields"].items()},
-                {name: decode_real(v) for name, v in entry["scalars"].items()})
+                decode_map(entry["fields"], reader.read),
+                decode_map(entry["scalars"], decode_real))
     return bundle
 
 

@@ -12,7 +12,12 @@ search on their summed likelihood), plus one GP per output scalar.
 
 Prediction embeds the query sample the same way, GP-predicts coefficients
 (one kernel product per field), reconstructs fields on the common mesh and
-evaluates them back at the sample's own (morphed) vertex positions.
+evaluates them back at the sample's own (morphed) vertex positions.  Fit
+and predict share one path: ``_embedded`` orients and embeds a list of
+meshes (the training set, or the one query) one connectivity at a time,
+``_transfer`` carries values between two disk embeddings, and without
+morphing a sample's transfer is None, which leaves vertex values where
+they are.
 
 Everything is deterministic for a fixed config, whatever the thread count
 given to the GP fits, the one pooled stage.
@@ -27,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
-                    decode_kind, decode_list, decode_name, decode_object,
-                    decode_real, format_real)
+                    decode_kind, decode_list, decode_map, decode_name,
+                    decode_object, decode_real, format_real)
 from .dataset import Dataset, ProblemDefinition
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
@@ -73,7 +78,7 @@ class MmgpConfig:
                                 f"not {self.jitter}")
 
 
-_CONFIG_KEYS = sorted(f.name for f in fields(MmgpConfig))
+_CONFIG_KEYS = tuple(f.name for f in fields(MmgpConfig))
 
 
 def _config_from(values: dict) -> MmgpConfig:
@@ -130,7 +135,8 @@ def load_config(path) -> MmgpConfig:
 # geometry extraction
 
 def extract_triangle_geometry(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """The sample's unique triangulated 2-D zone as (coords, triangles)."""
+    """The sample's unique triangulated 2-D zone as (coords, triangles),
+    the zone's own read-only arrays when it has one element block."""
     tree = sample.get_mesh(apply_links=True)
     found = []
     for b in tree.bases:
@@ -149,7 +155,9 @@ def extract_triangle_geometry(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
             f"{len(found)}")
     _, zone = found[0]
     blocks = sorted(zone.element_blocks, key=lambda blk: blk.global_range[0])
-    triangles = np.vstack([blk.connectivity for blk in blocks])
+    # a lone block's own array, not a copy that fit would keep alive
+    triangles = (blocks[0].connectivity if len(blocks) == 1 else
+                 np.vstack([blk.connectivity for blk in blocks]))
     return zone.coordinates, triangles
 
 
@@ -221,63 +229,65 @@ class MmgpModel:
 _NO_LOOP = np.empty(0, dtype=np.int64)
 
 
-def _morph_group(surfaces):
-    """Embed surface meshes that share one ``connectivity_key`` onto the
-    unit disk, in order, yielding each one's (positions, triangles,
-    boundary edges).
+def _embedded(geometries):
+    """Orient every ``(coords, triangles)`` and embed it onto the unit disk,
+    yielding each one's (index, positions, oriented triangles, boundary
+    edges).
 
-    The boundary loop, the boundary edges and the Tutte system are built
-    from the first mesh and shared by the rest, whose own loops may be
-    left out; drop the generator to free them.
+    Meshes are embedded one ``connectivity_key`` group at a time, groups in
+    order of their first index, so index 0 comes first.  A group builds its
+    boundary loop, boundary edges and Tutte system once, from its first
+    mesh, and its surfaces are freed once it is done.  Fit passes its
+    training geometries, predict a list of one.
     """
-    system = edges = None
-    for surface in surfaces:
-        if system is None:
-            system = tutte_system(surface)
-            edges = boundary_edges(surface.triangles)
-        yield tutte_embed(surface, system).positions, surface.triangles, edges
+    # each mesh is oriented once, its boundary loop left to its group
+    surfaces = [build_surface_mesh(*geometry, _NO_LOOP)
+                for geometry in geometries]
+    groups = {}
+    for i, surface in enumerate(surfaces):
+        groups.setdefault(connectivity_key(surface), []).append(i)
+    groups = list(groups.values())  # frees the keys: triangle copies
+    for members in groups:
+        system = tutte_system(surfaces[members[0]])
+        edges = boundary_edges(surfaces[members[0]].triangles)
+        for i in members:
+            surface, surfaces[i] = surfaces[i], None
+            yield (i, tutte_embed(surface, system).positions,
+                   surface.triangles, edges)
 
 
-def _preprocess_sample(coords, triangles, morphing, common_nodes,
-                       common_triangles=None, morphed=None):
-    """Shape vector of one sample, the transfer onto the common mesh and,
-    given ``common_triangles``, the one back (both None without morphing).
+def _transfer(nodes, triangles, targets, boundary):
+    """``build_transfer`` from one disk embedding onto another's nodes,
+    given the source's boundary edges.
 
-    ``morphed`` is the sample's item of ``_morph_group`` if the caller has
-    it already; otherwise the sample is morphed as a group of one.  Fit and
-    predict share this path; it alone sets the snap allowance.
+    Both boundaries are polygons inscribed in the unit circle, so no target
+    lies farther outside the source than the sagitta of its longest
+    boundary chord, plus rounding slack: that is the snap allowance.
     """
-    if not morphing:
-        if coords.shape[0] != len(common_nodes):
-            raise ShapeMismatch(
-                f"morphing is off: a sample has {coords.shape[0]} nodes, "
-                f"the common mesh {len(common_nodes)}")
-        return np.concatenate([coords[:, 0], coords[:, 1]]), None, None
+    owner, slot = boundary
+    chord = np.linalg.norm(nodes[triangles[owner, slot]]
+                           - nodes[triangles[owner, (slot + 1) % 3]],
+                           axis=1).max()
+    sagitta = 1.0 - np.sqrt(max(0.0, 1.0 - (chord / 2) ** 2))
+    bbox_diag = np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))
+    return build_transfer(nodes, triangles, targets,
+                          tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL,
+                          boundary=boundary)
 
-    def transfer(nodes, tris, targets, boundary):
-        # both boundaries are polygons inscribed in the unit circle, so no
-        # target lies farther outside the source than the sagitta of its
-        # longest boundary chord L, plus rounding slack
-        owner, slot = boundary
-        chord = np.linalg.norm(nodes[tris[owner, slot]]
-                               - nodes[tris[owner, (slot + 1) % 3]],
-                               axis=1).max()
-        sagitta = 1.0 - np.sqrt(max(0.0, 1.0 - (chord / 2) ** 2))
-        bbox_diag = np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))
-        return build_transfer(nodes, tris, targets,
-                              tol=sagitta / bbox_diag + DEFAULT_SNAP_TOL,
-                              boundary=boundary)
 
-    if morphed is None:
-        morphed = next(_morph_group([build_surface_mesh(coords, triangles)]))
-    positions, disk_triangles, boundary = morphed
-    op_to = transfer(positions, disk_triangles, common_nodes, boundary)
-    op_from = (None if common_triangles is None else
-               transfer(common_nodes, common_triangles, positions,
-                        boundary_edges(common_triangles)))
-    shape_vec = np.concatenate([apply_transfer(op_to, coords[:, 0]),
-                                apply_transfer(op_to, coords[:, 1])])
-    return shape_vec, op_to, op_from
+def _moved(op, values: np.ndarray) -> np.ndarray:
+    """Vertex ``values`` carried by the transfer ``op``; a transfer of
+    None (morphing off) leaves vertex values where they are."""
+    return values if op is None else apply_transfer(op, values)
+
+
+def _shape_vector(op, coords, common_nodes) -> np.ndarray:
+    """The sample's x and y coordinate fields on the common mesh, stacked."""
+    if op is None and len(coords) != len(common_nodes):
+        raise ShapeMismatch(
+            f"morphing is off: a sample has {len(coords)} nodes, the common "
+            f"mesh {len(common_nodes)}")
+    return np.concatenate([_moved(op, coords[:, 0]), _moved(op, coords[:, 1])])
 
 
 def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
@@ -297,34 +307,17 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     samples = [dataset.sample_at(i) for i in ids]
     geometries = [extract_triangle_geometry(s) for s in samples]
 
+    ops = [None] * len(ids)  # each sample's transfer onto the common mesh
     if config.morphing:
-        # each mesh is oriented once, its boundary loop left to its group
-        surfaces = dict(enumerate(build_surface_mesh(*geometry, _NO_LOOP)
-                                  for geometry in geometries))
-        # the oriented triangles replace the extracted copies, freeing them
-        geometries = [(coords, surfaces[i].triangles)
-                      for i, (coords, _) in enumerate(geometries)]
-        # one connectivity at a time, so that one Tutte system is alive;
-        # groups come in order of their first id, so sample 0, morphed to
-        # the disk, is the common mesh before any transfer needs it
-        groups = {}
-        for i, surface in surfaces.items():
-            groups.setdefault(connectivity_key(surface), []).append(i)
-        groups = list(groups.values())  # frees the keys: triangle copies
-        pre = [None] * len(ids)
-        for members in groups:  # a group's surfaces are freed after it
-            for i, morphed in zip(members, _morph_group(
-                    [surfaces.pop(i) for i in members])):
-                if i == 0:
-                    common_nodes, common_triangles = morphed[:2]
-                pre[i] = _preprocess_sample(*geometries[i], True,
-                                            common_nodes, morphed=morphed)
+        # sample 0 comes first: its embedding is the common mesh
+        for i, positions, triangles, edges in _embedded(geometries):
+            if i == 0:
+                common_nodes, common_triangles = positions, triangles
+            ops[i] = _transfer(positions, triangles, common_nodes, edges)
     else:
         common_nodes, common_triangles = geometries[0]
-        pre = [_preprocess_sample(*geometry, False, common_nodes)
-               for geometry in geometries]
-    shape_snapshots = np.stack([vec for vec, _, _ in pre])
-    ops = [op for _, op, _ in pre]
+    shape_snapshots = np.stack([_shape_vector(op, coords, common_nodes)
+                                for op, (coords, _) in zip(ops, geometries)])
 
     shape_basis = pod_basis(shape_snapshots, config.shape_modes)
     shape_coeffs = np.stack([pod_project(shape_basis, vec)
@@ -347,11 +340,8 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     gp_tasks: list[tuple[dict, str, np.ndarray]] = []  # (into, name, targets)
     for name in model.out_fields:
         snapshots = np.stack([
-            (apply_transfer(ops[i], _output_field(samples[i], name,
-                                                  geometries[i][0].shape[0]))
-             if ops[i] is not None else
-             _output_field(samples[i], name, geometries[i][0].shape[0]))
-            for i in range(len(samples))])
+            _moved(op, _output_field(sample, name, len(coords)))
+            for op, sample, (coords, _) in zip(ops, samples, geometries)])
         basis = pod_basis(snapshots, config.field_modes)
         model.field_bases[name] = basis
         coeffs = np.stack([pod_project(basis, snap) for snap in snapshots])
@@ -375,24 +365,24 @@ def mmgp_predict(model: MmgpModel, sample: Sample
                  ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Predict output scalars and fields on the sample's own mesh."""
     coords, triangles = extract_triangle_geometry(sample)
-    shape_vec, _, op_back = _preprocess_sample(
-        coords, triangles, model.config.morphing, model.common_nodes,
-        model.common_triangles)
+    op_to = op_back = None  # onto the common mesh and back
+    if model.config.morphing:
+        ((_, positions, disk_triangles, edges),) = _embedded(
+            [(coords, triangles)])
+        op_to = _transfer(positions, disk_triangles, model.common_nodes, edges)
+        op_back = _transfer(model.common_nodes, model.common_triangles,
+                            positions, boundary_edges(model.common_triangles))
+    shape_vec = _shape_vector(op_to, coords, model.common_nodes)
 
     scalars_in = [sample.get_scalar(name) for name in model.in_scalars]
     x = np.concatenate([pod_project(model.shape_basis, shape_vec),
                         np.asarray(scalars_in)])[None, :]
 
-    common_fields = {}
+    fields_out = {}
     for name in model.out_fields:
         coeffs = model.field_regressors[name].predict(x)[0]
-        common_fields[name] = pod_reconstruct(model.field_bases[name], coeffs)
-
-    if op_back is None:
-        fields_out = common_fields
-    else:
-        fields_out = {name: apply_transfer(op_back, values)
-                      for name, values in common_fields.items()}
+        fields_out[name] = _moved(
+            op_back, pod_reconstruct(model.field_bases[name], coeffs))
 
     scalars_out = {name: float(model.scalar_regressors[name].predict(x)[0])
                    for name in model.out_scalars}
@@ -500,9 +490,7 @@ def load_model(root_path) -> MmgpModel:
                       "common_triangles", "shape_basis", "gp_inputs",
                       "field_bases", "field_regressors", "scalar_regressors")
         decode_kind(doc["kind"], ("mmgp-model",))
-        if sorted(cfg := doc["config"]) != _CONFIG_KEYS:
-            raise ConfigInvalid(f"config keys {sorted(cfg)} are not "
-                                f"{_CONFIG_KEYS}")
+        cfg = decode_object(doc["config"], *_CONFIG_KEYS)
         # the arrays are read in the order save_model packs them
         common = dict(common_nodes=read(doc["common_nodes"]),
                       common_triangles=read(doc["common_triangles"], "int64"),
@@ -512,17 +500,18 @@ def load_model(root_path) -> MmgpModel:
         gp_inputs = None if inputs is None else {
             key: read(inputs[key]) for key in _GP_INPUTS}
         model = MmgpModel(
-            config=_config_from({**cfg, "jitter": decode_real(cfg["jitter"])}),
+            config=_config_from({key: cfg[key] for key in _CONFIG_KEYS}
+                                | {"jitter": decode_real(cfg["jitter"])}),
             in_scalars=decode_list(doc["in_scalars"], decode_name),
             out_fields=decode_list(doc["out_fields"], decode_name),
             out_scalars=decode_list(doc["out_scalars"], decode_name),
             **common,
-            field_bases={name: basis_from(b)
-                         for name, b in doc["field_bases"].items()},
-            field_regressors={name: regressor_from(r, read)
-                              for name, r in doc["field_regressors"].items()},
-            scalar_regressors={name: regressor_from(r, decode_real)
-                               for name, r in doc["scalar_regressors"].items()},
+            field_bases=decode_map(doc["field_bases"], basis_from),
+            field_regressors=decode_map(
+                doc["field_regressors"], lambda r: regressor_from(r, read)),
+            scalar_regressors=decode_map(
+                doc["scalar_regressors"],
+                lambda r: regressor_from(r, decode_real)),
         )
         _check_shapes(model, manifest)
     return model

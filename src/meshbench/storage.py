@@ -29,8 +29,8 @@ from pathlib import Path
 
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
                     decode_ids, decode_int, decode_kind, decode_list,
-                    decode_name, decode_object, decode_real, decode_shape,
-                    decoding, format_real)
+                    decode_map, decode_name, decode_object, decode_real,
+                    decode_shape, decoding, format_real)
 from .dataset import Dataset, ProblemDefinition, validate_dataset
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
@@ -47,7 +47,6 @@ from .tree import (
     Zone,
     ZoneType,
     build_tree,
-    zone_with,
 )
 
 # ---------------------------------------------------------------------------
@@ -173,11 +172,9 @@ def read_sample(manifest_path: Path) -> Sample:
     """The sample in the file ``manifest_path``."""
     with ArtifactReader(manifest_path) as reader:
         doc = decode_object(reader.doc, "scalars", "time_series", "trees")
-        scalars = {name: decode_real(value)
-                   for name, value in doc["scalars"].items()}
-        time_series = {name: [decode_list(row, decode_real)
-                              for row in decode_list(rows)]
-                       for name, rows in doc["time_series"].items()}
+        scalars = decode_map(doc["scalars"], decode_real)
+        time_series = decode_map(doc["time_series"], lambda rows: [
+            decode_list(row, decode_real) for row in decode_list(rows)])
         tree_args = decode_list(doc["trees"], lambda t: _tree_args(t, reader))
         times = [time for _, time, _ in tree_args]
         if times != sorted(set(times)):
@@ -288,8 +285,7 @@ def _read_problem(problem_dir: Path) -> ProblemDefinition:
             out_scalars_names=decode_list(doc["out_scalars_names"], decode_name),
             in_fields_names=decode_list(doc["in_fields_names"], decode_name),
             out_fields_names=decode_list(doc["out_fields_names"], decode_name),
-            splits={name: decode_ids(ids)
-                    for name, ids in doc["splits"].items()},
+            splits=decode_map(doc["splits"], decode_ids),
             hidden_partition=hidden,
         )
 
@@ -320,8 +316,8 @@ def participant_export(dataset: Dataset) -> Dataset:
         for t, tree in sample.trees.items():
             bases = [
                 Base(b.name, b.cell_dim, b.phys_dim, tuple(
-                    zone_with(z, fields=[f for f in z.fields
-                                         if f.name not in out_fields])
+                    replace(z, fields=tuple(f for f in z.fields
+                                            if f.name not in out_fields))
                     for z in b.zones))
                 for b in tree.bases]
             trees[t] = build_tree(bases, tree.time, tree.links)

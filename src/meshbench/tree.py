@@ -3,9 +3,11 @@
 A :class:`MeshTree` describes one physical configuration at one simulation
 time.  It contains bases (which fix a cell dimension and an ambient physical
 dimension), each holding zones (one mesh each: coordinates, connectivity,
-located fields, tags).  Trees are immutable after construction: all arrays
-are normalized to little-endian double / int64 and marked read-only, so a
-tree can be shared freely across threads.
+located fields, tags).  Trees are immutable after construction: the
+``make_*`` helpers normalize arrays to little-endian double (coordinates,
+field values) or int64 (connectivity, tag ids), the only dtypes the store
+holds, and mark them read-only, so a tree can be shared freely across
+threads; validation reports an array of any other dtype.
 
 A tree may leave geometric content (coordinates, element blocks) absent and
 declare a :class:`LinkSpec` pointing at an earlier-time tree that carries the
@@ -297,21 +299,6 @@ def make_structured_zone(name: str, coordinates, dims,
                 structured_dims=dims)
 
 
-def zone_with(zone: Zone, *, coordinates=..., element_blocks=...,
-              n_vertices=..., fields=...) -> Zone:
-    """Functional update of an immutable zone."""
-    return Zone(
-        name=zone.name,
-        zone_type=zone.zone_type,
-        n_vertices=zone.n_vertices if n_vertices is ... else n_vertices,
-        coordinates=zone.coordinates if coordinates is ... else coordinates,
-        element_blocks=zone.element_blocks if element_blocks is ... else tuple(element_blocks),
-        fields=zone.fields if fields is ... else tuple(fields),
-        tags=zone.tags,
-        structured_dims=zone.structured_dims,
-    )
-
-
 # ---------------------------------------------------------------------------
 # link paths
 
@@ -447,6 +434,13 @@ def _validate_base(b: Base, claimed, out: ValidationReport) -> None:
         _validate_zone(z, b.phys_dim, claimed.get((b.name, z.name), set()), out, path)
 
 
+def _check_dtype(array: np.ndarray, dtype, path: str,
+                 out: ValidationReport) -> None:
+    if array.dtype != dtype:
+        out.add(DimensionMismatch, path, f"dtype {array.dtype} is not "
+                f"{np.dtype(dtype)}, the one the store holds")
+
+
 def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
                    path: str) -> None:
     _check_identifier(z.name, path, out)
@@ -463,6 +457,7 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
             out.add(DimensionMismatch, f"{path}/coordinates",
                     f"coordinate row count {z.coordinates.shape[0]} differs "
                     f"from n_vertices {z.n_vertices}")
+        _check_dtype(z.coordinates, np.float64, f"{path}/coordinates", out)
 
     if z.zone_type is ZoneType.Structured:
         dims = z.structured_dims
@@ -482,6 +477,7 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
         expected_start = 0
         for k, blk in enumerate(z.element_blocks):
             bpath = f"{path}/elements[{k}]"
+            _check_dtype(blk.connectivity, np.int64, bpath, out)
             npe = blk.element_type.nodes_per_element
             if blk.connectivity.ndim != 2 or blk.connectivity.shape[1] != npe:
                 out.add(DimensionMismatch, bpath,
@@ -512,6 +508,7 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
                     f"duplicate field '{f.name}' at {f.location.value}")
             continue
         seen_fields.add(key)
+        _check_dtype(f.values, np.float64, fpath, out)
         if f.values.ndim != 1:
             out.add(DimensionMismatch, fpath,
                     f"field values must be 1-D, got shape {f.values.shape}")
@@ -537,6 +534,7 @@ def _validate_zone(z: Zone, phys_dim: int, linked: set, out: ValidationReport,
             out.add(DuplicateName, tpath, f"duplicate tag '{t.name}'")
             continue
         seen_tags.add((t.name, t.kind))
+        _check_dtype(t.ids, np.int64, tpath, out)
         if t.ids.ndim != 1:
             out.add(DimensionMismatch, tpath,
                     f"tag ids must be 1-D, got shape {t.ids.shape}")
@@ -599,8 +597,9 @@ def resolve_links(tree: MeshTree,
                 coords = patch.get("coordinates", z.coordinates)
                 blocks = patch.get("element_blocks", z.element_blocks)
                 n_vertices = coords.shape[0] if coords is not None else z.n_vertices
-                z = zone_with(z, coordinates=coords, element_blocks=blocks,
-                              n_vertices=n_vertices)
+                z = dataclasses.replace(z, coordinates=coords,
+                                        element_blocks=blocks,
+                                        n_vertices=n_vertices)
             new_zones.append(z)
         new_bases.append(Base(b.name, b.cell_dim, b.phys_dim, tuple(new_zones)))
     return build_tree(new_bases, tree.time, links=())

@@ -2,6 +2,7 @@ import datetime
 import json
 import random
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from meshbench.errors import (
     VersionMismatch,
 )
 from meshbench.storage import read_sample, write_sample
-from meshbench.tree import zone_with
+from meshbench.tree import MeshTree
 
 from conftest import read_artifact, square_zone, write_artifact
 
@@ -228,6 +229,38 @@ def test_save_rejects_infos_json_cannot_restore(tmp_path, two_base_sample,
     assert not (tmp_path / "ds").exists()
 
 
+def _retyped(array, dtype):
+    return lambda zone_part: replace(zone_part, **{array: getattr(
+        zone_part, array).astype(dtype)})
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_retyped("coordinates", np.int64), "Fluid/coordinates",
+                 id="int64_coordinates"),
+    pytest.param(lambda z: replace(z, fields=tuple(
+        _retyped("values", np.int64)(f) for f in z.fields)),
+        "Fluid/fields/mach", id="int64_field_values"),
+    pytest.param(lambda z: replace(z, element_blocks=tuple(
+        _retyped("connectivity", np.int32)(b) for b in z.element_blocks)),
+        r"Fluid/elements\[0\]", id="int32_connectivity"),
+    pytest.param(lambda z: replace(z, tags=tuple(
+        _retyped("ids", np.int32)(t) for t in z.tags)),
+        "Fluid/tags/inlet", id="int32_tag_ids"),
+])
+def test_tree_of_arrays_the_store_cannot_hold_is_invalid(tmp_path, edit,
+                                                         where):
+    # the store holds float64 coordinates and field values, and int64
+    # connectivity and tag ids; any other dtype fails before a byte is written
+    bases = (Base("Base_2_2", 2, 2, (edit(square_zone([1.0, 2.0, 3.0, 4.0])),)),)
+    with pytest.raises(DimensionMismatch, match=f"{where}: dtype"):
+        build_tree(bases)
+    ds = Dataset(samples=[Sample(trees={0.0: MeshTree(bases, 0.0)})],
+                 problem=ProblemDefinition(splits={"train": [0]}))
+    with pytest.raises(InvalidDataset, match=f"{where}: dtype"):
+        save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_save_refuses_non_empty_dir(tmp_path, two_base_sample):
     root = tmp_path / "ds"
     root.mkdir()
@@ -316,7 +349,7 @@ def _cellcenter_field_too_long(tree0, tree1):
     fields = [f for f in fluid.fields if f.location is Location.Vertex]
     fields.append(make_field("EROSION_STATUS", [0.0, 1.0, 0.0],
                              Location.CellCenter))
-    bases = [Base("Base_2_2", 2, 2, (zone_with(fluid, fields=fields),)),
+    bases = [Base("Base_2_2", 2, 2, (replace(fluid, fields=tuple(fields)),)),
              tree1.bases[1]]
     return {0.0: tree0, 0.01: build_tree(bases, tree1.time, tree1.links)}
 
@@ -784,9 +817,10 @@ def test_yaml_manifest_asks_to_regenerate(tmp_path, two_base_sample,
 
 
 # ---------------------------------------------------------------------------
-# every artifact that loads re-saves to itself: one JSON leaf edited, or one
-# key added to an object, at a time, the file must fail to load with a typed
-# error naming it, or load and re-save to the same bytes; an edit of
+# every artifact that loads re-saves to itself: one JSON leaf edited, one key
+# added to an object, or one object's keys reversed, at a time, the file must
+# fail to load with a typed error naming it, or load and re-save to the same
+# bytes; an edit of
 # problem_infos.yaml may instead give a dataset that save_dataset refuses (an
 # unknown subset word, say)
 
@@ -818,15 +852,17 @@ def _leaves(doc, path=()):
 
 
 def _objects(doc, path=()):
-    """The key path of every JSON object in ``doc``."""
+    """(key path, object) of every JSON object in ``doc``."""
     if isinstance(doc, dict):
-        yield path
+        yield path, doc
     if isinstance(doc, (dict, list)):
         for key in doc if isinstance(doc, dict) else range(len(doc)):
             yield from _objects(doc[key], path + (key,))
 
 
 def _with_leaf(doc, path, value):
+    if not path:
+        return value
     doc = json.loads(json.dumps(doc))
     parent = doc
     for key in path[:-1]:
@@ -856,7 +892,11 @@ def test_every_leaf_edit_fails_or_resaves_to_itself(tmp_path, two_base_sample,
     edits = rng.sample(edits, min(len(edits), 250))  # about 0.4 s a file
     # a key no writer writes, with a value that a map of reals accepts: an
     # object whose keys the writer fixes must refuse it
-    edits += [(key_path + ("~added",), "1.0") for key_path in _objects(doc)]
+    edits += [(key_path + ("~added",), "1.0") for key_path, _ in _objects(doc)]
+    # the same object with its keys in reverse order: a map the writer sorts,
+    # or an object whose key order the writer fixes, must refuse them
+    edits += [(key_path, dict(reversed(obj.items())))
+              for key_path, obj in _objects(doc) if len(obj) > 1]
     loaded_edits = 0
     for i, (leaf, value) in enumerate(edits):
         write_artifact(path, _with_leaf(doc, leaf, value), payload)

@@ -1,12 +1,13 @@
 """Inputs at the edges of what the datamodel and SynthConfig accept."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from meshbench import (Base, Dataset, MmgpConfig, Sample, SynthConfig,
                        build_tree, generate, make_field, mmgp_fit,
                        mmgp_predict)
 from meshbench.synthetic import plate_fields
-from meshbench.tree import zone_with
 
 
 def _rebuilt(ds, make_sample):
@@ -19,8 +20,8 @@ def _plate(zone, a, p):
     """A plate sample on ``zone``'s mesh with amplitude ``a`` and load
     ``p``."""
     u, du_dx = plate_fields(zone.coordinates, a, p)
-    zone = zone_with(zone, fields=[make_field("u", u),
-                                   make_field("du_dx", du_dx)])
+    zone = replace(zone, fields=(make_field("u", u),
+                                 make_field("du_dx", du_dx)))
     tree = build_tree([Base("Base_2_2", 2, 2, (zone,))], time=0.0)
     return Sample(trees={0.0: tree},
                   scalars={"a": a, "p": p, "u_max": float(u.max())})

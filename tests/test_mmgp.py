@@ -23,6 +23,7 @@ from meshbench import (
     total_error,
 )
 from meshbench.edges import boundary_edges
+from meshbench.gp import gp_fit, gp_mean
 from meshbench.errors import (
     ConfigInvalid,
     DegenerateInputs,
@@ -42,7 +43,7 @@ from meshbench.morphing import (build_surface_mesh, connectivity_key,
 from meshbench.pod import pod_project, pod_reconstruct
 from meshbench.synthetic import build_plate_sample
 from meshbench.transfer import build_transfer
-from meshbench.tree import Zone, zone_with
+from meshbench.tree import Zone
 
 from conftest import read_artifact, write_artifact
 
@@ -173,9 +174,9 @@ def _with_zone_edit(ds, sid, edit):
 
 
 def _clockwise(zone):
-    return zone_with(zone, element_blocks=[
+    return replace(zone, element_blocks=tuple(
         replace(block, connectivity=block.connectivity[:, [0, 2, 1]])
-        for block in zone.element_blocks])
+        for block in zone.element_blocks))
 
 
 def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
@@ -210,6 +211,30 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
         assert morphs[coords.tobytes()].tobytes() == alone.positions.tobytes()
 
 
+def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
+    # fit and predict embed, transfer and project through one path, so a
+    # training sample, morphed alone at predict time, meets the GP at its
+    # fit row bit for bit, also where its connectivity is shared
+    ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
+                              max_nodes_per_side=7))
+    train = ds.problem.splits["train"]
+    assert len(_train_connectivities(ds)) < len(train)
+    inputs = []
+    monkeypatch.setattr("meshbench.mmgp.gp_fit", lambda x, y, **kw: (
+        inputs.append(x), gp_fit(x, y, **kw))[1])
+    monkeypatch.setattr("meshbench.mmgp.gp_mean", lambda gp, x: (
+        inputs.append(x), gp_mean(gp, x))[1])
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    assert model.config.morphing and inputs
+    x_train = inputs[0]
+    for row, sid in enumerate(train):
+        inputs.clear()
+        mmgp_predict(model, ds.sample_at(sid))
+        assert inputs and all(x.shape == (1, x_train.shape[1])
+                              and x[0].tobytes() == x_train[row].tobytes()
+                              for x in inputs), sid
+
+
 @pytest.mark.parametrize("node, message", [
     (np.nan, "node 7 has a non-finite coordinate"),
     (8, "degenerate \\(zero area\\)")])  # node 7 moved onto node 8
@@ -221,7 +246,7 @@ def test_bad_sample_of_a_shared_connectivity_raises_its_error(node, message):
     def edit(zone):
         coords = zone.coordinates.copy()
         coords[7] = np.nan if np.isnan(node) else coords[node]
-        return zone_with(zone, coordinates=coords)
+        return replace(zone, coordinates=coords)
 
     ds = _with_zone_edit(ds, ds.problem.splits["train"][-1], edit)
     with pytest.raises(NotDiskTopology, match=message):
@@ -280,7 +305,7 @@ def _with_constant_field(ds, name, value):
                 fields = [f if f.name != name else
                           make_field(name, np.full(z.n_vertices, value))
                           for f in z.fields]
-                zones.append(zone_with(z, fields=fields))
+                zones.append(replace(z, fields=tuple(fields)))
             trees[t] = build_tree(
                 [Base(tree.bases[0].name, 2, 2, tuple(zones))], tree.time)
         samples.append(Sample(trees=trees, scalars=s.scalars))
@@ -295,7 +320,7 @@ def _with_nan_at_interior_node(ds, sid, coordinate):
         if coordinate:
             coords = zone.coordinates.copy()
             coords[7, 1] = np.nan
-            return zone_with(zone, coordinates=coords)
+            return replace(zone, coordinates=coords)
         fields = []
         for f in zone.fields:
             if f.name == "u":
@@ -303,7 +328,7 @@ def _with_nan_at_interior_node(ds, sid, coordinate):
                 values[7] = np.nan
                 f = make_field("u", values)
             fields.append(f)
-        return zone_with(zone, fields=fields)
+        return replace(zone, fields=tuple(fields))
     return _with_zone_edit(ds, sid, edit)
 
 
@@ -420,7 +445,7 @@ def test_affine_outputs_learned_to_high_accuracy():
             zone = tree.bases[0].zones[0]
             x, y = zone.coordinates[:, 0], zone.coordinates[:, 1]
             f_lin = 0.5 + 2.0 * x - 3.0 * y + 0.25 * p
-            zones = (zone_with(zone, fields=[make_field("f_lin", f_lin)]),)
+            zones = (replace(zone, fields=(make_field("f_lin", f_lin),)),)
             trees[t] = build_tree([Base("Base_2_2", 2, 2, zones)], tree.time)
         scalars = {"a": s.get_scalar("a"), "p": p,
                    "s_lin": 1.2 + 0.7 * p + float(np.mean(
