@@ -19,7 +19,6 @@ from .metrics import (
 )
 from .mmgp import MmgpConfig, MmgpModel, load_model, mmgp_fit, mmgp_predict, save_model
 from .morphing import (
-    MorphedMesh,
     SurfaceMesh2D,
     build_surface_mesh,
     extract_boundary_loop,

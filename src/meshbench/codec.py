@@ -13,16 +13,16 @@ included, as ``\\u`` escapes, so it is ASCII; a line that does not decode
 as UTF-8 is malformed.
 
 Readers take each stored value, through the ``decode_*`` accessors, in the
-one JSON type its writer gives it, so no value loads in another spelling:
-an integer is a JSON integer >= 0, never a bool or a float; a real is a
-string holding exactly the shortest decimal form restoring the double
-(``repr``: ``"1.5"``, never ``"1.50"`` or ``1.5``); a name is a string; a
-shape is a list of integers; a kind is one of its known words; sample ids
-increase strictly.  Every key the writer writes is required, and an object
-whose keys the writer fixes holds no other key and holds its keys in the
-writer's order; a map keyed by names (scalars, fields, regressors, splits)
-holds its names in increasing order, as the writer sorts them.  Only free
-metadata (``infos``) is open, kept in document order.
+one JSON type its writer gives it, so no value loads in another spelling: an
+integer is a JSON integer >= 0, never a bool or a float; a real is a string
+holding exactly the shortest decimal form restoring the double (``repr``:
+``"1.5"``, never ``"1.50"`` or ``1.5``); a name is a string; a shape is a
+list of integers; a kind is one of its known words; sample ids increase
+strictly; no object repeats a key.  Every key the writer writes is required,
+and an object whose keys the writer fixes holds no other key and holds its
+keys in the writer's order; a map keyed by names (scalars, fields,
+regressors, splits) holds its names in increasing order, as the writer sorts
+them.  Only free metadata (``infos``) is open, kept in document order.
 
 Readers report malformed content as :class:`FormatError` carrying the file
 path, and an unsupported ``format_version`` as :class:`VersionMismatch`.
@@ -125,6 +125,15 @@ def decode_map(value, item) -> dict:
     return {name: item(entry) for name, entry in value.items()}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ``json.loads`` would keep a repeated
+    key's last value, so a repeated key is an error."""
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {max(keys, key=keys.count)!r}")
+    return doc
+
+
 class decoding:
     """Context manager reporting a missing key or a bad value met while
     decoding ``path``, or an invalid object built from it, as a FormatError
@@ -199,7 +208,8 @@ class ArtifactReader(decoding):
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise FormatError("file missing", path=path) from None
         try:
-            self.doc = json.loads(line.decode("utf-8"))
+            self.doc = json.loads(line.decode("utf-8"),
+                                  object_pairs_hook=_unique_keys)
         except UnicodeDecodeError as exc:
             raise FormatError(f"not UTF-8 text: {exc.reason}", path=path,
                               offset=exc.start) from None
@@ -207,6 +217,8 @@ class ArtifactReader(decoding):
             raise FormatError(f"not JSON ({exc}); manifests are JSON since "
                               f"format 3: regenerate or refit older artifacts",
                               path=path)
+        except ValueError as exc:  # a repeated key, or too many digits
+            raise FormatError(str(exc), path=path) from None
         if not isinstance(self.doc, dict):
             raise FormatError(f"expected a JSON object, found "
                               f"{type(self.doc).__name__}", path=path)

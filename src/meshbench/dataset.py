@@ -39,11 +39,18 @@ class ProblemDefinition:
     hidden_partition: Optional[dict[int, str]] = None
 
     def __post_init__(self):
-        self.splits = {name: sorted(int(i) for i in ids)
+        self.splits = {name: sorted(_sample_id(i) for i in ids)
                        for name, ids in self.splits.items()}
         if self.hidden_partition is not None:
-            self.hidden_partition = {int(k): str(v)
+            self.hidden_partition = {_sample_id(k): str(v)
                                      for k, v in self.hidden_partition.items()}
+
+
+def _sample_id(value) -> int:
+    """An integer with ``__index__``, numpy's too; never a bool or a float."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidDataset(f"sample id {value!r} is not an integer")
+    return int(value)
 
 
 class Dataset:

@@ -136,29 +136,20 @@ def load_config(path) -> MmgpConfig:
 
 def extract_triangle_geometry(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
     """The sample's unique triangulated 2-D zone as (coords, triangles),
-    the zone's own read-only arrays when it has one element block."""
-    tree = sample.get_mesh(apply_links=True)
-    found = []
-    for b in tree.bases:
-        if b.cell_dim != 2:
-            continue
-        for z in b.zones:
-            if z.zone_type is not ZoneType.Unstructured:
-                continue
-            if z.element_blocks and all(
-                    blk.element_type is ElementType.TRI_3
-                    for blk in z.element_blocks):
-                found.append((b, z))
+    its blocks merged by ``Sample.get_elements``: for one block, the zone's
+    own read-only arrays, not copies that fit would keep alive."""
+    found = [(b, z) for b in sample.get_mesh(apply_links=True).bases
+             if b.cell_dim == 2 for z in b.zones
+             if z.zone_type is ZoneType.Unstructured and z.element_blocks
+             and all(blk.element_type is ElementType.TRI_3
+                     for blk in z.element_blocks)]
     if len(found) != 1:
         raise ConfigInvalid(
             f"pipeline needs exactly one all-triangle 2-D zone, found "
             f"{len(found)}")
-    _, zone = found[0]
-    blocks = sorted(zone.element_blocks, key=lambda blk: blk.global_range[0])
-    # a lone block's own array, not a copy that fit would keep alive
-    triangles = (blocks[0].connectivity if len(blocks) == 1 else
-                 np.vstack([blk.connectivity for blk in blocks]))
-    return zone.coordinates, triangles
+    base, zone = found[0]
+    return (zone.coordinates,
+            sample.get_elements(base.name, zone.name)[ElementType.TRI_3.value])
 
 
 def _output_field(sample: Sample, name: str, n_vertices: int) -> np.ndarray:
@@ -225,10 +216,6 @@ class MmgpModel:
         return self.shape_basis.n_modes + len(self.in_scalars)
 
 
-#: an empty boundary loop: the mesh's group extracts it once for all
-_NO_LOOP = np.empty(0, dtype=np.int64)
-
-
 def _embedded(geometries):
     """Orient every ``(coords, triangles)`` and embed it onto the unit disk,
     yielding each one's (index, positions, oriented triangles, boundary
@@ -241,8 +228,7 @@ def _embedded(geometries):
     training geometries, predict a list of one.
     """
     # each mesh is oriented once, its boundary loop left to its group
-    surfaces = [build_surface_mesh(*geometry, _NO_LOOP)
-                for geometry in geometries]
+    surfaces = [build_surface_mesh(*geometry) for geometry in geometries]
     groups = {}
     for i, surface in enumerate(surfaces):
         groups.setdefault(connectivity_key(surface), []).append(i)
@@ -252,8 +238,7 @@ def _embedded(geometries):
         edges = boundary_edges(surfaces[members[0]].triangles)
         for i in members:
             surface, surfaces[i] = surfaces[i], None
-            yield (i, tutte_embed(surface, system).positions,
-                   surface.triangles, edges)
+            yield i, tutte_embed(surface, system), surface.triangles, edges
 
 
 def _transfer(nodes, triangles, targets, boundary):

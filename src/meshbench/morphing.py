@@ -16,12 +16,14 @@ triangles alone: the boundary loop, the interior system, its ordering and
 its Cholesky factor.  Meshes that share their (oriented) triangles, which
 :func:`connectivity_key` tells apart, can therefore share one
 :class:`TutteSystem` and pay only for their own right-hand side and two
-triangular solves.
+triangular solves in :func:`tutte_embed`, which returns the positions.
+:func:`build_surface_mesh` only orients and validates the arrays; disk
+topology is checked where :func:`tutte_system` extracts the loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,25 +37,12 @@ from .errors import NotDiskTopology, SolveFailure
 
 @dataclass(frozen=True)
 class SurfaceMesh2D:
-    """Triangulated planar surface with a single simple boundary loop.
+    """Triangulated planar surface: finite nodes and positively oriented
+    (counter-clockwise), non-degenerate triangles.  Its boundary loop, and
+    with it its disk topology, is :func:`extract_boundary_loop`'s."""
 
-    Triangles are positively oriented (counter-clockwise); the boundary
-    loop is an ordered node-id cycle, counter-clockwise, starting at the
-    lowest boundary node id.
-    """
-
-    nodes: np.ndarray          # (n, 2) float64
-    triangles: np.ndarray      # (m, 3) int64
-    boundary_loop: np.ndarray  # (b,) int64
-
-
-@dataclass(frozen=True)
-class MorphedMesh:
-    """Embedded positions inside the closed unit disk; connectivity shared
-    with the source mesh."""
-
-    positions: np.ndarray  # (n, 2) float64
-    source: SurfaceMesh2D
+    nodes: np.ndarray      # (n, 2) float64
+    triangles: np.ndarray  # (m, 3) int64
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -113,36 +102,27 @@ def _oriented(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
 def connectivity_key(mesh: SurfaceMesh2D) -> bytes:
     """Equal for two meshes from :func:`build_surface_mesh` exactly when
     they have the same node count and (oriented) triangles, so that they
-    share their boundary loop and :class:`TutteSystem`."""
+    share their :class:`TutteSystem`, boundary loop included."""
     return np.int64(len(mesh.nodes)).tobytes() + mesh.triangles.tobytes()
 
 
-def build_surface_mesh(nodes, triangles,
-                       boundary_loop: Optional[np.ndarray] = None
-                       ) -> SurfaceMesh2D:
-    """Normalize arrays, enforce CCW orientation, extract the boundary.
+def build_surface_mesh(nodes, triangles) -> SurfaceMesh2D:
+    """Normalize arrays and enforce CCW orientation.
 
     Negatively oriented triangles are flipped (the geometry is unchanged);
     non-finite nodes and degenerate (zero-area) triangles are rejected.  The
     mesh holds read-only copies of both arrays, never the caller's own.
-    ``boundary_loop`` is the loop of a mesh with the same
-    :func:`connectivity_key`, when the caller has one; it is not extracted
-    again.  An empty one leaves the loop out, for :func:`tutte_system` or
-    :func:`tutte_embed` to extract when they need it.
+    Disk topology is checked by :func:`extract_boundary_loop`, not here.
     """
-    nodes, triangles = _oriented(nodes, triangles)
-    if boundary_loop is None:
-        boundary_loop = extract_boundary_loop(
-            SurfaceMesh2D(nodes, triangles, np.empty(0, dtype=np.int64)))
-    return SurfaceMesh2D(nodes, triangles, boundary_loop)
+    return SurfaceMesh2D(*_oriented(nodes, triangles))
 
 
 def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
-    """Ordered counter-clockwise cycle of boundary node ids.
+    """Ordered counter-clockwise cycle of boundary node ids, from the lowest.
 
     Requires a manifold triangulation with disk topology: every edge in at
     most two triangles, exactly one boundary loop, no pinch vertices, no
-    isolated nodes.
+    isolated nodes; otherwise raises :class:`NotDiskTopology`.
     """
     triangles = mesh.triangles
     if len(triangles) == 0:
@@ -173,18 +153,13 @@ def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
     if not sources.size:
         raise NotDiskTopology("mesh has no boundary (closed surface)")
 
+    # a node has as many boundary edges in as out (one of each, with no
+    # pinch), so the boundary edges form cycles: walk the lowest node's
     successor = dict(zip(sources.tolist(), targets.tolist()))
-    start = min(successor)
-    loop = [start]
-    node = successor[start]
-    while node != start:
+    loop = [int(sources[0])]
+    while ((node := successor[loop[-1]]) != loop[0]
+           and len(loop) <= len(successor)):  # bounded on a malformed mesh
         loop.append(node)
-        nxt = successor.get(node)
-        if nxt is None:
-            raise NotDiskTopology("boundary chain is broken")
-        node = nxt
-        if len(loop) > len(successor):
-            raise NotDiskTopology("boundary walk does not close")
     if len(loop) != len(successor):
         raise NotDiskTopology(
             f"multiple boundary loops: walked {len(loop)} of "
@@ -192,10 +167,9 @@ def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
     return np.asarray(loop, dtype=np.int64)
 
 
-def _boundary_circle_positions(mesh: SurfaceMesh2D) -> np.ndarray:
+def _boundary_circle_positions(nodes, loop) -> np.ndarray:
     """Unit-circle targets for the boundary loop, spaced by arc length."""
-    loop = mesh.boundary_loop
-    pts = mesh.nodes[loop]
+    pts = nodes[loop]
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     total = float(np.sum(seg))
     if total == 0.0:
@@ -206,24 +180,23 @@ def _boundary_circle_positions(mesh: SurfaceMesh2D) -> np.ndarray:
 
 
 def tutte_embed(mesh: SurfaceMesh2D,
-                system: Optional[TutteSystem] = None) -> MorphedMesh:
-    """Embed the mesh into the unit disk with uniform barycentric weights.
+                system: Optional[TutteSystem] = None) -> np.ndarray:
+    """The mesh's read-only (n, 2) node positions in the unit disk, with
+    uniform barycentric weights.
 
-    Boundary nodes land exactly on the unit circle; each interior node
-    solves x_i = mean of its neighbors, a sparse symmetric positive
-    definite system.  ``system`` is ``tutte_system`` of a mesh with the
-    same :func:`connectivity_key`, when the caller shares one across such
-    meshes; without it the mesh's own is built.  Either way the mesh's own
-    work is its boundary positions, its right-hand side and two banded
-    triangular solves.
+    The nodes of ``system.boundary_loop`` land exactly on the unit circle;
+    each interior node solves x_i = mean of its neighbors, a sparse SPD
+    system.  ``system`` is ``tutte_system`` of a mesh with the same
+    :func:`connectivity_key`, when the caller shares one across such meshes;
+    without it the mesh's own is built, which checks its topology.  Either way
+    the mesh's own work is its boundary positions, its right-hand side and two
+    banded triangular solves.
     """
     if system is None:
         system = tutte_system(mesh)
-    if mesh.boundary_loop.size == 0:
-        mesh = replace(mesh, boundary_loop=system.boundary_loop)
-
+    loop = system.boundary_loop
     positions = np.zeros((len(mesh.nodes), 2))
-    positions[mesh.boundary_loop] = _boundary_circle_positions(mesh)
+    positions[loop] = _boundary_circle_positions(mesh.nodes, loop)
     if system.rows.size:
         rhs = np.stack([np.bincount(system.rhs_rows,
                                     weights=positions[system.rhs_nodes, k],
@@ -243,25 +216,24 @@ def tutte_embed(mesh: SurfaceMesh2D,
         raise SolveFailure("an interior node escaped the open unit disk")
 
     positions.setflags(write=False)
-    return MorphedMesh(positions=positions, source=mesh)
+    return positions
 
 
 def tutte_system(mesh: SurfaceMesh2D) -> TutteSystem:
-    """Order and factor the Tutte system of a mesh, extracting its boundary
-    loop if the mesh has none.
+    """Extract the boundary loop of a mesh, which checks its disk topology,
+    then order and factor its Tutte system.
 
     The unknowns are ordered by reverse Cuthill-McKee and the Laplacian is
     factored by banded Cholesky, which stores (bandwidth + 1) * n floats
     for n interior nodes: about 13 MB at 120 nodes per side, growing like
     n**1.5 on planar meshes, whose RCM bandwidth grows like sqrt(n).
     """
-    if mesh.boundary_loop.size == 0:
-        mesh = replace(mesh, boundary_loop=extract_boundary_loop(mesh))
+    loop = extract_boundary_loop(mesh)
     is_boundary = np.zeros(len(mesh.nodes), dtype=bool)
-    is_boundary[mesh.boundary_loop] = True
+    is_boundary[loop] = True
     interior = np.flatnonzero(~is_boundary)
     if not interior.size:
-        return TutteSystem(mesh.boundary_loop, interior, interior, interior,
+        return TutteSystem(loop, interior, interior, interior,
                            np.empty((1, 0)))
     ab, perm, rhs_rows, rhs_nodes = _interior_system(mesh, interior,
                                                      is_boundary)
@@ -269,8 +241,7 @@ def tutte_system(mesh: SurfaceMesh2D) -> TutteSystem:
         factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
         raise SolveFailure(f"the Tutte system is singular ({exc})") from None
-    return TutteSystem(mesh.boundary_loop, interior[perm], rhs_rows,
-                       rhs_nodes, factor)
+    return TutteSystem(loop, interior[perm], rhs_rows, rhs_nodes, factor)
 
 
 def _interior_system(mesh: SurfaceMesh2D, interior, is_boundary):

@@ -213,6 +213,33 @@ def test_save_rejects_split_listing_an_id_twice(tmp_path, two_base_sample):
         save_dataset(ds, tmp_path / "ds")
 
 
+@pytest.mark.parametrize("splits, hidden", [
+    pytest.param({"train": [0.5, 1.9]}, None, id="float_id"),
+    pytest.param({"train": [0, True]}, None, id="bool_id"),
+    pytest.param({"train": ["1"]}, None, id="str_id"),
+    pytest.param({"train": [np.float64(2.0)]}, None, id="numpy_float_id"),
+    pytest.param({}, {2.7: "Public"}, id="float_partition_key"),
+    pytest.param({}, {np.True_: "Public"}, id="numpy_bool_partition_key"),
+])
+def test_problem_refuses_ids_that_are_not_integers(splits, hidden):
+    # int() would have truncated 1.9 to 1 and read True as 1
+    with pytest.raises(InvalidDataset, match="is not an integer"):
+        ProblemDefinition(splits=splits, hidden_partition=hidden)
+
+
+def test_problem_takes_numpy_integer_ids_and_leaves_range_to_validation(
+        two_base_sample):
+    ds = small_dataset(two_base_sample)
+    ds.problem = ProblemDefinition(
+        splits={"train": np.array([2, 0, 9])},
+        hidden_partition={np.int32(1): "Public", np.uint8(2): "Private"})
+    assert ds.problem.splits == {"train": [0, 2, 9]}
+    assert ds.problem.hidden_partition == {1: "Public", 2: "Private"}
+    assert {type(i) for i in [*ds.problem.splits["train"],
+                              *ds.problem.hidden_partition]} == {int}
+    assert not validate_dataset(ds).empty  # id 9 of 3 samples
+
+
 @pytest.mark.parametrize("value", [
     pytest.param({1: "one"}, id="int_key"),
     pytest.param((1, 2), id="tuple"),
@@ -615,6 +642,9 @@ _CORRUPTIONS += [
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"n_vertices": 4',
                                      '"n_vertices": 1e999'),
                  FormatError, id="dataset-infinite_count"),
+    pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"n_vertices": 4',
+                                     '"n_vertices": ' + "4" * 5000),
+                 FormatError, id="dataset-count_too_long_for_int"),
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], "}\n", b"}#\xff\n"),
                  FormatError, id="dataset-manifest_not_utf8"),
     pytest.param("dataset", _replace(_MANIFESTS["dataset"], '"scalars": {"',
@@ -841,6 +871,10 @@ _RESAVED = {
 
 _LEAF_VALUES = [None, "x", [], {}, True, 1, -1, 2.5, "2", "1.50"]
 
+#: prefix of a key that the leaf-edit test renames to the rest of it once
+#: written, so the object holds that key twice
+_REPEATED = "~repeated:"
+
 
 def _leaves(doc, path=()):
     """(key path, value) of every leaf: a scalar, or an empty list or object."""
@@ -897,9 +931,18 @@ def test_every_leaf_edit_fails_or_resaves_to_itself(tmp_path, two_base_sample,
     # or an object whose key order the writer fixes, must refuse them
     edits += [(key_path, dict(reversed(obj.items())))
               for key_path, obj in _objects(doc) if len(obj) > 1]
+    # an object's first key written again after its last, with the same
+    # value: json.loads would keep one of the two and load the edit as is
+    edits += [(key_path + (_REPEATED + key,), obj[key])
+              for key_path, obj in _objects(doc) if obj
+              for key in [next(iter(obj))]]
     loaded_edits = 0
     for i, (leaf, value) in enumerate(edits):
-        write_artifact(path, _with_leaf(doc, leaf, value), payload)
+        line = json.dumps(_with_leaf(doc, leaf, value))
+        if leaf and str(leaf[-1]).startswith(_REPEATED):
+            line = line.replace(json.dumps(leaf[-1]),
+                                json.dumps(leaf[-1][len(_REPEATED):]))
+        path.write_bytes(line.encode() + b"\n" + payload)
         if (data := path.read_bytes()) == original:
             continue
         try:

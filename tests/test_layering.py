@@ -1,6 +1,8 @@
 """Import discipline of the meshbench package, checked on its source."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -111,3 +113,37 @@ def test_imports_follow_the_layers_and_skip_private_names():
             if LAYERS[module] >= LAYERS[path.stem]:
                 breaches.append(f"{path.stem} imports {module}")
     assert breaches == []
+
+
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    # perfbench wraps meshbench functions by name and its counters read
+    # some arguments by position: a rename fails here, not in a traced run
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    assigned = {node.targets[0].id: node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)}
+    wrapped = ast.literal_eval(assigned["LAYER_FUNCTIONS"])
+    for module, name in wrapped:
+        assert callable(getattr(importlib.import_module(
+            f"meshbench.{module}"), name, None)), (module, name)
+
+    counters = {fn.name: fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef)}
+    read = {}  # "module.function" -> (position, name) of the argument read
+    for key, fn in zip(assigned["_COUNTERS"].keys,
+                       assigned["_COUNTERS"].values):
+        subscripts = {node.value.id: node.slice.value
+                      for node in ast.walk(counters[fn.id])
+                      if isinstance(node, ast.Subscript)
+                      and isinstance(node.value, ast.Name)}
+        read[key.value] = (subscripts["args"], subscripts["kwargs"])
+    assert read == {"transfer.build_transfer": (2, "targets"),
+                    "gp.gp_fit": (0, "x"), "mmgp.mmgp_fit": (2, "config")}
+    for key, (position, name) in read.items():
+        module, function = key.split(".")
+        parameters = list(inspect.signature(getattr(importlib.import_module(
+            f"meshbench.{module}"), function)).parameters)
+        assert parameters[position] == name, (key, parameters)

@@ -198,9 +198,9 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
     morphs = {}
 
     def recorded(surface, system=None):
-        morphed = tutte_embed(surface, system)
-        morphs[surface.nodes.tobytes()] = morphed.positions
-        return morphed
+        positions = tutte_embed(surface, system)
+        morphs[surface.nodes.tobytes()] = positions
+        return positions
 
     monkeypatch.setattr("meshbench.mmgp.tutte_embed", recorded)
     mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
@@ -208,7 +208,7 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
     for i in train:
         coords, triangles = extract_triangle_geometry(ds.sample_at(i))
         alone = tutte_embed(build_surface_mesh(coords, triangles))
-        assert morphs[coords.tobytes()].tobytes() == alone.positions.tobytes()
+        assert morphs[coords.tobytes()].tobytes() == alone.tobytes()
 
 
 def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
@@ -562,7 +562,7 @@ def test_coarsest_plates_predict_and_far_targets_stay_rejected():
     # sagitta of the 2x2 plate's longest morphed boundary chord lies at
     # least that far from the plate's morphed polygon, and is rejected
     surface = build_surface_mesh(*extract_triangle_geometry(coarse[2]))
-    loop = tutte_embed(surface).positions[surface.boundary_loop]
+    loop = tutte_embed(surface)[extract_boundary_loop(surface)]
     chord = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1).max()
     sagitta = 1.0 - np.sqrt(1.0 - (chord / 2) ** 2)
     nodes = model.common_nodes.copy()

@@ -14,20 +14,20 @@ from conftest import random_disk_mesh
 
 def test_boundary_loop_single_triangle():
     mesh = build_surface_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    assert mesh.boundary_loop.tolist() == [0, 1, 2]
+    assert extract_boundary_loop(mesh).tolist() == [0, 1, 2]
 
 
 def test_boundary_loop_square():
     mesh = build_surface_mesh([[0, 0], [1, 0], [1, 1], [0, 1]],
                               [[0, 1, 2], [0, 2, 3]])
-    assert mesh.boundary_loop.tolist() == [0, 1, 2, 3]
+    assert extract_boundary_loop(mesh).tolist() == [0, 1, 2, 3]
 
 
 def test_boundary_loop_starts_at_lowest_id_ccw():
     # same square, nodes permuted so the lowest boundary id is 1
     nodes = [[1, 1], [0, 0], [1, 0], [0, 1]]
     mesh = build_surface_mesh(nodes, [[1, 2, 0], [1, 0, 3]])
-    loop = mesh.boundary_loop.tolist()
+    loop = extract_boundary_loop(mesh).tolist()
     assert loop[0] == 0
     assert set(loop) == {0, 1, 2, 3}
     # counter-clockwise: positive polygon area
@@ -49,21 +49,21 @@ def test_mesh_with_hole_rejected():
         tris.append([b, 4 + b, 4 + a])
     with pytest.raises(NotDiskTopology,
                        match="multiple boundary loops: walked 4 of 8"):
-        build_surface_mesh(nodes, tris)
+        extract_boundary_loop(build_surface_mesh(nodes, tris))
 
 
 def test_bowtie_pinch_rejected():
     nodes = [[0, 0], [1, 1], [1, -1], [-1, 1], [-1, -1]]
     tris = [[0, 1, 3], [0, 4, 2]]
     with pytest.raises(NotDiskTopology, match="node 0 is a pinch point"):
-        build_surface_mesh(nodes, tris)
+        extract_boundary_loop(build_surface_mesh(nodes, tris))
 
 
 def test_isolated_node_rejected():
     nodes = [[0, 0], [1, 0], [0, 1], [5, 5]]
     with pytest.raises(NotDiskTopology,
                        match=r"1 node\(s\) belong to no triangle"):
-        build_surface_mesh(nodes, [[0, 1, 2]])
+        extract_boundary_loop(build_surface_mesh(nodes, [[0, 1, 2]]))
 
 
 def test_degenerate_triangle_rejected():
@@ -95,8 +95,8 @@ def test_hexagon_center_maps_to_origin():
     nodes = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1),
                        [[0.0, 0.0]]])
     tris = [[i, (i + 1) % 6, 6] for i in range(6)]
-    morphed = tutte_embed(build_surface_mesh(nodes, tris))
-    assert np.abs(morphed.positions[6]).max() < 1e-12
+    positions = tutte_embed(build_surface_mesh(nodes, tris))
+    assert np.abs(positions[6]).max() < 1e-12
 
 
 def test_circular_boundary_is_fixed_point():
@@ -107,8 +107,8 @@ def test_circular_boundary_is_fixed_point():
     nodes = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1),
                        [[0.0, 0.0]]])
     tris = [[i, (i + 1) % n, n] for i in range(n)]
-    morphed = tutte_embed(build_surface_mesh(nodes, tris))
-    assert np.abs(morphed.positions[:n] - nodes[:n]).max() < 1e-12
+    positions = tutte_embed(build_surface_mesh(nodes, tris))
+    assert np.abs(positions[:n] - nodes[:n]).max() < 1e-12
 
 
 def test_square_plus_center_matches_dense_oracle():
@@ -116,11 +116,11 @@ def test_square_plus_center_matches_dense_oracle():
                       [0.5, 0.5]])
     tris = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
     mesh = build_surface_mesh(nodes, tris)
-    morphed = tutte_embed(mesh)
+    positions = tutte_embed(mesh)
 
     # dense oracle: boundary on circle by arc length, interior node solves
     # deg * x = sum of neighbor positions with a dense solve
-    loop = mesh.boundary_loop
+    loop = extract_boundary_loop(mesh)
     seg = np.linalg.norm(nodes[np.roll(loop, -1)] - nodes[loop], axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg[:-1])])
     ang = 2 * np.pi * cum / seg.sum()
@@ -128,8 +128,8 @@ def test_square_plus_center_matches_dense_oracle():
     # center (node 4) neighbors all four boundary nodes: 4 x = sum(neigh)
     oracle_center = boundary_pos.sum(axis=0) / 4.0
 
-    assert np.abs(morphed.positions[loop] - boundary_pos).max() == 0.0
-    assert np.abs(morphed.positions[4] - oracle_center).max() < 1e-12
+    assert np.abs(positions[loop] - boundary_pos).max() == 0.0
+    assert np.abs(positions[4] - oracle_center).max() < 1e-12
 
 
 def randomized_delaunay_meshes():
@@ -141,22 +141,24 @@ def randomized_delaunay_meshes():
 
 def test_randomized_delaunay_embeddings_are_valid():
     for pts, mesh in randomized_delaunay_meshes():
-        morphed = tutte_embed(mesh)
-        areas = signed_areas(morphed.positions, mesh.triangles)
+        positions = tutte_embed(mesh)
+        loop = extract_boundary_loop(mesh)
+        areas = signed_areas(positions, mesh.triangles)
         assert (areas > 0).all()
-        radii = np.linalg.norm(morphed.positions[mesh.boundary_loop], axis=1)
+        radii = np.linalg.norm(positions[loop], axis=1)
         assert np.abs(radii - 1.0).max() < 1e-12
-        interior = np.setdiff1d(np.arange(len(pts)), mesh.boundary_loop)
+        interior = np.setdiff1d(np.arange(len(pts)), loop)
         if interior.size:
-            assert np.linalg.norm(morphed.positions[interior], axis=1).max() < 1.0
+            assert np.linalg.norm(positions[interior], axis=1).max() < 1.0
 
 
 def dense_tutte_oracle(mesh):
     """Interior positions from np.linalg.solve on the dense interior
     Laplacian, its neighbor sets built from a Python set of edges."""
     n = len(mesh.nodes)
-    boundary = _boundary_circle_positions(mesh)
-    pinned = dict(zip(mesh.boundary_loop.tolist(), boundary))
+    loop = extract_boundary_loop(mesh)
+    boundary = _boundary_circle_positions(mesh.nodes, loop)
+    pinned = dict(zip(loop.tolist(), boundary))
     neighbors = {i: set() for i in range(n)}
     for tri in mesh.triangles.tolist():
         for a, b in zip(tri, tri[1:] + tri[:1]):
@@ -179,7 +181,7 @@ def dense_tutte_oracle(mesh):
 def test_banded_solution_matches_dense_oracle():
     for _, mesh in randomized_delaunay_meshes():
         interior, expected = dense_tutte_oracle(mesh)
-        positions = tutte_embed(mesh).positions
+        positions = tutte_embed(mesh)
         assert np.abs(positions[interior] - expected).max() < 1e-12
 
 
@@ -192,7 +194,7 @@ def test_rcm_bandwidth_grows_like_sqrt_n_on_irregular_meshes():
     for _, mesh in randomized_delaunay_meshes():
         n = len(mesh.nodes)
         is_boundary = np.zeros(n, dtype=bool)
-        is_boundary[mesh.boundary_loop] = True
+        is_boundary[extract_boundary_loop(mesh)] = True
         interior = np.flatnonzero(~is_boundary)
         ab, perm, _, _ = _interior_system(mesh, interior, is_boundary)
         assert ab.shape == (ab.shape[0], interior.size)
@@ -205,13 +207,14 @@ def solveh_banded_reference(mesh):
     """Positions from one ``solveh_banded`` call on the assembled system,
     whose bits a factor shared across meshes must reproduce."""
     n = len(mesh.nodes)
+    loop = extract_boundary_loop(mesh)
     is_boundary = np.zeros(n, dtype=bool)
-    is_boundary[mesh.boundary_loop] = True
+    is_boundary[loop] = True
     interior = np.flatnonzero(~is_boundary)
     ab, perm, rhs_rows, rhs_nodes = _interior_system(mesh, interior,
                                                      is_boundary)
     positions = np.zeros((n, 2))
-    positions[mesh.boundary_loop] = _boundary_circle_positions(mesh)
+    positions[loop] = _boundary_circle_positions(mesh.nodes, loop)
     rhs = np.stack([np.bincount(rhs_rows, weights=positions[rhs_nodes, k],
                                 minlength=interior.size) for k in range(2)],
                    axis=1)
@@ -227,8 +230,8 @@ def test_shared_factor_reproduces_solveh_banded_bits():
         system = tutte_system(mesh)
         for m in (mesh, moved):
             expected = solveh_banded_reference(m).tobytes()
-            assert tutte_embed(m).positions.tobytes() == expected
-            assert tutte_embed(m, system).positions.tobytes() == expected
+            assert tutte_embed(m).tobytes() == expected
+            assert tutte_embed(m, system).tobytes() == expected
 
 
 def test_connectivity_key_tells_shared_triangulations_apart():
@@ -236,9 +239,8 @@ def test_connectivity_key_tells_shared_triangulations_apart():
                       [0.5, 0.5]])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
 
-    def key_of(nodes, tris):  # the mesh without its boundary loop
-        return connectivity_key(
-            build_surface_mesh(nodes, tris, np.empty(0, dtype=np.int64)))
+    def key_of(nodes, tris):
+        return connectivity_key(build_surface_mesh(nodes, tris))
 
     key = key_of(nodes, tris)
     assert connectivity_key(build_surface_mesh(nodes, tris)) == key
@@ -250,23 +252,9 @@ def test_connectivity_key_tells_shared_triangulations_apart():
     extra = np.vstack([nodes, [[2.0, 2.0]]])
     assert key_of(extra, tris) != key
     with pytest.raises(NotDiskTopology, match="belong to no triangle"):
-        build_surface_mesh(extra, tris)
+        extract_boundary_loop(build_surface_mesh(extra, tris))
     with pytest.raises(NotDiskTopology, match="zero area"):
         key_of(np.vstack([nodes[:4], nodes[:1]]), tris)
-
-
-def test_a_mesh_without_its_loop_embeds_as_with_it():
-    pts, tris = random_disk_mesh(np.random.default_rng(7), 120)
-    mesh = build_surface_mesh(pts, tris)
-    bare = build_surface_mesh(pts, tris, np.empty(0, dtype=np.int64))
-    assert bare.boundary_loop.size == 0
-    system = tutte_system(bare)
-    assert system.boundary_loop.tobytes() == mesh.boundary_loop.tobytes()
-    for morphed in (tutte_embed(bare), tutte_embed(bare, system)):
-        assert morphed.source.boundary_loop.tobytes() == \
-            mesh.boundary_loop.tobytes()
-        assert morphed.positions.tobytes() == \
-            tutte_embed(mesh).positions.tobytes()
 
 
 @pytest.mark.parametrize("second_disk, message", [
@@ -278,7 +266,8 @@ def test_a_mesh_without_its_loop_embeds_as_with_it():
                           np.sin(np.arange(6) * np.pi / 3)], axis=1),
                 [[0.0, 0.0]]]), "non-positive"),
 ])
-def test_unpinned_component_raises_solve_failure(second_disk, message):
+def test_unpinned_component_raises_solve_failure(second_disk, message,
+                                                 monkeypatch):
     # two disjoint disks, with a boundary loop around the first alone: the
     # second is an interior component that no boundary node pins
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]
@@ -287,7 +276,9 @@ def test_unpinned_component_raises_solve_failure(second_disk, message):
               [[5 + i, 5 + (i + 1) % 6, 11] for i in range(6)])
     nodes = np.vstack([square, np.asarray(second_disk) + 5.0])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]] + second)
-    mesh = SurfaceMesh2D(nodes, tris, np.array([0, 1, 2, 3]))
+    monkeypatch.setattr("meshbench.morphing.extract_boundary_loop",
+                        lambda mesh: np.array([0, 1, 2, 3]))
+    mesh = SurfaceMesh2D(nodes, tris)
     with pytest.raises(SolveFailure, match=message):
         tutte_embed(mesh)
 
@@ -310,10 +301,9 @@ def test_non_finite_boundary_fails_the_embedding_checks():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [0.5, 0.5]])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    loop = build_surface_mesh(nodes, tris).boundary_loop
     nodes[2, 0] = np.nan
     with pytest.raises(SolveFailure, match="4 non-positive"):
-        tutte_embed(SurfaceMesh2D(nodes, tris, loop))
+        tutte_embed(SurfaceMesh2D(nodes, tris))
 
 
 def test_large_plate_embeds_fold_free():
@@ -325,10 +315,11 @@ def test_large_plate_embeds_fold_free():
     tris = np.concatenate([np.stack([v00, v00 + r, v00 + r + 1], axis=1),
                            np.stack([v00, v00 + r + 1, v00 + 1], axis=1)])
     mesh = build_surface_mesh(pts, tris)
-    assert len(pts) - mesh.boundary_loop.size == 21_904
-    morphed = tutte_embed(mesh)
-    assert (signed_areas(morphed.positions, mesh.triangles) > 0).all()
-    radii = np.linalg.norm(morphed.positions[mesh.boundary_loop], axis=1)
+    loop = extract_boundary_loop(mesh)
+    assert len(pts) - loop.size == 21_904
+    positions = tutte_embed(mesh)
+    assert (signed_areas(positions, mesh.triangles) > 0).all()
+    radii = np.linalg.norm(positions[loop], axis=1)
     assert np.abs(radii - 1.0).max() < 1e-12
 
 
@@ -338,14 +329,14 @@ def test_embedding_is_bitwise_deterministic():
     mesh = build_surface_mesh(pts, tris)
     a = tutte_embed(mesh)
     b = tutte_embed(build_surface_mesh(pts.copy(), tris.copy()))
-    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_extract_boundary_loop_on_plain_mesh_obj():
-    # extract_boundary_loop also accepts a mesh whose loop is not yet set
+    # extract_boundary_loop also accepts a mesh built by hand
     nodes = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
     tris = np.array([[0, 1, 2]])
-    mesh = SurfaceMesh2D(nodes, tris, np.empty(0, dtype=np.int64))
+    mesh = SurfaceMesh2D(nodes, tris)
     assert extract_boundary_loop(mesh).tolist() == [0, 1, 2]
 
 
@@ -355,14 +346,14 @@ def test_pinch_message_names_the_smallest_pinch_node():
     nodes = [[2, 0], [0, 0], [0.5, 1], [1.5, 1], [1, 0], [3, 0], [2.5, 1]]
     tris = [[1, 4, 2], [4, 0, 3], [0, 5, 6]]
     with pytest.raises(NotDiskTopology, match="node 0 is a pinch point"):
-        build_surface_mesh(nodes, tris)
+        extract_boundary_loop(build_surface_mesh(nodes, tris))
 
 
 def test_duplicate_directed_edge_rejected():
     # two counter-clockwise triangles on the same side of edge 0 -> 1
     nodes = [[0, 0], [1, 0], [0, 1], [1, 1]]
     with pytest.raises(NotDiskTopology, match="duplicate directed edge"):
-        build_surface_mesh(nodes, [[0, 1, 2], [0, 1, 3]])
+        extract_boundary_loop(build_surface_mesh(nodes, [[0, 1, 2], [0, 1, 3]]))
 
 
 def test_closed_surface_rejected():
@@ -370,7 +361,7 @@ def test_closed_surface_rejected():
     # shared, so there is no boundary
     nodes = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
     tris = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
-    mesh = SurfaceMesh2D(nodes, tris, np.empty(0, dtype=np.int64))
+    mesh = SurfaceMesh2D(nodes, tris)
     with pytest.raises(NotDiskTopology, match="closed surface"):
         extract_boundary_loop(mesh)
 
@@ -392,7 +383,7 @@ def test_edge_routines_match_set_and_structured_oracles():
     for _ in range(8):
         pts, tris = random_disk_mesh(rng, int(rng.integers(10, 400)))
         mesh = build_surface_mesh(pts, tris)
-        assert mesh.boundary_loop.tolist() == set_walk_boundary_loop(
+        assert extract_boundary_loop(mesh).tolist() == set_walk_boundary_loop(
             mesh.triangles)
 
         owners = {}

@@ -448,6 +448,6 @@ def test_locator_matches_bruteforce_on_tutte_embedded_plates(res_a, res_b):
                              max_nodes_per_side=res)
         mesh = build_surface_mesh(
             *extract_triangle_geometry(build_plate_sample(config, sid)))
-        embedded.append((tutte_embed(mesh).positions, mesh.triangles))
+        embedded.append((tutte_embed(mesh), mesh.triangles))
     (source, tris), (targets, _) = embedded
     assert_locator_matches_bruteforce(source, tris, targets, tol=0.05)
