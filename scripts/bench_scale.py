@@ -5,8 +5,9 @@
 
 Run from the repository root.  Each row generates 125 samples, fits on
 ``train_100`` (8 + 8 modes, Matern 5/2, one thread), predicts the 25 test
-samples and scores them, in this process, with perfbench's span tracer
-(``perfbench/tracer.py``, imported unchanged) wrapped around the layers.
+samples in one ``mmgp_predict`` call and scores them, in this process,
+with perfbench's span tracer (``perfbench/tracer.py``, imported
+unchanged) wrapped around the layers.
 
 - ``plate30``, ``plate60``, ``plate120``: synthetic plates with that many
   nodes per side.  Plates of one resolution share their triangulation, so
@@ -109,9 +110,10 @@ def run_row(row: str, seed: int) -> dict:
         t0 = time.perf_counter()
         model = mmgp.mmgp_fit(ds, ds.problem, config)
         t1 = time.perf_counter()
+        ids = ds.problem.splits["test"]
+        predictions = mmgp.mmgp_predict(model, [ds.sample_at(i) for i in ids])
         bundle = PredictionBundle()
-        for sid in ds.problem.splits["test"]:
-            scalars, fields = mmgp.mmgp_predict(model, ds.sample_at(sid))
+        for sid, (scalars, fields) in zip(ids, predictions):
             for name, value in scalars.items():
                 bundle.set_scalar(sid, name, value)
             for name, values in fields.items():

@@ -142,8 +142,8 @@ def _cmd_mmgp_predict(args, parser) -> int:
     dataset = load_dataset(data_dir, lazy=True)
     ids = dataset.get_split(args.split)
     bundle = PredictionBundle()
-    for sid in ids:
-        scalars, fields = mmgp_predict(model, dataset.sample_at(sid))
+    samples = [dataset.sample_at(sid) for sid in ids]
+    for sid, (scalars, fields) in zip(ids, mmgp_predict(model, samples)):
         for name, value in scalars.items():
             bundle.set_scalar(sid, name, value)
         for name, values in fields.items():

@@ -10,14 +10,14 @@ transferred to the common mesh and POD-compressed; one GP per output field
 regresses all its retained coefficients with shared hyperparameters (one
 search on their summed likelihood), plus one GP per output scalar.
 
-Prediction embeds the query sample the same way, GP-predicts coefficients
-(one kernel product per field), reconstructs fields on the common mesh and
-evaluates them back at the sample's own (morphed) vertex positions.  Fit
-and predict share one path: ``_embedded`` orients and embeds a list of
-meshes (the training set, or the one query) one connectivity at a time,
-``_transfer`` carries values between two disk embeddings, and without
-morphing a sample's transfer is None, which leaves vertex values where
-they are.
+Prediction embeds the query samples the same way, GP-predicts each one's
+coefficients (one kernel product per field), reconstructs fields on the
+common mesh and evaluates them back at the sample's own (morphed) vertex
+positions.  Fit and predict share one path: ``_embedded`` orients and
+embeds a list of meshes (the training set, or the samples to predict) one
+connectivity at a time, ``_transfer`` carries values between two disk
+embeddings, and without morphing a sample's transfer is None, which leaves
+vertex values where they are.
 
 Everything is deterministic for a fixed config, whatever the thread count
 given to the GP fits, the one pooled stage.
@@ -225,7 +225,7 @@ def _embedded(geometries):
     order of their first index, so index 0 comes first.  A group builds its
     boundary loop, boundary edges and Tutte system once, from its first
     mesh, and its surfaces are freed once it is done.  Fit passes its
-    training geometries, predict a list of one.
+    training geometries, predict those of the samples it predicts.
     """
     # each mesh is oriented once, its boundary loop left to its group
     surfaces = [build_surface_mesh(*geometry) for geometry in geometries]
@@ -346,32 +346,32 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
     return model
 
 
-def mmgp_predict(model: MmgpModel, sample: Sample
-                 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
-    """Predict output scalars and fields on the sample's own mesh."""
-    coords, triangles = extract_triangle_geometry(sample)
-    op_to = op_back = None  # onto the common mesh and back
+def mmgp_predict(model: MmgpModel, samples: list[Sample]
+                 ) -> list[tuple[dict[str, float], dict[str, np.ndarray]]]:
+    """Each sample's ``(scalars, fields)``, predicted on its own mesh."""
+    geometries = [extract_triangle_geometry(s) for s in samples]
+    ops = [(None, None)] * len(samples)  # onto the common mesh and back
     if model.config.morphing:
-        ((_, positions, disk_triangles, edges),) = _embedded(
-            [(coords, triangles)])
-        op_to = _transfer(positions, disk_triangles, model.common_nodes, edges)
-        op_back = _transfer(model.common_nodes, model.common_triangles,
-                            positions, boundary_edges(model.common_triangles))
-    shape_vec = _shape_vector(op_to, coords, model.common_nodes)
-
-    scalars_in = [sample.get_scalar(name) for name in model.in_scalars]
-    x = np.concatenate([pod_project(model.shape_basis, shape_vec),
-                        np.asarray(scalars_in)])[None, :]
-
-    fields_out = {}
-    for name in model.out_fields:
-        coeffs = model.field_regressors[name].predict(x)[0]
-        fields_out[name] = _moved(
-            op_back, pod_reconstruct(model.field_bases[name], coeffs))
-
-    scalars_out = {name: float(model.scalar_regressors[name].predict(x)[0])
-                   for name in model.out_scalars}
-    return scalars_out, fields_out
+        common_edges = boundary_edges(model.common_triangles)
+        for i, nodes, triangles, edges in _embedded(geometries):
+            ops[i] = (_transfer(nodes, triangles, model.common_nodes, edges),
+                      _transfer(model.common_nodes, model.common_triangles,
+                                nodes, common_edges))
+    predictions = []
+    for sample, (coords, _), (op_to, op_back) in zip(samples, geometries, ops):
+        shape_vec = _shape_vector(op_to, coords, model.common_nodes)
+        scalars_in = [sample.get_scalar(name) for name in model.in_scalars]
+        x = np.concatenate([pod_project(model.shape_basis, shape_vec),
+                            np.asarray(scalars_in)])[None, :]
+        fields_out = {}
+        for name in model.out_fields:
+            coeffs = model.field_regressors[name].predict(x)[0]
+            fields_out[name] = _moved(
+                op_back, pod_reconstruct(model.field_bases[name], coeffs))
+        scalars_out = {name: float(model.scalar_regressors[name].predict(x)[0])
+                       for name in model.out_scalars}
+        predictions.append((scalars_out, fields_out))
+    return predictions
 
 
 # ---------------------------------------------------------------------------

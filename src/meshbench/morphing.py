@@ -129,6 +129,8 @@ def extract_boundary_loop(mesh: SurfaceMesh2D) -> np.ndarray:
         raise NotDiskTopology("mesh has no triangles")
 
     n = len(mesh.nodes)
+    if triangles.min() < 0 or triangles.max() >= n:
+        raise NotDiskTopology("triangle index out of range")
     used = np.zeros(n, dtype=bool)
     used[triangles.ravel()] = True
     if not used.all():

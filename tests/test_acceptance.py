@@ -269,8 +269,9 @@ def _score_pipeline(ds, modes):
                         kernel="Matern52", train_split="train_100")
     model = mmgp_fit(ds, ds.problem, config, threads=4)
     bundle = PredictionBundle()
-    for sid in ds.problem.splits["test"]:
-        scalars, fields = mmgp_predict(model, ds.sample_at(sid))
+    ids = ds.problem.splits["test"]
+    predictions = mmgp_predict(model, [ds.sample_at(sid) for sid in ids])
+    for sid, (scalars, fields) in zip(ids, predictions):
         for name, value in scalars.items():
             bundle.set_scalar(sid, name, value)
         for name, values in fields.items():

@@ -28,8 +28,8 @@ def _plate(zone, a, p):
 
 
 def _predict_test_split(model, ds):
-    return [mmgp_predict(model, ds.sample_at(sid))
-            for sid in ds.problem.splits["test"]]
+    return mmgp_predict(model, [ds.sample_at(sid)
+                                for sid in ds.problem.splits["test"]])
 
 
 def _all_finite(predictions):
@@ -45,8 +45,7 @@ def test_finest_plates_fit_and_predict_deterministically():
     runs = []
     for _ in range(2):
         model = mmgp_fit(ds, ds.problem, config)
-        runs.append([mmgp_predict(model, ds.sample_at(sid))
-                     for sid in ds.problem.splits["test"]])
+        runs.append(_predict_test_split(model, ds))
     for scalars, fields in runs[0]:
         assert np.isfinite(list(scalars.values())).all()
         assert all(np.isfinite(values).all() for values in fields.values())
@@ -93,4 +92,4 @@ def test_input_scalars_far_outside_the_training_range_predict_finite():
         for far in (50 * max(values), -50 * max(values)):
             query = Sample(trees=sample.trees,
                            scalars={**sample.scalars, name: far})
-            assert _all_finite([mmgp_predict(model, query)])
+            assert _all_finite(mmgp_predict(model, [query]))

@@ -132,11 +132,11 @@ def _counted(calls, key, fn):
     return wrapper
 
 
-def _train_connectivities(ds):
-    """Distinct (oriented) triangulations of the training samples."""
+def _connectivities(ds, split="train"):
+    """Distinct (oriented) triangulations of the split's samples."""
     return {build_surface_mesh(*extract_triangle_geometry(
         ds.sample_at(i))).triangles.tobytes()
-        for i in ds.problem.splits["train"]}
+        for i in ds.problem.splits[split]}
 
 
 def test_fit_morphs_each_training_sample_once(monkeypatch):
@@ -146,7 +146,7 @@ def test_fit_morphs_each_training_sample_once(monkeypatch):
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=7))
     n_train = len(ds.problem.splits["train"])
-    n_connectivities = len(_train_connectivities(ds))
+    n_connectivities = len(_connectivities(ds))
     assert n_connectivities < n_train
     calls = {"orient": 0, "embed": 0, "loop": 0, "factor": 0}
     monkeypatch.setattr("meshbench.morphing._oriented",
@@ -160,6 +160,33 @@ def test_fit_morphs_each_training_sample_once(monkeypatch):
     mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
     assert calls == {"orient": n_train, "embed": n_train,
                      "loop": n_connectivities, "factor": n_connectivities}
+
+
+def _split_sharing_connectivities():
+    """Plates of 5 to 7 nodes per side whose 5-sample test split holds 3
+    connectivities, two of them twice."""
+    ds = generate(SynthConfig(n_samples=25, seed=3, min_nodes_per_side=5,
+                              max_nodes_per_side=7))
+    assert len(_connectivities(ds, "test")) == 3
+    return ds
+
+
+def test_predict_morphs_each_connectivity_once(monkeypatch):
+    # one boundary walk, one Cholesky factor and one boundary_edges per
+    # distinct predicted connectivity, and the common mesh's boundary
+    # edges once per call
+    ds = _split_sharing_connectivities()
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
+    calls = {"loop": 0, "factor": 0, "edges": 0}
+    monkeypatch.setattr("meshbench.morphing.extract_boundary_loop",
+                        _counted(calls, "loop", extract_boundary_loop))
+    monkeypatch.setattr("meshbench.morphing.cholesky_banded",
+                        _counted(calls, "factor", cholesky_banded))
+    for module in ("mmgp", "transfer"):
+        monkeypatch.setattr(f"meshbench.{module}.boundary_edges",
+                            _counted(calls, "edges", boundary_edges))
+    mmgp_predict(model, [ds.sample_at(i) for i in ds.problem.splits["test"]])
+    assert calls == {"loop": 3, "factor": 3, "edges": 3 + 1}
 
 
 def _with_zone_edit(ds, sid, edit):
@@ -193,7 +220,7 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
     assert (signed_areas(coords, triangles) < 0).all()
     assert connectivity_key(build_surface_mesh(coords, triangles)) == \
         connectivity_key(build_surface_mesh(*geometries[other]))
-    assert len(_train_connectivities(ds)) > 1
+    assert len(_connectivities(ds)) > 1
 
     morphs = {}
 
@@ -211,6 +238,32 @@ def test_grouped_fit_morphs_equal_per_sample_embeddings(monkeypatch):
         assert morphs[coords.tobytes()].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("morphing", [True, False])
+def test_predicting_a_split_equals_predicting_each_sample(morphing):
+    # morphing off needs one node count, so every plate has 6 per side
+    ds = (_split_sharing_connectivities() if morphing else
+          generate(SynthConfig(n_samples=25, seed=3, min_nodes_per_side=6,
+                               max_nodes_per_side=6)))
+    test = ds.problem.splits["test"]
+    # a clockwise copy of a mesh whose connectivity another sample shares
+    sid = next(i for i in test for j in test if j != i and np.array_equal(
+        extract_triangle_geometry(ds.sample_at(i))[1],
+        extract_triangle_geometry(ds.sample_at(j))[1]))
+    ds = _with_zone_edit(ds, sid, _clockwise)
+    model = mmgp_fit(ds, ds.problem, MmgpConfig(
+        morphing=morphing, shape_modes=2, field_modes=2))
+    samples = [ds.sample_at(i) for i in test]
+    together = mmgp_predict(model, samples)
+    assert len(together) == len(samples)
+    for sample, (scalars, fields) in zip(samples, together):
+        ((alone_scalars, alone_fields),) = mmgp_predict(model, [sample])
+        assert {k: np.float64(v).tobytes() for k, v in scalars.items()} == \
+            {k: np.float64(v).tobytes() for k, v in alone_scalars.items()}
+        assert {k: v.tobytes() for k, v in fields.items()} == \
+            {k: v.tobytes() for k, v in alone_fields.items()}
+    assert mmgp_predict(model, []) == []
+
+
 def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
     # fit and predict embed, transfer and project through one path, so a
     # training sample, morphed alone at predict time, meets the GP at its
@@ -218,7 +271,7 @@ def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=7))
     train = ds.problem.splits["train"]
-    assert len(_train_connectivities(ds)) < len(train)
+    assert len(_connectivities(ds)) < len(train)
     inputs = []
     monkeypatch.setattr("meshbench.mmgp.gp_fit", lambda x, y, **kw: (
         inputs.append(x), gp_fit(x, y, **kw))[1])
@@ -227,12 +280,13 @@ def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
     model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
     assert model.config.morphing and inputs
     x_train = inputs[0]
-    for row, sid in enumerate(train):
-        inputs.clear()
-        mmgp_predict(model, ds.sample_at(sid))
-        assert inputs and all(x.shape == (1, x_train.shape[1])
-                              and x[0].tobytes() == x_train[row].tobytes()
-                              for x in inputs), sid
+    inputs.clear()
+    mmgp_predict(model, [ds.sample_at(sid) for sid in train])
+    per_sample = len(inputs) // len(train)
+    assert per_sample and len(inputs) == per_sample * len(train)
+    for j, x in enumerate(inputs):  # each sample's GP queries, in order
+        assert x.shape == (1, x_train.shape[1])
+        assert x[0].tobytes() == x_train[j // per_sample].tobytes(), j
 
 
 @pytest.mark.parametrize("node, message", [
@@ -241,7 +295,7 @@ def test_predict_gives_a_training_sample_its_fit_row(monkeypatch):
 def test_bad_sample_of_a_shared_connectivity_raises_its_error(node, message):
     ds = generate(SynthConfig(n_samples=12, seed=3, min_nodes_per_side=6,
                               max_nodes_per_side=6))
-    assert len(_train_connectivities(ds)) == 1
+    assert len(_connectivities(ds)) == 1
 
     def edit(zone):
         coords = zone.coordinates.copy()
@@ -261,9 +315,8 @@ def test_training_sample_error_bounded_by_pod_truncation():
     config = MmgpConfig(morphing=False, shape_modes=3, field_modes=3)
     model = mmgp_fit(ds, ds.problem, config)
 
-    for sid in ds.problem.splits["train"][:4]:
-        sample = ds.sample_at(sid)
-        _, fields = mmgp_predict(model, sample)
+    samples = [ds.sample_at(sid) for sid in ds.problem.splits["train"][:4]]
+    for sample, (_, fields) in zip(samples, mmgp_predict(model, samples)):
         for name in ("u", "du_dx"):
             ref = sample.get_field(name)
             basis = model.field_bases[name]
@@ -282,7 +335,7 @@ def test_no_morphing_rejects_mismatched_vertex_count():
     other = generate(SynthConfig(n_samples=2, seed=3, min_nodes_per_side=12,
                                  max_nodes_per_side=12))
     with pytest.raises(ShapeMismatch):
-        mmgp_predict(model, other.sample_at(0))
+        mmgp_predict(model, [other.sample_at(0)])
 
 
 def test_no_morphing_requires_constant_vertex_count_at_fit():
@@ -367,7 +420,7 @@ def test_constant_output_field_predicted_constant(morphing, res):
     model = mmgp_fit(ds, ds.problem, config)
     assert model.field_bases["u"].n_modes == 0
     sid = ds.problem.splits["test"][0]
-    _, fields = mmgp_predict(model, ds.sample_at(sid))
+    _, fields = mmgp_predict(model, [ds.sample_at(sid)])[0]
     assert np.abs(fields["u"] - 3.7).max() < 1e-8
 
 
@@ -381,7 +434,7 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
     assert model.field_bases["u"].n_modes == 0
     assert model.field_regressors["u"].constant.shape == (0,)
     sample = ds.sample_at(ds.problem.splits["test"][0])
-    _, fields = mmgp_predict(model, sample)
+    _, fields = mmgp_predict(model, [sample])[0]
     assert np.all(fields["u"] == 1.0)
 
     # the empty constant round-trips as a zero-length span of the one
@@ -391,7 +444,7 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
         "model.manifest"]
     loaded = load_model(tmp_path / "model")
     assert loaded.field_regressors["u"].constant.shape == (0,)
-    assert mmgp_predict(loaded, sample)[1]["u"].tobytes() == \
+    assert mmgp_predict(loaded, [sample])[0][1]["u"].tobytes() == \
         fields["u"].tobytes()
     save_model(replace(model, field_regressors={
         k: r for k, r in model.field_regressors.items() if k != "u"}),
@@ -427,8 +480,8 @@ def test_constant_coefficient_columns_fall_back_to_a_constant_vector(tmp_path):
     assert loaded.field_regressors["u"].constant.tobytes() == \
         targets[0, :2].tobytes()
     sample = ds.sample_at(ds.problem.splits["test"][0])
-    assert (mmgp_predict(loaded, sample)[1]["u"].tobytes()
-            == mmgp_predict(model, sample)[1]["u"].tobytes())
+    assert (mmgp_predict(loaded, [sample])[0][1]["u"].tobytes()
+            == mmgp_predict(model, [sample])[0][1]["u"].tobytes())
 
 
 def test_affine_outputs_learned_to_high_accuracy():
@@ -461,8 +514,9 @@ def test_affine_outputs_learned_to_high_accuracy():
                         kernel="RBF")
     model = mmgp_fit(affine_ds, problem, config)
     bundle = PredictionBundle()
-    for sid in problem.splits["test"]:
-        scalars, fields = mmgp_predict(model, affine_ds.sample_at(sid))
+    ids = problem.splits["test"]
+    samples = [affine_ds.sample_at(sid) for sid in ids]
+    for sid, (scalars, fields) in zip(ids, mmgp_predict(model, samples)):
         for name, v in scalars.items():
             bundle.set_scalar(sid, name, v)
         for name, v in fields.items():
@@ -479,9 +533,9 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     save_model(model, tmp_path / "model")
     loaded = load_model(tmp_path / "model")
 
-    sid = ds.problem.splits["test"][0]
-    s1, f1 = mmgp_predict(model, ds.sample_at(sid))
-    s2, f2 = mmgp_predict(loaded, ds.sample_at(sid))
+    sample = ds.sample_at(ds.problem.splits["test"][0])
+    ((s1, f1),) = mmgp_predict(model, [sample])
+    ((s2, f2),) = mmgp_predict(loaded, [sample])
     assert s1.keys() == s2.keys() and f1.keys() == f2.keys()
     for k in s1:
         assert np.float64(s1[k]).tobytes() == np.float64(s2[k]).tobytes()
@@ -525,11 +579,11 @@ def test_saved_gps_share_one_copy_of_their_inputs(tmp_path):
 
 
 def test_transfers_find_boundary_edges_once(monkeypatch):
-    # once per distinct training connectivity in fit; in predict, once for
-    # the sample and once for the common mesh
+    # once per distinct training connectivity in fit; in predict, once per
+    # distinct predicted connectivity and once for the common mesh
     ds = generate(SynthConfig(n_samples=8, seed=3, min_nodes_per_side=5,
                               max_nodes_per_side=9))
-    n_connectivities = len(_train_connectivities(ds))
+    n_connectivities = len(_connectivities(ds))
     assert n_connectivities < len(ds.problem.splits["train"])
     calls = {"edges": 0, "transfers": 0}
     for module in ("mmgp", "transfer"):
@@ -538,9 +592,12 @@ def test_transfers_find_boundary_edges_once(monkeypatch):
     monkeypatch.setattr("meshbench.mmgp.build_transfer",
                         _counted(calls, "transfers", build_transfer))
     model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
-    mmgp_predict(model, ds.sample_at(ds.problem.splits["test"][0]))
-    assert calls["transfers"] == len(ds.problem.splits["train"]) + 2
-    assert calls["edges"] == n_connectivities + 2
+    test = [ds.sample_at(i) for i in ds.problem.splits["test"]]
+    mmgp_predict(model, test)
+    n_test_connectivities = len(_connectivities(ds, "test"))
+    assert calls["transfers"] == (len(ds.problem.splits["train"])
+                                  + 2 * len(test))
+    assert calls["edges"] == n_connectivities + n_test_connectivities + 1
 
 
 def test_coarsest_plates_predict_and_far_targets_stay_rejected():
@@ -550,8 +607,8 @@ def test_coarsest_plates_predict_and_far_targets_stay_rejected():
     coarse = {res: build_plate_sample(
         SynthConfig(seed=5, min_nodes_per_side=res, max_nodes_per_side=res), 0)
         for res in (2, 3)}
-    for res, sample in coarse.items():
-        scalars, fields = mmgp_predict(model, sample)
+    for res, (scalars, fields) in zip(
+            coarse, mmgp_predict(model, list(coarse.values()))):
         assert np.isfinite(list(scalars.values())).all()
         assert sorted(fields) == sorted(ds.problem.out_fields_names)
         for values in fields.values():
@@ -569,23 +626,22 @@ def test_coarsest_plates_predict_and_far_targets_stay_rejected():
     on_circle = int(np.argmax(np.linalg.norm(nodes, axis=1)))
     nodes[on_circle] *= 1.0 + 1.01 * sagitta
     with pytest.raises(PointOutsideDomain):
-        mmgp_predict(replace(model, common_nodes=nodes), coarse[2])
+        mmgp_predict(replace(model, common_nodes=nodes), [coarse[2]])
 
 
 def test_full_pipeline_determinism():
     ds = generate(SynthConfig(n_samples=10, seed=12, min_nodes_per_side=7,
                               max_nodes_per_side=10))
     config = MmgpConfig(shape_modes=2, field_modes=2)
-    sid = ds.problem.splits["test"][0]
+    samples = [ds.sample_at(sid) for sid in ds.problem.splits["test"]]
     outputs = []
     for threads in (1, 4):
         model = mmgp_fit(ds, ds.problem, config, threads=threads)
-        scalars, fields = mmgp_predict(model, ds.sample_at(sid))
-        outputs.append((scalars, fields))
-    (sa, fa), (sb, fb) = outputs
-    assert all(np.float64(sa[k]).tobytes() == np.float64(sb[k]).tobytes()
-               for k in sa)
-    assert all(fa[k].tobytes() == fb[k].tobytes() for k in fa)
+        outputs.append(mmgp_predict(model, samples))
+    for (sa, fa), (sb, fb) in zip(*outputs):
+        assert all(np.float64(sa[k]).tobytes() == np.float64(sb[k]).tobytes()
+                   for k in sa)
+        assert all(fa[k].tobytes() == fb[k].tobytes() for k in fa)
 
 
 def test_extract_geometry_requires_unique_triangle_zone(two_base_sample):

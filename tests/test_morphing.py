@@ -340,6 +340,18 @@ def test_extract_boundary_loop_on_plain_mesh_obj():
     assert extract_boundary_loop(mesh).tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("index", [-1, 4])
+def test_hand_built_mesh_index_out_of_range_rejected(index):
+    # a mesh built by hand skips build_surface_mesh's range check; -1
+    # would wrap to node 3 and read as a pinch point, 4 would overrun
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    mesh = SurfaceMesh2D(square, np.array([[0, 1, 2], [0, 2, index]]))
+    for check in (extract_boundary_loop, tutte_system):
+        with pytest.raises(NotDiskTopology,
+                           match="triangle index out of range"):
+            check(mesh)
+
+
 def test_pinch_message_names_the_smallest_pinch_node():
     # three triangles in a row, touching at (1, 0) = node 4 and (2, 0) =
     # node 0; a set of directed edges happens to reach node 4 first
