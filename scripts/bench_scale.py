@@ -112,12 +112,7 @@ def run_row(row: str, seed: int) -> dict:
         t1 = time.perf_counter()
         ids = ds.problem.splits["test"]
         predictions = mmgp.mmgp_predict(model, [ds.sample_at(i) for i in ids])
-        bundle = PredictionBundle()
-        for sid, (scalars, fields) in zip(ids, predictions):
-            for name, value in scalars.items():
-                bundle.set_scalar(sid, name, value)
-            for name, values in fields.items():
-                bundle.set_field(sid, name, values)
+        bundle = PredictionBundle(dict(zip(ids, predictions)))
         t2 = time.perf_counter()
         error = metrics.total_error(ds.problem, ds, bundle).total_error
     layers = {name: {"calls": s["calls"], "total_s": round(s["total_s"], 4),

@@ -4,11 +4,11 @@ morphing/POD/GP surrogate pipeline with a deterministic synthetic generator.
 
 __version__ = "0.1.0"
 
-from .dataset import Dataset, ProblemDefinition, datasets_equal, validate_dataset
+from .dataset import (Dataset, PredictionBundle, ProblemDefinition,
+                      SamplePrediction, datasets_equal, validate_dataset)
 from .errors import MeshBenchError
 from .gp import Kernel, gp_fit, gp_predict, kernel_eval
 from .metrics import (
-    PredictionBundle,
     ScoreReport,
     load_bundle,
     rrmse_field,

@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import validate_dataset
+from .dataset import PredictionBundle, validate_dataset
 from .errors import MeshBenchError
 from .metrics import (
-    PredictionBundle,
     hidden_table,
     load_bundle,
     report_json,
@@ -141,22 +140,14 @@ def _cmd_mmgp_predict(args, parser) -> int:
     model = load_model(model_dir)
     dataset = load_dataset(data_dir, lazy=True)
     ids = dataset.get_split(args.split)
-    bundle = PredictionBundle()
-    samples = [dataset.sample_at(sid) for sid in ids]
-    for sid, (scalars, fields) in zip(ids, mmgp_predict(model, samples)):
-        for name, value in scalars.items():
-            bundle.set_scalar(sid, name, value)
-        for name, values in fields.items():
-            bundle.set_field(sid, name, values)
-    save_bundle(bundle, args.out)
+    predictions = mmgp_predict(model, [dataset.sample_at(sid) for sid in ids])
+    save_bundle(PredictionBundle(dict(zip(ids, predictions))), args.out)
     print(f"wrote predictions for {len(ids)} samples to {args.out}")
     return 0
 
 
 def _cmd_convert(args, parser) -> int:
     src = _dataset_dir(args.in_dir, parser)
-    if args.mode != "participant-export":
-        parser.error(f"unknown conversion mode '{args.mode}'")
     dataset = load_dataset(src)
     save_dataset(participant_export(dataset), args.out)
     print(f"participant export written to {args.out}")

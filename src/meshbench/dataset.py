@@ -1,4 +1,5 @@
-"""Dataset container: ordered samples, problem definition, named splits.
+"""Dataset container: ordered samples, problem definition, named splits,
+and predictions for samples (``SamplePrediction``, ``PredictionBundle``).
 
 Samples may be supplied in memory or through per-sample loader callables
 (lazy mode); both behave identically to callers.  The lazy cache loads each
@@ -12,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import IdOutOfRange, InvalidDataset, MeshBenchError, NoSuchSplit
 from .sample import Sample, samples_equal
@@ -53,6 +56,45 @@ def _sample_id(value) -> int:
     return int(value)
 
 
+def _bundle_id(value) -> int:
+    """A sample id a bundle may hold: the sample-id rule, and never below 0,
+    so that every bundle that saves also loads."""
+    sample_id = _sample_id(value)
+    if sample_id < 0:
+        raise IdOutOfRange(f"sample id {sample_id} is negative")
+    return sample_id
+
+
+@dataclass
+class SamplePrediction:
+    """Predicted outputs for one sample."""
+
+    fields: dict[str, np.ndarray] = field(default_factory=dict)
+    scalars: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class PredictionBundle:
+    """Per-sample predicted outputs keyed by sample id."""
+
+    predictions: dict[int, SamplePrediction] = field(default_factory=dict)
+
+    def ids(self) -> list[int]:
+        """The sample ids in increasing order, each one checked."""
+        return sorted(_bundle_id(sid) for sid in self.predictions)
+
+    def prediction_for(self, sample_id: int) -> SamplePrediction:
+        return self.predictions.setdefault(_bundle_id(sample_id),
+                                           SamplePrediction())
+
+    def set_field(self, sample_id: int, name: str, values) -> None:
+        self.prediction_for(sample_id).fields[name] = \
+            np.ascontiguousarray(values, dtype=np.float64)
+
+    def set_scalar(self, sample_id: int, name: str, value: float) -> None:
+        self.prediction_for(sample_id).scalars[name] = float(value)
+
+
 class Dataset:
     """Ordered, lazily-loadable collection of samples plus metadata."""
 
@@ -79,6 +121,7 @@ class Dataset:
         return len(self._samples)
 
     def sample_at(self, sample_id: int) -> Sample:
+        sample_id = _sample_id(sample_id)
         if not 0 <= sample_id < len(self._samples):
             raise IdOutOfRange(
                 f"sample id {sample_id} outside [0, {len(self._samples)})")

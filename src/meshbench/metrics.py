@@ -16,7 +16,8 @@ scores incomparable across submissions.  A non-finite reference or
 prediction is a hard error too, so no score reads nan or inf.
 
 All reductions run in sorted-id order with numpy's pairwise summation, so
-scores are bitwise reproducible regardless of thread count.
+scores are bitwise reproducible regardless of thread count.  The bundles
+scored and stored here are defined in ``dataset``.
 """
 
 from __future__ import annotations
@@ -25,17 +26,19 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
                     decode_ids, decode_list, decode_map, decode_object,
                     decode_real, format_real)
-from .dataset import (PRIVATE, PUBLIC, Dataset, ProblemDefinition,
-                      partition_problems)
+from .dataset import (PRIVATE, PUBLIC, Dataset, PredictionBundle,
+                      ProblemDefinition, SamplePrediction, partition_problems)
 from .errors import (
     DegenerateReference,
+    InvalidDataset,
+    IoFailure,
     MissingOutput,
     NoPartition,
     NoSuchSplit,
@@ -44,31 +47,6 @@ from .errors import (
 from .sample import find_reference_field
 
 DEGENERATE_NORM = 1e-30
-
-
-@dataclass
-class SamplePrediction:
-    """Predicted outputs for one sample."""
-
-    fields: dict[str, np.ndarray] = field(default_factory=dict)
-    scalars: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class PredictionBundle:
-    """Per-sample predicted outputs keyed by sample id."""
-
-    predictions: dict[int, SamplePrediction] = field(default_factory=dict)
-
-    def prediction_for(self, sample_id: int) -> SamplePrediction:
-        return self.predictions.setdefault(sample_id, SamplePrediction())
-
-    def set_field(self, sample_id: int, name: str, values) -> None:
-        self.prediction_for(sample_id).fields[name] = \
-            np.ascontiguousarray(values, dtype=np.float64)
-
-    def set_scalar(self, sample_id: int, name: str, value: float) -> None:
-        self.prediction_for(sample_id).scalars[name] = float(value)
 
 
 @dataclass
@@ -157,18 +135,19 @@ def rrmse_scalar(refs, preds) -> float:
 # dataset-level scoring
 
 def total_error(problem: ProblemDefinition, reference: Dataset,
-                bundle: PredictionBundle,
-                ids: Optional[Sequence[int]] = None) -> ScoreReport:
-    """Score a bundle against reference outputs on the test split.
+                bundle: PredictionBundle) -> ScoreReport:
+    """Score a bundle against reference outputs on the test split."""
+    if "test" not in problem.splits:
+        raise NoSuchSplit("problem defines no 'test' split")
+    ids = sorted(problem.splits["test"])
+    if len(set(ids)) != len(ids):
+        raise InvalidDataset("the test split lists an id twice")
+    return _score(problem, reference, bundle, ids)
 
-    ``ids`` restricts scoring to a subset (used for hidden-split scoring);
-    default is the full test split.
-    """
-    if ids is None:
-        if "test" not in problem.splits:
-            raise NoSuchSplit("problem defines no 'test' split")
-        ids = problem.splits["test"]
-    ids = sorted(int(i) for i in ids)
+
+def _score(problem: ProblemDefinition, reference: Dataset,
+           bundle: PredictionBundle, ids: list[int]) -> ScoreReport:
+    """Score a bundle on ``ids``, sorted and distinct."""
     if not ids:
         raise ShapeMismatch("empty id set to score")
 
@@ -209,19 +188,20 @@ def score_hidden(problem: ProblemDefinition, reference: Dataset,
         raise NoPartition(f"hidden partition: {problems[0]}")
     public_ids = sorted(i for i, c in part.items() if c == PUBLIC)
     private_ids = sorted(i for i, c in part.items() if c == PRIVATE)
-    return (total_error(problem, reference, bundle, ids=public_ids),
-            total_error(problem, reference, bundle, ids=private_ids))
+    return (_score(problem, reference, bundle, public_ids),
+            _score(problem, reference, bundle, private_ids))
 
 
 # ---------------------------------------------------------------------------
 # bundle persistence (the one-file encoding of the dataset store)
 
 def save_bundle(bundle: PredictionBundle, root_path) -> None:
+    """Write the one file ``bundle.manifest``; an id that would not load
+    back fails before anything is written."""
     root = Path(root_path)
-    root.mkdir(parents=True, exist_ok=True)
     writer = ArtifactWriter(root / "bundle.manifest")
     docs = []
-    for sid in sorted(bundle.predictions):
+    for sid in bundle.ids():
         entry = bundle.predictions[sid]
         docs.append({
             "id": sid,
@@ -230,22 +210,25 @@ def save_bundle(bundle: PredictionBundle, root_path) -> None:
             "fields": {name: writer.write(entry.fields[name])
                        for name in sorted(entry.fields)},
         })
-    writer.write_manifest({"format_version": FORMAT_VERSION, "samples": docs})
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        writer.write_manifest({"format_version": FORMAT_VERSION,
+                               "samples": docs})
+    except OSError as exc:
+        raise IoFailure(f"failed writing bundle to {root}: {exc}") from exc
 
 
 def load_bundle(root_path) -> PredictionBundle:
     manifest = Path(root_path) / "bundle.manifest"
-    bundle = PredictionBundle()
     with ArtifactReader(manifest, versioned=True) as reader:
         decode_object(reader.doc, "format_version", "samples")
         entries = decode_list(reader.doc["samples"], lambda e: decode_object(
             e, "id", "scalars", "fields"))
         ids = decode_ids([entry["id"] for entry in entries])
-        for sid, entry in zip(ids, entries):
-            bundle.predictions[sid] = SamplePrediction(
-                decode_map(entry["fields"], reader.read),
-                decode_map(entry["scalars"], decode_real))
-    return bundle
+        return PredictionBundle({sid: SamplePrediction(
+            decode_map(entry["fields"], reader.read),
+            decode_map(entry["scalars"], decode_real))
+            for sid, entry in zip(ids, entries)})
 
 
 def hidden_table(public: ScoreReport, private: ScoreReport) -> str:

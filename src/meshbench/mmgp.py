@@ -34,7 +34,7 @@ import numpy as np
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
                     decode_kind, decode_list, decode_map, decode_name,
                     decode_object, decode_real, format_real)
-from .dataset import Dataset, ProblemDefinition
+from .dataset import Dataset, ProblemDefinition, SamplePrediction
 from .edges import boundary_edges
 from .errors import (ConfigInvalid, FormatError, IoFailure, NoSuchSplit,
                      ShapeMismatch)
@@ -93,8 +93,9 @@ def _config_from(values: dict) -> MmgpConfig:
 
 
 def parse_config_text(text: str) -> MmgpConfig:
-    """Parse ``key = value`` lines ('#' starts a comment)."""
-    values = {}
+    """Parse ``key = value`` lines ('#' starts a comment); a key given
+    twice is refused."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,7 +103,11 @@ def parse_config_text(text: str) -> MmgpConfig:
         if "=" not in line:
             raise ConfigInvalid(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigInvalid(f"line {lineno}: key '{key}' repeats line "
+                                f"{lines[key]}")
+        values[key], lines[key] = value.strip(), lineno
 
     for key, value in values.items():
         try:
@@ -347,8 +352,9 @@ def mmgp_fit(dataset: Dataset, problem: ProblemDefinition, config: MmgpConfig,
 
 
 def mmgp_predict(model: MmgpModel, samples: list[Sample]
-                 ) -> list[tuple[dict[str, float], dict[str, np.ndarray]]]:
-    """Each sample's ``(scalars, fields)``, predicted on its own mesh."""
+                 ) -> list[SamplePrediction]:
+    """Each sample's ``SamplePrediction`` (defined in ``dataset``),
+    predicted on its own mesh."""
     geometries = [extract_triangle_geometry(s) for s in samples]
     ops = [(None, None)] * len(samples)  # onto the common mesh and back
     if model.config.morphing:
@@ -370,7 +376,7 @@ def mmgp_predict(model: MmgpModel, samples: list[Sample]
                 op_back, pod_reconstruct(model.field_bases[name], coeffs))
         scalars_out = {name: float(model.scalar_regressors[name].predict(x)[0])
                        for name in model.out_scalars}
-        predictions.append((scalars_out, fields_out))
+        predictions.append(SamplePrediction(fields_out, scalars_out))
     return predictions
 
 
@@ -390,7 +396,6 @@ def save_model(model: MmgpModel, root_path) -> None:
         raise IoFailure("refusing to save a model whose GP regressors "
                         "were fit on different inputs")
     root = Path(root_path)
-    root.mkdir(parents=True, exist_ok=True)
     writer = ArtifactWriter(root / "model.manifest")
 
     def basis_doc(basis: PodBasis) -> dict:
@@ -440,7 +445,11 @@ def save_model(model: MmgpModel, root_path) -> None:
             name: regressor_doc(r)
             for name, r in sorted(model.scalar_regressors.items())},
     }
-    writer.write_manifest(doc)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        writer.write_manifest(doc)
+    except OSError as exc:
+        raise IoFailure(f"failed writing model to {root}: {exc}") from exc
 
 
 def load_model(root_path) -> MmgpModel:

@@ -16,6 +16,7 @@ sample regenerates identically in isolation and independently of schedule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,19 @@ class SynthConfig:
     def validate(self) -> None:
         if self.case != "plate2d":
             raise ConfigInvalid(f"unknown case '{self.case}'")
+        for name in ("n_samples", "seed", "min_nodes_per_side",
+                     "max_nodes_per_side"):
+            value = getattr(self, name)
+            # numpy's integers too, but never a bool
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ConfigInvalid(f"{name} must be an integer, not {value!r}")
+        for name in ("amplitude_range", "load_range"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, numbers.Real)
+                            and not isinstance(v, bool) for v in pair)):
+                raise ConfigInvalid(
+                    f"{name} must be a pair of real numbers, not {pair!r}")
         if self.n_samples < 2:
             raise ConfigInvalid("n_samples must be at least 2")
         if not 2 <= self.min_nodes_per_side <= self.max_nodes_per_side:
@@ -164,11 +178,12 @@ def generate(config: SynthConfig, threads: int = 1) -> Dataset:
         splits=splits,
         hidden_partition=hidden,
     )
+    lo, hi = int(config.min_nodes_per_side), int(config.max_nodes_per_side)
     infos = {
         "case": config.case,
         "seed": int(config.seed),
         "n_samples": int(config.n_samples),
-        "resolution_range": [config.min_nodes_per_side, config.max_nodes_per_side],
-        CONSTANT_MESH_KEY: config.min_nodes_per_side == config.max_nodes_per_side,
+        "resolution_range": [lo, hi],
+        CONSTANT_MESH_KEY: lo == hi,
     }
     return Dataset(samples=samples, infos=infos, problem=problem)

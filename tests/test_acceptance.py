@@ -268,14 +268,9 @@ def _score_pipeline(ds, modes):
     config = MmgpConfig(morphing=True, shape_modes=modes, field_modes=modes,
                         kernel="Matern52", train_split="train_100")
     model = mmgp_fit(ds, ds.problem, config, threads=4)
-    bundle = PredictionBundle()
     ids = ds.problem.splits["test"]
     predictions = mmgp_predict(model, [ds.sample_at(sid) for sid in ids])
-    for sid, (scalars, fields) in zip(ids, predictions):
-        for name, value in scalars.items():
-            bundle.set_scalar(sid, name, value)
-        for name, values in fields.items():
-            bundle.set_field(sid, name, values)
+    bundle = PredictionBundle(dict(zip(ids, predictions)))
     return total_error(ds.problem, ds, bundle).total_error
 
 

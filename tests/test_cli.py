@@ -133,6 +133,36 @@ def test_fit_runs_the_gp_fits_sequentially_by_default(generated, tmp_path,
     assert code == 0 and calls == [1]
 
 
+def test_fit_to_a_model_path_that_is_a_file_exits_1(generated, tmp_path,
+                                                    capsys):
+    config = tmp_path / "mmgp.cfg"
+    config.write_text("shape_modes = 2\nfield_modes = 2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code, _, err = run_cli(capsys, "mmgp", "fit", "--train", str(generated),
+                           "--config", str(config), "--model", str(taken))
+    assert code == 1
+    assert err.startswith("error: IoFailure: ") and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
+def test_predict_to_an_out_path_that_is_a_file_exits_1(generated, tmp_path,
+                                                       capsys):
+    config = tmp_path / "mmgp.cfg"
+    config.write_text("shape_modes = 2\nfield_modes = 2\n")
+    model_dir = tmp_path / "model"
+    assert main(["mmgp", "fit", "--train", str(generated), "--config",
+                 str(config), "--model", str(model_dir)]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code, _, err = run_cli(capsys, "mmgp", "predict", "--model",
+                           str(model_dir), "--data", str(generated),
+                           "--out", str(taken))
+    assert code == 1
+    assert err.startswith("error: IoFailure: ") and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_score_perfect_bundle(generated, tmp_path, capsys):
     from meshbench.metrics import PredictionBundle, save_bundle
     ds = load_dataset(generated)

@@ -197,6 +197,10 @@ def test_split_accessors(tmp_path, two_base_sample):
     with pytest.raises(IdOutOfRange):
         ds.sample_at(3)
     assert [s.get_scalar("P") for s in ds.iterate([2, 0])] == [7.0, 0.1]
+    assert ds.sample_at(np.int64(2)) is ds.sample_at(2)
+    for bad in (True, 1.5, 1.0, "1"):
+        with pytest.raises(InvalidDataset, match="is not an integer"):
+            ds.sample_at(bad)
 
 
 def test_save_rejects_out_of_range_split(tmp_path, two_base_sample):

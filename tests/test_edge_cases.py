@@ -33,9 +33,9 @@ def _predict_test_split(model, ds):
 
 
 def _all_finite(predictions):
-    return all(np.isfinite(list(scalars.values())).all()
-               and all(np.isfinite(v).all() for v in fields.values())
-               for scalars, fields in predictions)
+    return all(np.isfinite(list(p.scalars.values())).all()
+               and all(np.isfinite(v).all() for v in p.fields.values())
+               for p in predictions)
 
 
 def test_finest_plates_fit_and_predict_deterministically():
@@ -46,14 +46,14 @@ def test_finest_plates_fit_and_predict_deterministically():
     for _ in range(2):
         model = mmgp_fit(ds, ds.problem, config)
         runs.append(_predict_test_split(model, ds))
-    for scalars, fields in runs[0]:
-        assert np.isfinite(list(scalars.values())).all()
-        assert all(np.isfinite(values).all() for values in fields.values())
-    for (sa, fa), (sb, fb) in zip(*runs):
-        assert {k: np.float64(v).tobytes() for k, v in sa.items()} == \
-            {k: np.float64(v).tobytes() for k, v in sb.items()}
-        assert {k: v.tobytes() for k, v in fa.items()} == \
-            {k: v.tobytes() for k, v in fb.items()}
+    for p in runs[0]:
+        assert np.isfinite(list(p.scalars.values())).all()
+        assert all(np.isfinite(values).all() for values in p.fields.values())
+    for a, b in zip(*runs):
+        assert {k: np.float64(v).tobytes() for k, v in a.scalars.items()} == \
+            {k: np.float64(v).tobytes() for k, v in b.scalars.items()}
+        assert {k: v.tobytes() for k, v in a.fields.items()} == \
+            {k: v.tobytes() for k, v in b.fields.items()}
 
 
 def test_samples_sharing_one_mesh_keep_no_shape_mode():
@@ -77,8 +77,8 @@ def test_constant_output_scalar_predicts_the_constant():
         trees=s.trees, scalars={**s.scalars, "u_max": 0.625}))
     model = mmgp_fit(ds, ds.problem, MmgpConfig(shape_modes=2, field_modes=2))
     assert not model.scalar_regressors["u_max"].is_gp
-    for scalars, _ in _predict_test_split(model, ds):
-        assert scalars["u_max"] == 0.625
+    for prediction in _predict_test_split(model, ds):
+        assert prediction.scalars["u_max"] == 0.625
 
 
 def test_input_scalars_far_outside_the_training_range_predict_finite():

@@ -10,7 +10,9 @@ from meshbench import (
     PredictionBundle,
     ProblemDefinition,
     Sample,
+    SynthConfig,
     build_tree,
+    generate,
     load_bundle,
     make_field,
     make_unstructured_zone,
@@ -21,8 +23,11 @@ from meshbench import (
     total_error,
     validate_dataset,
 )
+from meshbench.dataset import SamplePrediction
 from meshbench.errors import (
     DegenerateReference,
+    IdOutOfRange,
+    InvalidDataset,
     MissingOutput,
     NoPartition,
     ShapeMismatch,
@@ -230,6 +235,28 @@ def test_total_error_names_a_non_finite_prediction(bad):
         total_error(ds.problem, ds, bundle)
 
 
+def test_total_error_refuses_a_test_split_listing_an_id_twice():
+    ds = generate(SynthConfig(n_samples=10, seed=1, min_nodes_per_side=4,
+                              max_nodes_per_side=6))
+    assert ds.problem.splits["test"] == [8, 9]
+    bundle = PredictionBundle()
+    for sid in (8, 9):
+        sample = ds.sample_at(sid)
+        u = sample.get_field("u")
+        bundle.set_field(sid, "u", 1.1 * u if sid == 8 else u)
+        bundle.set_field(sid, "du_dx", sample.get_field("du_dx"))
+        bundle.set_scalar(sid, "u_max", sample.get_scalar("u_max"))
+    assert total_error(ds.problem, ds, bundle).total_error == \
+        pytest.approx(0.0095, abs=5e-5)
+    # scored twice, sample 8 would weigh double
+    ds.problem.splits["test"] = [8, 8, 9]
+    with pytest.raises(InvalidDataset, match="lists an id twice"):
+        total_error(ds.problem, ds, bundle)
+    # the test split is the one set total_error scores
+    with pytest.raises(TypeError):
+        total_error(ds.problem, ds, bundle, ids=[8, 9])
+
+
 def test_score_hidden_restriction():
     ds = scoring_fixture()
     bundle = perfect_bundle(ds)
@@ -292,6 +319,24 @@ def test_bundle_round_trip(tmp_path):
                 np.float64(entry.scalars[name]).tobytes()
         for name in entry.fields:
             assert got.fields[name].tobytes() == entry.fields[name].tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    (3.0, InvalidDataset), (True, InvalidDataset), ("3", InvalidDataset),
+    (-1, IdOutOfRange)])
+def test_bundle_ids_follow_the_sample_id_rule(tmp_path, bad, error):
+    bundle = PredictionBundle()
+    bundle.set_field(np.int64(3), "u", [0.5, 2.0])
+    bundle.set_scalar(np.int64(3), "u_max", 2.0)
+    save_bundle(bundle, tmp_path / "ok")
+    assert list(load_bundle(tmp_path / "ok").predictions) == [3]
+    with pytest.raises(error):
+        bundle.set_field(bad, "u", [1.0])
+    # refused before anything is written, so every bundle saved also loads
+    with pytest.raises(error):
+        save_bundle(PredictionBundle({bad: SamplePrediction()}),
+                    tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_report_table_is_stable():

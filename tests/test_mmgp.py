@@ -22,6 +22,7 @@ from meshbench import (
     save_model,
     total_error,
 )
+from meshbench.dataset import SamplePrediction
 from meshbench.edges import boundary_edges
 from meshbench.gp import gp_fit, gp_mean
 from meshbench.errors import (
@@ -82,6 +83,9 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("jitter = inf")
     with pytest.raises(ConfigInvalid):
         parse_config_text("shape_modes = 2.7")
+    with pytest.raises(ConfigInvalid,
+                       match="line 3: key 'shape_modes' repeats line 1"):
+        parse_config_text("shape_modes = 8\nkernel = rbf\nshape_modes = 16")
 
 
 @pytest.mark.parametrize("values", [
@@ -255,12 +259,14 @@ def test_predicting_a_split_equals_predicting_each_sample(morphing):
     samples = [ds.sample_at(i) for i in test]
     together = mmgp_predict(model, samples)
     assert len(together) == len(samples)
-    for sample, (scalars, fields) in zip(samples, together):
-        ((alone_scalars, alone_fields),) = mmgp_predict(model, [sample])
-        assert {k: np.float64(v).tobytes() for k, v in scalars.items()} == \
-            {k: np.float64(v).tobytes() for k, v in alone_scalars.items()}
-        assert {k: v.tobytes() for k, v in fields.items()} == \
-            {k: v.tobytes() for k, v in alone_fields.items()}
+    assert all(type(p) is SamplePrediction for p in together)
+    for sample, prediction in zip(samples, together):
+        (alone,) = mmgp_predict(model, [sample])
+        assert {k: np.float64(v).tobytes()
+                for k, v in prediction.scalars.items()} == \
+            {k: np.float64(v).tobytes() for k, v in alone.scalars.items()}
+        assert {k: v.tobytes() for k, v in prediction.fields.items()} == \
+            {k: v.tobytes() for k, v in alone.fields.items()}
     assert mmgp_predict(model, []) == []
 
 
@@ -316,7 +322,8 @@ def test_training_sample_error_bounded_by_pod_truncation():
     model = mmgp_fit(ds, ds.problem, config)
 
     samples = [ds.sample_at(sid) for sid in ds.problem.splits["train"][:4]]
-    for sample, (_, fields) in zip(samples, mmgp_predict(model, samples)):
+    for sample, prediction in zip(samples, mmgp_predict(model, samples)):
+        fields = prediction.fields
         for name in ("u", "du_dx"):
             ref = sample.get_field(name)
             basis = model.field_bases[name]
@@ -420,7 +427,7 @@ def test_constant_output_field_predicted_constant(morphing, res):
     model = mmgp_fit(ds, ds.problem, config)
     assert model.field_bases["u"].n_modes == 0
     sid = ds.problem.splits["test"][0]
-    _, fields = mmgp_predict(model, [ds.sample_at(sid)])[0]
+    fields = mmgp_predict(model, [ds.sample_at(sid)])[0].fields
     assert np.abs(fields["u"] - 3.7).max() < 1e-8
 
 
@@ -434,7 +441,7 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
     assert model.field_bases["u"].n_modes == 0
     assert model.field_regressors["u"].constant.shape == (0,)
     sample = ds.sample_at(ds.problem.splits["test"][0])
-    _, fields = mmgp_predict(model, [sample])[0]
+    fields = mmgp_predict(model, [sample])[0].fields
     assert np.all(fields["u"] == 1.0)
 
     # the empty constant round-trips as a zero-length span of the one
@@ -444,7 +451,7 @@ def test_rank_zero_output_field_predicts_its_mean(tmp_path):
         "model.manifest"]
     loaded = load_model(tmp_path / "model")
     assert loaded.field_regressors["u"].constant.shape == (0,)
-    assert mmgp_predict(loaded, [sample])[0][1]["u"].tobytes() == \
+    assert mmgp_predict(loaded, [sample])[0].fields["u"].tobytes() == \
         fields["u"].tobytes()
     save_model(replace(model, field_regressors={
         k: r for k, r in model.field_regressors.items() if k != "u"}),
@@ -480,8 +487,8 @@ def test_constant_coefficient_columns_fall_back_to_a_constant_vector(tmp_path):
     assert loaded.field_regressors["u"].constant.tobytes() == \
         targets[0, :2].tobytes()
     sample = ds.sample_at(ds.problem.splits["test"][0])
-    assert (mmgp_predict(loaded, [sample])[0][1]["u"].tobytes()
-            == mmgp_predict(model, [sample])[0][1]["u"].tobytes())
+    assert (mmgp_predict(loaded, [sample])[0].fields["u"].tobytes()
+            == mmgp_predict(model, [sample])[0].fields["u"].tobytes())
 
 
 def test_affine_outputs_learned_to_high_accuracy():
@@ -513,14 +520,9 @@ def test_affine_outputs_learned_to_high_accuracy():
     config = MmgpConfig(morphing=False, shape_modes=2, field_modes=2,
                         kernel="RBF")
     model = mmgp_fit(affine_ds, problem, config)
-    bundle = PredictionBundle()
     ids = problem.splits["test"]
     samples = [affine_ds.sample_at(sid) for sid in ids]
-    for sid, (scalars, fields) in zip(ids, mmgp_predict(model, samples)):
-        for name, v in scalars.items():
-            bundle.set_scalar(sid, name, v)
-        for name, v in fields.items():
-            bundle.set_field(sid, name, v)
+    bundle = PredictionBundle(dict(zip(ids, mmgp_predict(model, samples))))
     report = total_error(problem, affine_ds, bundle)
     assert report.total_error <= 1e-3
 
@@ -534,8 +536,9 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     loaded = load_model(tmp_path / "model")
 
     sample = ds.sample_at(ds.problem.splits["test"][0])
-    ((s1, f1),) = mmgp_predict(model, [sample])
-    ((s2, f2),) = mmgp_predict(loaded, [sample])
+    (p1,) = mmgp_predict(model, [sample])
+    (p2,) = mmgp_predict(loaded, [sample])
+    s1, f1, s2, f2 = p1.scalars, p1.fields, p2.scalars, p2.fields
     assert s1.keys() == s2.keys() and f1.keys() == f2.keys()
     for k in s1:
         assert np.float64(s1[k]).tobytes() == np.float64(s2[k]).tobytes()
@@ -607,11 +610,11 @@ def test_coarsest_plates_predict_and_far_targets_stay_rejected():
     coarse = {res: build_plate_sample(
         SynthConfig(seed=5, min_nodes_per_side=res, max_nodes_per_side=res), 0)
         for res in (2, 3)}
-    for res, (scalars, fields) in zip(
+    for res, prediction in zip(
             coarse, mmgp_predict(model, list(coarse.values()))):
-        assert np.isfinite(list(scalars.values())).all()
-        assert sorted(fields) == sorted(ds.problem.out_fields_names)
-        for values in fields.values():
+        assert np.isfinite(list(prediction.scalars.values())).all()
+        assert sorted(prediction.fields) == sorted(ds.problem.out_fields_names)
+        for values in prediction.fields.values():
             assert values.shape == (res * res,)
             assert np.isfinite(values).all()
 
@@ -638,10 +641,11 @@ def test_full_pipeline_determinism():
     for threads in (1, 4):
         model = mmgp_fit(ds, ds.problem, config, threads=threads)
         outputs.append(mmgp_predict(model, samples))
-    for (sa, fa), (sb, fb) in zip(*outputs):
-        assert all(np.float64(sa[k]).tobytes() == np.float64(sb[k]).tobytes()
-                   for k in sa)
-        assert all(fa[k].tobytes() == fb[k].tobytes() for k in fa)
+    for a, b in zip(*outputs):
+        assert all(np.float64(a.scalars[k]).tobytes()
+                   == np.float64(b.scalars[k]).tobytes() for k in a.scalars)
+        assert all(a.fields[k].tobytes() == b.fields[k].tobytes()
+                   for k in a.fields)
 
 
 def test_extract_geometry_requires_unique_triangle_zone(two_base_sample):

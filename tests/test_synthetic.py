@@ -80,6 +80,29 @@ def test_nodal_tags_mark_top_and_bottom_rows():
     assert (top_y >= 1.0 - 1e-12).all()
 
 
+@pytest.mark.parametrize("values", [
+    {"n_samples": 2.5}, {"n_samples": "5"}, {"n_samples": True},
+    {"seed": 1.5}, {"seed": False}, {"min_nodes_per_side": 2.5},
+    {"max_nodes_per_side": np.float64(20.0)},
+    {"amplitude_range": (0.1,)}, {"amplitude_range": (0.0, 0.1, 0.2)},
+    {"amplitude_range": 0.3}, {"amplitude_range": (0.0, True)},
+    {"load_range": (1, "2")}, {"load_range": None}])
+def test_config_types_rejected(values):
+    with pytest.raises(ConfigInvalid):
+        generate(SynthConfig(**values))
+
+
+def test_numpy_integers_accepted():
+    config = SynthConfig(n_samples=np.int64(4), seed=np.int32(2),
+                         min_nodes_per_side=np.int64(4),
+                         max_nodes_per_side=np.int64(5),
+                         load_range=(np.float64(0.5), 2))
+    ds = generate(config)
+    assert datasets_equal(ds, generate(SynthConfig(
+        n_samples=4, seed=2, min_nodes_per_side=4, max_nodes_per_side=5)))
+    assert validate_dataset(ds).empty
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigInvalid):
         generate(SynthConfig(n_samples=1))
