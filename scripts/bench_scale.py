@@ -12,9 +12,10 @@ unchanged) wrapped around the layers.
 - ``plate30``, ``plate60``, ``plate120``: synthetic plates with that many
   nodes per side.  Plates of one resolution share their triangulation, so
   every sample of such a row has the same connectivity.
-- ``irregular30``: the ``plate30`` plates, each remeshed: its interior grid
-  nodes are jittered by up to 0.35 of the grid step and the points
-  Delaunay-triangulated, so no two samples share a triangulation.
+- ``irregular30``, ``irregular60``: the ``plate30`` and ``plate60`` plates,
+  each remeshed: its interior grid nodes are jittered by up to 0.35 of the
+  grid step and the points Delaunay-triangulated, so no two samples share
+  a triangulation.
 
 Each row records the commit of the checkout (``git describe --always
 --dirty``), the machine and BLAS, the fit and predict wall times, every
@@ -59,7 +60,8 @@ TRAIN_SPLIT = "train_100"
 #: largest interior node move, as a fraction of the grid step
 JITTER = 0.35
 ROWS = {"plate30": (30, False), "plate60": (60, False),
-        "plate120": (120, False), "irregular30": (30, True)}
+        "plate120": (120, False), "irregular30": (30, True),
+        "irregular60": (60, True)}
 DESCRIPTION = ("mmgp fit on train_100 and predict of the 25 test samples, "
                "traced layer by layer; see scripts/bench_scale.py. Each row "
                "is one run on a shared host: read its times as reference "

@@ -148,7 +148,7 @@ def _cmd_mmgp_predict(args, parser) -> int:
 
 def _cmd_convert(args, parser) -> int:
     src = _dataset_dir(args.in_dir, parser)
-    dataset = load_dataset(src)
+    dataset = load_dataset(src, lazy=True)
     save_dataset(participant_export(dataset), args.out)
     print(f"participant export written to {args.out}")
     return 0

@@ -2,9 +2,12 @@
 and predictions for samples (``SamplePrediction``, ``PredictionBundle``).
 
 Samples may be supplied in memory or through per-sample loader callables
-(lazy mode); both behave identically to callers.  The lazy cache loads each
-sample on its first access and keeps it.  It takes no lock, since no pooled
-stage reads samples: threads sharing a lazy dataset may load a sample twice.
+(lazy mode); both behave identically to callers.  ``Dataset.sample_at``
+loads a lazy sample on its first access and keeps it, for callers that
+reuse samples at random; a pass through ``Dataset.iterate`` keeps nothing,
+so a whole-dataset pass (``validate_dataset``, saving) holds one sample at
+a time.  The cache takes no lock, since no pooled stage reads samples:
+threads sharing a lazy dataset may load a sample twice.
 """
 
 from __future__ import annotations
@@ -120,15 +123,17 @@ class Dataset:
     def n_samples(self) -> int:
         return len(self._samples)
 
+    @property
+    def lazy(self) -> bool:
+        """Whether samples come from loaders rather than being held."""
+        return self._loaders is not None
+
     def sample_at(self, sample_id: int) -> Sample:
-        sample_id = _sample_id(sample_id)
-        if not 0 <= sample_id < len(self._samples):
-            raise IdOutOfRange(
-                f"sample id {sample_id} outside [0, {len(self._samples)})")
-        found = self._samples[sample_id]
-        if found is None:
-            found = self._samples[sample_id] = self._loaders[sample_id]()
-        return found
+        """The sample ``sample_id``; a lazy dataset keeps what it loads."""
+        sample_id = self._index(sample_id)
+        if self._samples[sample_id] is None:
+            self._samples[sample_id] = self._loaders[sample_id]()
+        return self._samples[sample_id]
 
     def __getitem__(self, sample_id: int) -> Sample:
         return self.sample_at(sample_id)
@@ -142,20 +147,59 @@ class Dataset:
             ) from None
 
     def iterate(self, ids: Iterable[int]) -> Iterator[Sample]:
-        """Yield samples in the given id order; lazy loads happen per yield."""
+        """Yield samples in the given id order.  A sample ``sample_at`` has
+        not kept is loaded for its yield and kept by nothing here, so a pass
+        holds only the sample its caller holds."""
         for i in ids:
-            yield self.sample_at(i)
+            i = self._index(i)
+            found = self._samples[i]
+            yield self._loaders[i]() if found is None else found
+
+    def _index(self, sample_id) -> int:
+        sample_id = _sample_id(sample_id)
+        if not 0 <= sample_id < len(self._samples):
+            raise IdOutOfRange(
+                f"sample id {sample_id} outside [0, {len(self._samples)})")
+        return sample_id
 
 
-def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Aggregate per-sample tree reports plus problem-level checks; a linked
-    tree is checked as it resolves, as it will be used."""
-    report = ValidationReport()
-    problem = dataset.problem
-    n = dataset.n_samples
+class DatasetChecks:
+    """The checks of ``validate_dataset``, fed one sample at a time.
 
-    for i in range(n):
-        sample = dataset.sample_at(i)
+    Creating it runs the checks that read no sample (splits, the hidden
+    partition, infos).  :meth:`check_sample` takes each sample in id order
+    and keeps none; :meth:`report` then joins what was found in a fixed
+    order: the samples' trees, splits, nested splits, the partition, name
+    coverage, infos, and last the constant mesh.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self._problem = problem = dataset.problem
+        self._test_ids = set(problem.splits.get("test", []))
+        self._seen_fields: set[str] = set()
+        self._mesh_reference = None  # (sample id, signature) of the first mesh
+        self._trees, self._splits, self._names, self._infos, self._meshes = (
+            ValidationReport() for _ in range(5))
+        _check_splits(problem, dataset.n_samples, self._splits)
+        _check_json_infos(dataset.infos, self._infos)
+        constant = dataset.infos.get(CONSTANT_MESH_KEY, False)
+        if type(constant) is not bool:
+            self._infos.add(InvalidDataset, "infos",
+                            f"{CONSTANT_MESH_KEY} is {constant!r}, "
+                            f"not true or false")
+        self._constant_mesh = constant is True
+
+    @property
+    def empty(self) -> bool:
+        """No violation found so far (field coverage is known only at the
+        end, in :meth:`report`)."""
+        return all(part.empty for part in (self._trees, self._splits,
+                                           self._names, self._infos,
+                                           self._meshes))
+
+    def check_sample(self, i: int, sample: Sample) -> None:
+        """Check sample ``i``; a linked tree is checked as it resolves, as
+        it will be used."""
         for t, tree in sample.trees.items():
             sub = validate_tree(tree)
             if tree.links and sub.empty:
@@ -163,8 +207,78 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                     sub = validate_tree(sample.get_mesh(t, apply_links=True))
                 except MeshBenchError as exc:
                     sub.add(type(exc), "links", str(exc))
-            report.extend_prefixed(f"sample_{i:09d}/mesh@{t!r}", sub)
+            self._trees.extend_prefixed(f"sample_{i:09d}/mesh@{t!r}", sub)
+        self._check_names(i, sample)
+        if self._constant_mesh:
+            self._check_constant_mesh(i, sample)
 
+    def report(self) -> ValidationReport:
+        """Every violation found, once each sample has been checked."""
+        coverage = ValidationReport()
+        problem = self._problem
+        for name in problem.in_fields_names + problem.out_fields_names:
+            if name not in self._seen_fields:
+                coverage.add(InvalidDataset, "problem",
+                             f"field '{name}' appears in no sample")
+        report = ValidationReport()
+        for part in (self._trees, self._splits, self._names, coverage,
+                     self._infos, self._meshes):
+            report.violations += part.violations
+            report.error_classes += part.error_classes
+            report.notes += part.notes
+        return report
+
+    def _check_names(self, i: int, sample: Sample) -> None:
+        for tree in sample.trees.values():
+            for b in tree.bases:
+                for z in b.zones:
+                    self._seen_fields.update(f.name for f in z.fields)
+        for name in self._problem.in_scalars_names:
+            if name not in sample.scalars:
+                self._names.add(InvalidDataset, f"sample_{i:09d}/scalars",
+                                f"input scalar '{name}' missing")
+        if i not in self._test_ids:
+            # outputs are only promised outside the test split
+            for name in self._problem.out_scalars_names:
+                if name not in sample.scalars:
+                    self._names.add(InvalidDataset, f"sample_{i:09d}/scalars",
+                                    f"output scalar '{name}' missing")
+
+    def _check_constant_mesh(self, i: int, sample: Sample) -> None:
+        times = sample.get_all_mesh_times()
+        if not times:
+            return
+        try:
+            tree = sample.get_mesh(time=times[0], apply_links=True)
+        except MeshBenchError:
+            return  # reported with the sample's trees
+        signature = [
+            (b.name, z.name, z.n_vertices,
+             tuple((blk.element_type, blk.connectivity.tobytes())
+                   for blk in z.element_blocks))
+            for b in tree.bases for z in b.zones]
+        if self._mesh_reference is None:
+            self._mesh_reference = (i, signature)
+        elif signature != self._mesh_reference[1]:
+            self._meshes.add(InvalidDataset, f"sample_{i:09d}",
+                             f"declared constant mesh but differs from sample "
+                             f"{self._mesh_reference[0]} (node count or "
+                             f"connectivity)")
+
+
+def validate_dataset(dataset: Dataset) -> ValidationReport:
+    """Per-sample tree reports plus the problem-level checks, in one pass
+    over ``Dataset.iterate`` that reads each sample once and keeps none."""
+    checks = DatasetChecks(dataset)
+    for i, sample in enumerate(dataset.iterate(range(dataset.n_samples))):
+        checks.check_sample(i, sample)
+    return checks.report()
+
+
+def _check_splits(problem: ProblemDefinition, n: int,
+                  report: ValidationReport) -> None:
+    """Split ids in range and distinct, ``train_k`` holding k ids and
+    nested, and the hidden partition sound."""
     for name, ids in problem.splits.items():
         for sid in ids:
             if not 0 <= sid < n:
@@ -188,12 +302,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         for message in partition_problems(problem):
             report.add(InvalidDataset, "hidden_partition", message)
 
-    _check_name_coverage(dataset, report)
-    _check_json_infos(dataset.infos, report)
-    if dataset.infos.get(CONSTANT_MESH_KEY):
-        _check_constant_mesh(dataset, report)
-    return report
-
 
 def partition_problems(problem: ProblemDefinition) -> list[str]:
     """Every way the problem's hidden partition breaks its rules (none when
@@ -212,41 +320,6 @@ def partition_problems(problem: ProblemDefinition) -> list[str]:
     return problems
 
 
-def _iter_field_names(sample: Sample) -> set[str]:
-    names = set()
-    for tree in sample.trees.values():
-        for b in tree.bases:
-            for z in b.zones:
-                names.update(f.name for f in z.fields)
-    return names
-
-
-def _check_name_coverage(dataset: Dataset, report: ValidationReport) -> None:
-    problem = dataset.problem
-    n = dataset.n_samples
-    test_ids = set(problem.splits.get("test", []))
-
-    seen_fields: set[str] = set()
-    for i in range(n):
-        sample = dataset.sample_at(i)
-        seen_fields |= _iter_field_names(sample)
-        scalar_names = set(sample.scalars)
-        for name in problem.in_scalars_names:
-            if name not in scalar_names:
-                report.add(InvalidDataset, f"sample_{i:09d}/scalars",
-                           f"input scalar '{name}' missing")
-        if i not in test_ids:
-            # outputs are only promised outside the test split
-            for name in problem.out_scalars_names:
-                if name not in scalar_names:
-                    report.add(InvalidDataset, f"sample_{i:09d}/scalars",
-                               f"output scalar '{name}' missing")
-
-    for name in problem.in_fields_names + problem.out_fields_names:
-        if name not in seen_fields:
-            report.add(InvalidDataset, "problem", f"field '{name}' appears in no sample")
-
-
 def _check_json_infos(infos: dict, report: ValidationReport) -> None:
     """Report infos that a JSON round trip would not restore exactly (JSON
     has no tuple, non-str key, date, NaN or infinity)."""
@@ -258,30 +331,6 @@ def _check_json_infos(infos: dict, report: ValidationReport) -> None:
     if restored != infos:
         report.add(InvalidDataset, "infos",
                    "not restored exactly by JSON (a tuple or a non-str key)")
-
-
-def _check_constant_mesh(dataset: Dataset, report: ValidationReport) -> None:
-    reference = None
-    for i in range(dataset.n_samples):
-        sample = dataset.sample_at(i)
-        times = sample.get_all_mesh_times()
-        if not times:
-            continue
-        try:
-            tree = sample.get_mesh(time=times[0], apply_links=True)
-        except MeshBenchError:
-            continue  # reported with the sample's trees
-        signature = [
-            (b.name, z.name, z.n_vertices,
-             tuple((blk.element_type, blk.connectivity.tobytes())
-                   for blk in z.element_blocks))
-            for b in tree.bases for z in b.zones]
-        if reference is None:
-            reference = (i, signature)
-        elif signature != reference[1]:
-            report.add(InvalidDataset, f"sample_{i:09d}",
-                       f"declared constant mesh but differs from sample "
-                       f"{reference[0]} (node count or connectivity)")
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

@@ -38,6 +38,7 @@ from .dataset import (PRIVATE, PUBLIC, Dataset, PredictionBundle,
 from .errors import (
     DegenerateReference,
     InvalidDataset,
+    InvalidName,
     IoFailure,
     MissingOutput,
     NoPartition,
@@ -45,6 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .sample import find_reference_field
+from .tree import is_identifier
 
 DEGENERATE_NORM = 1e-30
 
@@ -196,13 +198,17 @@ def score_hidden(problem: ProblemDefinition, reference: Dataset,
 # bundle persistence (the one-file encoding of the dataset store)
 
 def save_bundle(bundle: PredictionBundle, root_path) -> None:
-    """Write the one file ``bundle.manifest``; an id that would not load
-    back fails before anything is written."""
+    """Write the one file ``bundle.manifest``; an id or an output name that
+    would not load back as it is fails before anything is written."""
     root = Path(root_path)
     writer = ArtifactWriter(root / "bundle.manifest")
     docs = []
     for sid in bundle.ids():
         entry = bundle.predictions[sid]
+        for name in [*entry.scalars, *entry.fields]:
+            if not is_identifier(name):
+                raise InvalidName(f"sample {sid}: output name {name!r} is "
+                                  f"not a non-empty str without '/'")
         docs.append({
             "id": sid,
             "scalars": {name: format_real(entry.scalars[name])

@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import copy
 import os
+import shutil
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .codec import (FORMAT_VERSION, ArtifactReader, ArtifactWriter,
                     decode_ids, decode_int, decode_kind, decode_list,
                     decode_map, decode_name, decode_object, decode_real,
                     decode_shape, decoding, format_real)
-from .dataset import Dataset, ProblemDefinition, validate_dataset
+from .dataset import Dataset, DatasetChecks, ProblemDefinition
 from .errors import FormatError, InvalidDataset, IoFailure
 from .sample import Sample
 from .tree import (
@@ -191,35 +193,67 @@ def read_sample(manifest_path: Path) -> Sample:
 def save_dataset(dataset: Dataset, root_path) -> None:
     """Write the dataset under a fresh root; arrays round-trip bit-exactly.
 
-    Refuses to write when the root already holds files or when the dataset
-    violates its invariants.
+    Refuses a root that already holds files.  The checks that read no
+    sample (infos, splits, the hidden partition) run before anything is
+    written, and a sample is written only while no violation has been
+    found.  A lazy dataset is checked in the pass that writes it, through
+    ``Dataset.iterate``, so each sample is read once and none is kept; one
+    that holds its samples is checked whole before the first write, which
+    is faster than alternating checks with file writes.  A violation raises
+    ``InvalidDataset`` naming the first one in ``validate_dataset``'s order;
+    on it, or on any other error, everything written is removed, which
+    leaves the root as it was found.
     """
     root = Path(root_path)
     if root.exists() and not root.is_dir():
         raise IoFailure(f"destination {root} exists and is not a directory")
     if root.is_dir() and any(root.iterdir()):
         raise IoFailure(f"refusing to write into non-empty directory {root}")
-    report = validate_dataset(dataset)
-    if not report.empty:
-        path, message = report.violations[0]
-        raise InvalidDataset(f"{path}: {message} "
-                             f"({len(report.violations)} violation(s) total)")
+    # the outermost directory this save creates, if the root is not there
+    made = next((p for p in [*reversed(root.parents), root] if not p.exists()),
+                None)
+    checks = DatasetChecks(dataset)
+    samples_dir = root / "dataset" / "samples"
+
+    def checked():
+        for i, sample in enumerate(dataset.iterate(range(dataset.n_samples))):
+            checks.check_sample(i, sample)
+            yield i, sample
+
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        ArtifactWriter(root / "infos.yaml").write_manifest(
-            {"format_version": FORMAT_VERSION, "infos": dataset.infos})
-
-        problem_dir = root / "problem_definition"
-        problem_dir.mkdir()
-        _write_problem(dataset.problem, problem_dir)
-
-        samples_dir = root / "dataset" / "samples"
-        samples_dir.mkdir(parents=True)
-        for i in range(dataset.n_samples):
-            write_sample(dataset.sample_at(i),
-                         samples_dir / f"sample_{i:09d}.manifest")
+        samples = checked() if dataset.lazy else list(checked())
+        if checks.empty:
+            root.mkdir(parents=True, exist_ok=True)
+            ArtifactWriter(root / "infos.yaml").write_manifest(
+                {"format_version": FORMAT_VERSION, "infos": dataset.infos})
+            problem_dir = root / "problem_definition"
+            problem_dir.mkdir()
+            _write_problem(dataset.problem, problem_dir)
+            samples_dir.mkdir(parents=True)
+        for i, sample in samples:
+            if checks.empty:
+                write_sample(sample, samples_dir / f"sample_{i:09d}.manifest")
+        report = checks.report()
+        if not report.empty:
+            path, message = report.violations[0]
+            raise InvalidDataset(f"{path}: {message} "
+                                 f"({len(report.violations)} violation(s) total)")
     except OSError as exc:
+        _remove_written(root, made)
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
+    except BaseException:
+        _remove_written(root, made)
+        raise
+
+
+def _remove_written(root: Path, made) -> None:
+    """Remove what a failed save wrote: the directory it made, or else every
+    entry of the root, which it found empty."""
+    for path in [made] if made is not None else list(root.iterdir()):
+        if path.is_file():
+            path.unlink()
+        else:
+            shutil.rmtree(path, ignore_errors=True)
 
 
 def _write_problem(problem: ProblemDefinition, problem_dir: Path) -> None:
@@ -298,19 +332,20 @@ def participant_export(dataset: Dataset) -> Dataset:
 
     Test samples keep their meshes, inputs and input fields; output fields
     and output scalars are removed, mirroring benchmarks whose test outputs
-    stay hidden.
+    stay hidden.  The export is lazy: each of its samples is read from
+    ``dataset`` through ``Dataset.iterate``, and stripped, only when the
+    export loads it, so saving the export is one pass that reads each
+    source sample once and keeps none.
     """
     problem = dataset.problem
     test_ids = set(problem.splits.get("test", []))
     out_fields = set(problem.out_fields_names)
     out_scalars = set(problem.out_scalars_names)
 
-    samples = []
-    for i in range(dataset.n_samples):
-        sample = dataset.sample_at(i)
+    def load(i: int) -> Sample:
+        sample = next(dataset.iterate([i]))  # not kept by the source
         if i not in test_ids:
-            samples.append(sample)
-            continue
+            return sample
         scalars = {k: v for k, v in sample.scalars.items() if k not in out_scalars}
         trees = {}
         for t, tree in sample.trees.items():
@@ -321,8 +356,9 @@ def participant_export(dataset: Dataset) -> Dataset:
                     for z in b.zones))
                 for b in tree.bases]
             trees[t] = build_tree(bases, tree.time, tree.links)
-        samples.append(Sample(trees=trees, scalars=scalars,
-                              time_series=sample.time_series))
+        return Sample(trees=trees, scalars=scalars,
+                      time_series=sample.time_series)
 
     stripped = replace(copy.deepcopy(problem), hidden_partition=None)
-    return Dataset(samples=samples, infos=dict(dataset.infos), problem=stripped)
+    return Dataset(loaders=[partial(load, i) for i in range(dataset.n_samples)],
+                   infos=dict(dataset.infos), problem=stripped)

@@ -410,8 +410,13 @@ def validate_tree(tree: MeshTree) -> ValidationReport:
     return out
 
 
+def is_identifier(name) -> bool:
+    """The rule for every name in a tree: a non-empty str without '/'."""
+    return isinstance(name, str) and bool(name) and "/" not in name
+
+
 def _check_identifier(name: str, path: str, out: ValidationReport) -> None:
-    if not name or "/" in name:
+    if not is_identifier(name):
         out.add(InvalidName, path,
                 f"invalid identifier {name!r} (empty or contains '/')")
 

@@ -2,7 +2,9 @@ import datetime
 import json
 import random
 import shutil
+import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -375,6 +377,20 @@ def test_validate_constant_mesh_flag():
     assert any("constant mesh" in m for _, m in report.violations)
 
 
+@pytest.mark.parametrize("value", ["no", "false", 1, None])
+def test_constant_mesh_key_is_a_boolean(value):
+    ds = generate(SynthConfig(n_samples=6, seed=1, min_nodes_per_side=4,
+                              max_nodes_per_side=7))
+    ds.infos[CONSTANT_MESH_KEY] = value
+    report = validate_dataset(ds)
+    assert [path for path, _ in report.violations] == ["infos"]
+    assert report.error_classes == [InvalidDataset]
+    ds.infos[CONSTANT_MESH_KEY] = False
+    assert validate_dataset(ds).empty
+    ds.infos[CONSTANT_MESH_KEY] = True
+    assert len(validate_dataset(ds).violations) == 3  # the meshes differ
+
+
 def _cellcenter_field_too_long(tree0, tree1):
     fluid = tree1.bases[0].zones[0]
     fields = [f for f in fluid.fields if f.location is Location.Vertex]
@@ -472,6 +488,126 @@ def test_lazy_cache_single_population():
     first = ds.sample_at(0)
     assert ds.sample_at(0) is first
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# whole-dataset passes stream: each sample is read once and none is kept
+
+def _saved_plates(root, n=10, seed=3):
+    save_dataset(generate(SynthConfig(n_samples=n, seed=seed,
+                                      min_nodes_per_side=4,
+                                      max_nodes_per_side=6)), root)
+    return root / "dataset" / "samples" / f"sample_{n - 1:09d}.manifest"
+
+
+class CountingLoaders:
+    """Loaders of a saved dataset's samples that count their calls and how
+    many of the samples they returned are alive at once."""
+
+    def __init__(self, root):
+        self.source = load_dataset(root, lazy=True)
+        self.manifests = sorted((root / "dataset" / "samples").iterdir())
+        self.calls = [0] * len(self.manifests)
+        self.alive = self.most_alive = 0
+
+    def load(self, i):
+        self.calls[i] += 1
+        sample = read_sample(self.manifests[i])
+        self.alive += 1
+        self.most_alive = max(self.most_alive, self.alive)
+        weakref.finalize(sample, self._died)
+        return sample
+
+    def _died(self):
+        self.alive -= 1
+
+    def dataset(self):
+        return Dataset(loaders=[partial(self.load, i)
+                                for i in range(len(self.manifests))],
+                       infos=self.source.infos, problem=self.source.problem)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda ds, out: validate_dataset(ds), id="validate"),
+    pytest.param(save_dataset, id="save"),
+    pytest.param(lambda ds, out: save_dataset(participant_export(ds), out),
+                 id="participant_export"),
+])
+def test_whole_dataset_pass_reads_each_sample_once_and_keeps_none(tmp_path,
+                                                                  run):
+    _saved_plates(tmp_path / "src")
+    counted = CountingLoaders(tmp_path / "src")
+    run(counted.dataset(), tmp_path / "out")
+    assert counted.calls == [1] * 10
+    assert counted.most_alive <= 2
+
+
+def _three_faults():
+    ds = generate(SynthConfig(n_samples=10, seed=3, min_nodes_per_side=4,
+                              max_nodes_per_side=6))
+    samples = list(ds.iterate(range(ds.n_samples)))
+    scalars = dict(samples[4].scalars)
+    del scalars["a"]  # an input scalar
+    samples[4] = Sample(trees=samples[4].trees, scalars=scalars)
+    zone = samples[7].get_mesh().bases[0].zones[0]
+    bases = (Base("Base_2_2", 2, 2, (replace(zone, name="Zone/7"),)),)
+    samples[7] = Sample(trees={0.0: MeshTree(bases, 0.0)},
+                        scalars=samples[7].scalars)
+    ds.problem.splits["bogus"] = [99]
+    return Dataset(samples=samples, infos=ds.infos, problem=ds.problem)
+
+
+def test_report_lists_sample_trees_then_splits_then_names(tmp_path):
+    held = _three_faults()
+    lazy = Dataset(loaders=[partial(held.sample_at, i)
+                            for i in range(held.n_samples)],
+                   infos=held.infos, problem=held.problem)
+    for name, ds in (("held", held), ("lazy", lazy)):
+        assert validate_dataset(ds).violations == [
+            ("sample_000000007/mesh@0.0/Base_2_2/Zone/7",
+             "invalid identifier 'Zone/7' (empty or contains '/')"),
+            ("splits/bogus", "sample id 99 outside [0, 10)"),
+            ("sample_000000004/scalars", "input scalar 'a' missing")]
+        with pytest.raises(InvalidDataset) as err:
+            save_dataset(ds, tmp_path / name)
+        assert str(err.value) == (
+            "sample_000000007/mesh@0.0/Base_2_2/Zone/7: invalid identifier "
+            "'Zone/7' (empty or contains '/') (3 violation(s) total)")
+        assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+@pytest.mark.parametrize("fault", ["invalid", "corrupt_source"])
+def test_failed_save_leaves_the_destination_as_found(tmp_path, existing,
+                                                     fault):
+    last = _saved_plates(tmp_path / "src")
+    source = load_dataset(tmp_path / "src", lazy=True)
+    if fault == "invalid":  # known only once every sample has been read
+        source.problem.out_fields_names.append("ghost")
+        error = InvalidDataset
+    else:
+        last.write_bytes(last.read_bytes()[:-3])
+        error = FormatError
+    dest = tmp_path / "new" / "ds"
+    if existing:
+        dest.mkdir(parents=True)
+    with pytest.raises(error):
+        save_dataset(source, dest)
+    if existing:
+        assert list(dest.iterdir()) == []
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+def test_convert_of_a_corrupt_source_names_the_file(tmp_path, capsys):
+    last = _saved_plates(tmp_path / "src")
+    last.write_bytes(last.read_bytes()[:-3])
+    capsys.readouterr()
+    assert main(["convert", "--in", str(tmp_path / "src"), "--mode",
+                 "participant-export", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and last.name in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from meshbench.errors import (
     DegenerateReference,
     IdOutOfRange,
     InvalidDataset,
+    InvalidName,
     MissingOutput,
     NoPartition,
     ShapeMismatch,
@@ -336,6 +337,23 @@ def test_bundle_ids_follow_the_sample_id_rule(tmp_path, bad, error):
     with pytest.raises(error):
         save_bundle(PredictionBundle({bad: SamplePrediction()}),
                     tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("kind", ["field", "scalar"])
+@pytest.mark.parametrize("bad", [1, None, "", "a/b"])
+def test_bundle_output_names_follow_the_tree_name_rule(tmp_path, kind, bad):
+    # 1 and None would load back as '1' and 'null'; '' and 'a/b' are no
+    # names a tree may hold
+    bundle = PredictionBundle()
+    bundle.set_field(0, "u", [1.0])
+    bundle.set_scalar(0, "u_max", 2.0)
+    if kind == "field":
+        bundle.set_field(0, bad, [1.0])
+    else:
+        bundle.set_scalar(0, bad, 2.0)
+    with pytest.raises(InvalidName, match=re.escape(repr(bad))):
+        save_bundle(bundle, tmp_path / "bad")
     assert not (tmp_path / "bad").exists()
 
 
