@@ -3,15 +3,19 @@
     python3 scripts/bench_scale.py                          # every row
     python3 scripts/bench_scale.py --rows plate30 irregular30 --out out.json
 
-Run from the repository root.  Each row generates 125 samples, fits on
-``train_100`` (8 + 8 modes, Matern 5/2, one thread), predicts the 25 test
-samples in one ``mmgp_predict`` call and scores them, in this process,
-with perfbench's span tracer (``perfbench/tracer.py``, imported
-unchanged) wrapped around the layers.
+Run from the repository root.  Each row generates its samples (125 unless
+named below), fits on its training split (``train_100`` unless named below;
+8 + 8 modes, Matern 5/2, one thread), predicts the test samples in one
+``mmgp_predict`` call and scores them, in this process, with perfbench's
+span tracer (``perfbench/tracer.py``, imported unchanged) wrapped around
+the layers.
 
 - ``plate30``, ``plate60``, ``plate120``: synthetic plates with that many
-  nodes per side.  Plates of one resolution share their triangulation, so
-  every sample of such a row has the same connectivity.
+  nodes per side.  The plates of one resolution that one ``generate`` call
+  makes share one connectivity array, so every sample of such a row holds
+  the same connectivity object, not just equal ones.
+- ``train_400``: 500 plates of 30 nodes per side, fit on ``train_400`` and
+  predicting the 100 test samples: the training-set size axis.
 - ``irregular30``, ``irregular60``: the ``plate30`` and ``plate60`` plates,
   each remeshed: its interior grid nodes are jittered by up to 0.35 of the
   grid step and the points Delaunay-triangulated, so no two samples share
@@ -55,17 +59,19 @@ from meshbench.synthetic import plate_fields  # noqa: E402
 from run import machine_info  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-N_SAMPLES = 125
-TRAIN_SPLIT = "train_100"
 #: largest interior node move, as a fraction of the grid step
 JITTER = 0.35
-ROWS = {"plate30": (30, False), "plate60": (60, False),
-        "plate120": (120, False), "irregular30": (30, True),
-        "irregular60": (60, True)}
-DESCRIPTION = ("mmgp fit on train_100 and predict of the 25 test samples, "
-               "traced layer by layer; see scripts/bench_scale.py. Each row "
-               "is one run on a shared host: read its times as reference "
-               "points, not as a claim.")
+#: row -> (nodes per side, remeshed, samples, training split)
+ROWS = {"plate30": (30, False, 125, "train_100"),
+        "plate60": (60, False, 125, "train_100"),
+        "plate120": (120, False, 125, "train_100"),
+        "train_400": (30, False, 500, "train_400"),
+        "irregular30": (30, True, 125, "train_100"),
+        "irregular60": (60, True, 125, "train_100")}
+DESCRIPTION = ("mmgp fit on each row's training split and predict of its "
+               "test samples, traced layer by layer; see "
+               "scripts/bench_scale.py. Each row is one run on a shared "
+               "host: read its times as reference points, not as a claim.")
 
 
 def remeshed(sample: Sample, seed: int, sample_id: int) -> Sample:
@@ -92,8 +98,8 @@ def remeshed(sample: Sample, seed: int, sample_id: int) -> Sample:
 
 
 def dataset_for(row: str, seed: int) -> Dataset:
-    side, irregular = ROWS[row]
-    ds = generate(SynthConfig(n_samples=N_SAMPLES, seed=seed,
+    side, irregular, n_samples, _ = ROWS[row]
+    ds = generate(SynthConfig(n_samples=n_samples, seed=seed,
                               min_nodes_per_side=side, max_nodes_per_side=side))
     if irregular:
         ds = Dataset(samples=[remeshed(ds.sample_at(i), seed, i)
@@ -105,7 +111,8 @@ def dataset_for(row: str, seed: int) -> Dataset:
 
 def run_row(row: str, seed: int) -> dict:
     ds = dataset_for(row, seed)
-    config = MmgpConfig(train_split=TRAIN_SPLIT)
+    side, irregular, n_samples, train_split = ROWS[row]
+    config = MmgpConfig(train_split=train_split)
     # layer functions are looked up on their modules, where the tracer
     # installs its wrappers
     with Tracer() as tracer:
@@ -121,8 +128,8 @@ def run_row(row: str, seed: int) -> dict:
                      "self_s": round(s["self_s"], 4)}
               for name, s in tracer.layer_stats().items() if s["calls"]}
     return {"row": row, "seed": seed, "commit": commit(),
-            "nodes_per_side": ROWS[row][0], "irregular": ROWS[row][1],
-            "n_samples": N_SAMPLES, "train_split": TRAIN_SPLIT,
+            "nodes_per_side": side, "irregular": irregular,
+            "n_samples": n_samples, "train_split": train_split,
             "fit_s": round(t1 - t0, 4), "predict_s": round(t2 - t1, 4),
             "total_error": error, "layers": layers, "machine": machine_info()}
 
@@ -148,6 +155,7 @@ def main(argv=None) -> int:
 
     doc = (json.loads(args.out.read_text(encoding="utf-8"))
            if args.out.exists() else {"description": DESCRIPTION, "rows": []})
+    doc["description"] = DESCRIPTION  # an existing file keeps only its rows
     for row in args.rows:
         result = run_row(row, args.seed)
         print(json.dumps({k: result[k] for k in

@@ -15,6 +15,7 @@ from .metrics import (
     rrmse_scalar,
     save_bundle,
     score_hidden,
+    score_test_split,
     total_error,
 )
 from .mmgp import MmgpConfig, MmgpModel, load_model, mmgp_fit, mmgp_predict, save_model

@@ -20,8 +20,7 @@ from .metrics import (
     load_bundle,
     report_json,
     save_bundle,
-    score_hidden,
-    total_error,
+    score_test_split,
 )
 from .mmgp import load_config, load_model, mmgp_fit, mmgp_predict, save_model
 from .storage import load_dataset, participant_export, save_dataset
@@ -93,10 +92,9 @@ def _cmd_score(args, parser) -> int:
         parser.error(f"bundle directory not found: {bundle_dir}")
     dataset = load_dataset(ref_dir, lazy=True)
     bundle = load_bundle(bundle_dir)
-    report = total_error(dataset.problem, dataset, bundle)
-    public = private = None
-    if args.hidden:
-        public, private = score_hidden(dataset.problem, dataset, bundle)
+    report, halves = score_test_split(dataset.problem, dataset, bundle,
+                                      args.hidden)
+    public, private = halves or (None, None)
     if args.format == "json":
         sys.stdout.write(report_json(report, public, private))
     else:

@@ -46,6 +46,9 @@ from .errors import FormatError, IoFailure, MeshBenchError, VersionMismatch
 FORMAT_VERSION = 5
 
 _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
+#: the stored name of each dtype written, in either byte order: a lookup,
+#: as numpy builds ``dtype.name`` in Python on each call
+_NAMES = {d.newbyteorder(o): name for name, d in _DTYPES.items() for o in "<>"}
 
 
 def format_real(x: float) -> str:
@@ -159,22 +162,24 @@ class decoding:
 class ArtifactWriter:
     """Writes one artifact file: :meth:`write` packs an array into the
     payload and returns its manifest entry; :meth:`write_manifest` writes
-    the manifest line, then the payload."""
+    the manifest line, then the payload, written from the arrays themselves
+    viewed as contiguous little-endian: an array already so is not copied,
+    and must not change before ``write_manifest``."""
 
     def __init__(self, path: Path):
         self.path = path
-        self.chunks: list[bytes] = []
+        self.chunks: list[np.ndarray] = []
         self.offset = 0
 
     def write(self, array: np.ndarray) -> dict:
-        dtype = array.dtype.name
-        if dtype not in _DTYPES:
+        dtype = _NAMES.get(array.dtype)
+        if dtype is None:
             raise IoFailure(f"unsupported array dtype {array.dtype}")
-        data = np.ascontiguousarray(array, dtype=_DTYPES[dtype]).tobytes()
+        data = np.ascontiguousarray(array, dtype=_DTYPES[dtype])
         entry = {"offset": self.offset, "dtype": dtype,
                  "shape": list(array.shape)}
         self.chunks.append(data)
-        self.offset += len(data)
+        self.offset += data.nbytes
         return entry
 
     def write_manifest(self, doc: dict) -> None:

@@ -177,7 +177,7 @@ class DatasetChecks:
         self._problem = problem = dataset.problem
         self._test_ids = set(problem.splits.get("test", []))
         self._seen_fields: set[str] = set()
-        self._mesh_reference = None  # (sample id, signature) of the first mesh
+        self._mesh_reference = None  # (id, signature, blocks) of the first mesh
         self._trees, self._splits, self._names, self._infos, self._meshes = (
             ValidationReport() for _ in range(5))
         _check_splits(problem, dataset.n_samples, self._splits)
@@ -254,12 +254,15 @@ class DatasetChecks:
             return  # reported with the sample's trees
         signature = [
             (b.name, z.name, z.n_vertices,
-             tuple((blk.element_type, blk.connectivity.tobytes())
-                   for blk in z.element_blocks))
+             tuple(blk.element_type for blk in z.element_blocks))
             for b in tree.bases for z in b.zones]
+        blocks = [blk.connectivity for b in tree.bases for z in b.zones
+                  for blk in z.element_blocks]  # compared in place, uncopied
         if self._mesh_reference is None:
-            self._mesh_reference = (i, signature)
-        elif signature != self._mesh_reference[1]:
+            self._mesh_reference = (i, signature, blocks)
+        elif signature != self._mesh_reference[1] or not all(
+                a is b or (a.dtype == b.dtype and np.array_equal(a, b))
+                for a, b in zip(blocks, self._mesh_reference[2])):
             self._meshes.add(InvalidDataset, f"sample_{i:09d}",
                              f"declared constant mesh but differs from sample "
                              f"{self._mesh_reference[0]} (node count or "

@@ -40,6 +40,7 @@ from .errors import (
     InvalidDataset,
     InvalidName,
     IoFailure,
+    MeshBenchError,
     MissingOutput,
     NoPartition,
     NoSuchSplit,
@@ -95,31 +96,38 @@ def _paired(refs, preds):
     return [(i, ref, pred) for i, (ref, pred) in enumerate(zip(refs, preds))]
 
 
+def _term(key, ref, pred, output: str = "") -> float:
+    """One sample's term of the RRMSE, ``||ref - pred||^2 / N / sup^2``;
+    ``output`` prefixes the sample in error messages."""
+    ref = np.asarray(ref, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    if ref.shape != pred.shape or ref.ndim != 1:
+        raise ShapeMismatch(
+            f"{output}sample {key}: reference shape {ref.shape} vs "
+            f"prediction shape {pred.shape}")
+    if not np.isfinite(ref).all():
+        raise DegenerateReference(
+            f"{output}sample {key}: reference is not finite")
+    if not np.isfinite(pred).all():
+        raise MissingOutput(f"{output}sample {key}: prediction is not finite")
+    sup = np.max(np.abs(ref)) if ref.size else 0.0
+    if sup < DEGENERATE_NORM:
+        raise DegenerateReference(f"{output}sample {key}: reference sup "
+                                  f"norm {sup} below {DEGENERATE_NORM}")
+    diff = ref - pred
+    return (diff @ diff) / ref.size / (sup * sup)
+
+
+def _root_mean(terms: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(terms) / len(terms)))
+
+
 def _rrmse(triples, output: str = "") -> float:
-    """RRMSE over ``(key, ref, pred)`` triples of 1-D values; ``output``
-    prefixes the sample in error messages."""
+    """RRMSE over ``(key, ref, pred)`` triples of 1-D values."""
     if not triples:
         raise ShapeMismatch(f"{output}empty sample set")
-    terms = np.empty(len(triples))
-    for i, (key, ref, pred) in enumerate(triples):
-        ref = np.asarray(ref, dtype=np.float64)
-        pred = np.asarray(pred, dtype=np.float64)
-        if ref.shape != pred.shape or ref.ndim != 1:
-            raise ShapeMismatch(
-                f"{output}sample {key}: reference shape {ref.shape} vs "
-                f"prediction shape {pred.shape}")
-        if not np.isfinite(ref).all():
-            raise DegenerateReference(
-                f"{output}sample {key}: reference is not finite")
-        if not np.isfinite(pred).all():
-            raise MissingOutput(f"{output}sample {key}: prediction is not finite")
-        sup = np.max(np.abs(ref)) if ref.size else 0.0
-        if sup < DEGENERATE_NORM:
-            raise DegenerateReference(f"{output}sample {key}: reference sup "
-                                      f"norm {sup} below {DEGENERATE_NORM}")
-        diff = ref - pred
-        terms[i] = (diff @ diff) / ref.size / (sup * sup)
-    return float(np.sqrt(np.sum(terms) / len(triples)))
+    return _root_mean(np.array([_term(key, ref, pred, output)
+                                for key, ref, pred in triples]))
 
 
 def rrmse_field(refs, preds) -> float:
@@ -139,57 +147,110 @@ def rrmse_scalar(refs, preds) -> float:
 def total_error(problem: ProblemDefinition, reference: Dataset,
                 bundle: PredictionBundle) -> ScoreReport:
     """Score a bundle against reference outputs on the test split."""
+    return score_test_split(problem, reference, bundle)[0]
+
+
+def score_test_split(problem: ProblemDefinition, reference: Dataset,
+                     bundle: PredictionBundle, hidden: bool = False
+                     ) -> tuple[ScoreReport, Optional[tuple]]:
+    """The test split's report and, with ``hidden``, the public and private
+    halves' reports: what ``total_error`` and ``score_hidden`` return, from
+    one read of each test sample, of which none is kept."""
     if "test" not in problem.splits:
         raise NoSuchSplit("problem defines no 'test' split")
     ids = sorted(problem.splits["test"])
     if len(set(ids)) != len(ids):
         raise InvalidDataset("the test split lists an id twice")
-    return _score(problem, reference, bundle, ids)
+    outputs, terms = _terms(problem, reference, bundle, ids)
+    report = _report(outputs, terms)
+    if not hidden:
+        return report, None
+    return report, tuple(_report(outputs, terms, np.isin(ids, half))
+                         for half in _hidden_halves(problem))
 
 
 def _score(problem: ProblemDefinition, reference: Dataset,
            bundle: PredictionBundle, ids: list[int]) -> ScoreReport:
     """Score a bundle on ``ids``, sorted and distinct."""
+    return _report(*_terms(problem, reference, bundle, ids))
+
+
+def _terms(problem: ProblemDefinition, reference: Dataset,
+           bundle: PredictionBundle, ids: list[int]) -> tuple[list, dict]:
+    """The outputs, and each one's per-sample terms on ``ids`` (sorted and
+    distinct), reading each sample once through ``Dataset.iterate``.
+
+    The error raised is the one that scoring the outputs one at a time
+    meets first: for each output in turn, a sample that cannot be read or
+    lacks the reference or prediction, then a sample whose values cannot
+    be scored.
+    """
     if not ids:
         raise ShapeMismatch("empty id set to score")
-
-    report = ScoreReport()
-    scores = {"field": report.field_rrmse, "scalar": report.scalar_rrmse}
     outputs = sorted({("field", name) for name in problem.out_fields_names}
                      | {("scalar", name) for name in problem.out_scalars_names})
     if not outputs:
         raise MissingOutput("problem declares no outputs to score")
+    terms = {output: np.empty(len(ids)) for output in outputs}
+    first = None  # ((output, stage, position), error) met first in that order
+    # an unreadable sample is met at (0, 0, position), before anything found
+    # so far, so its error leaves the loop as it is
+    for pos, sample in enumerate(reference.iterate(ids)):
+        sid = ids[pos]
+        entry = bundle.predictions.get(sid) or SamplePrediction()
+        for k, (kind, name) in enumerate(outputs):
+            stage = 0
+            try:
+                if kind == "field":
+                    ref = find_reference_field(sample, name)
+                    predicted = entry.fields
+                else:
+                    ref, predicted = [sample.get_scalar(name)], entry.scalars
+                if name not in predicted:
+                    raise MissingOutput(
+                        f"bundle lacks {kind} '{name}' for sample {sid}")
+                pred = predicted[name]
+                stage = 1
+                terms[kind, name][pos] = _term(
+                    sid, ref, pred if kind == "field" else [pred],
+                    f"{kind} '{name}', ")
+            except MeshBenchError as exc:
+                if first is None or (k, stage, pos) < first[0]:
+                    first = ((k, stage, pos), exc)
+        if first is not None and first[0][:2] == (0, 0):
+            break  # no later sample can come before it
+    if first is not None:
+        raise first[1]
+    return outputs, terms
+
+
+def _report(outputs: list, terms: dict, chosen=slice(None)) -> ScoreReport:
+    """The report of the ``chosen`` samples of each output's terms."""
+    report = ScoreReport()
+    scores = {"field": report.field_rrmse, "scalar": report.scalar_rrmse}
     for kind, name in outputs:
-        triples = []
-        for sid in ids:
-            sample = reference.sample_at(sid)
-            entry = bundle.predictions.get(sid) or SamplePrediction()
-            if kind == "field":
-                ref, predicted = find_reference_field(sample, name), entry.fields
-            else:
-                ref, predicted = [sample.get_scalar(name)], entry.scalars
-            if name not in predicted:
-                raise MissingOutput(
-                    f"bundle lacks {kind} '{name}' for sample {sid}")
-            pred = predicted[name]
-            triples.append((sid, ref, pred if kind == "field" else [pred]))
-        scores[kind][name] = _rrmse(triples, f"{kind} '{name}', ")
+        scores[kind][name] = _root_mean(terms[kind, name][chosen])
     report.total_error = float(np.mean([scores[kind][name]
                                         for kind, name in outputs]))
     return report
 
 
-def score_hidden(problem: ProblemDefinition, reference: Dataset,
-                 bundle: PredictionBundle) -> tuple[ScoreReport, ScoreReport]:
-    """Score the public and private halves of the hidden test partition."""
+def _hidden_halves(problem: ProblemDefinition) -> tuple[list[int], list[int]]:
+    """The sorted public and private ids of a sound hidden partition."""
     part = problem.hidden_partition
     if part is None:
         raise NoPartition("problem has no hidden partition")
     problems = partition_problems(problem)
     if problems:
         raise NoPartition(f"hidden partition: {problems[0]}")
-    public_ids = sorted(i for i, c in part.items() if c == PUBLIC)
-    private_ids = sorted(i for i, c in part.items() if c == PRIVATE)
+    return (sorted(i for i, c in part.items() if c == PUBLIC),
+            sorted(i for i, c in part.items() if c == PRIVATE))
+
+
+def score_hidden(problem: ProblemDefinition, reference: Dataset,
+                 bundle: PredictionBundle) -> tuple[ScoreReport, ScoreReport]:
+    """Score the public and private halves of the hidden test partition."""
+    public_ids, private_ids = _hidden_halves(problem)
     return (_score(problem, reference, bundle, public_ids),
             _score(problem, reference, bundle, private_ids))
 

@@ -11,6 +11,8 @@ value in a generated dataset can be recomputed exactly:
 
 Randomness is a counter-based stream keyed by (seed, sample id): each
 sample regenerates identically in isolation and independently of schedule.
+Plates of one resolution in one ``generate`` call share one read-only TRI_3
+connectivity and tag pair; only coordinates, fields and scalars are their own.
 """
 
 from __future__ import annotations
@@ -99,14 +101,11 @@ def plate_fields(coords: np.ndarray, amplitude: float, load: float):
     return u, du_dx
 
 
-def _transfinite_plate(resolution: int, amplitude: float):
-    """Grid over the plate with the sinusoidally raised top boundary."""
+def _plate_mesh(resolution: int) -> tuple:
+    """The grid, top sine, TRI_3 connectivity and tags of one resolution."""
     r = resolution
     s = np.linspace(0.0, 1.0, r)
     xg, tg = np.meshgrid(s, s, indexing="ij")  # node id = i + r*j
-    height = 1.0 + amplitude * np.sin(np.pi * xg)
-    coords = np.stack([xg.ravel(order="F"), (tg * height).ravel(order="F")],
-                      axis=1)
 
     i, j = np.meshgrid(np.arange(r - 1), np.arange(r - 1), indexing="ij")
     v00 = (i + r * j).ravel(order="F")
@@ -116,28 +115,35 @@ def _transfinite_plate(resolution: int, amplitude: float):
     triangles = np.concatenate([
         np.stack([v00, v10, v11], axis=1),
         np.stack([v00, v11, v01], axis=1)], axis=0)
-    return coords, triangles
+    tags = [make_tag("bottom", np.arange(r), TagKind.NodalTag),  # row j = 0
+            make_tag("top", np.arange(r) + r * (r - 1), TagKind.NodalTag)]
+    return (xg.ravel(order="F"), tg.ravel(order="F"),
+            np.sin(np.pi * xg).ravel(order="F"), triangles, tags)
 
 
 def build_plate_sample(config: SynthConfig, sample_id: int) -> Sample:
+    return _plate_sample(config, sample_id, {})
+
+
+def _plate_sample(config: SynthConfig, sample_id: int, meshes: dict) -> Sample:
+    """Plate ``sample_id`` on its resolution's parts, kept in ``meshes``."""
     rng = _sample_rng(config.seed, sample_id)
     amplitude = rng.uniform(*config.amplitude_range)
     load = rng.uniform(*config.load_range)
     resolution = int(rng.integers(config.min_nodes_per_side,
                                   config.max_nodes_per_side + 1))
-
-    coords, triangles = _transfinite_plate(resolution, amplitude)
+    if (mesh := meshes.get(resolution)) is None:
+        mesh = meshes[resolution] = _plate_mesh(resolution)
+    x, t, sin_top, triangles, tags = mesh
+    # the shared sine, then exactly rounded * and +: a lone plate's bits
+    coords = np.stack([x, t * (1.0 + amplitude * sin_top)], axis=1)
     u, du_dx = plate_fields(coords, amplitude, load)
-
-    # node id = i + r*j: bottom row is j=0, top row is j=r-1
     zone = make_unstructured_zone(
         "Zone", coords,
         blocks=[(ElementType.TRI_3, triangles)],
         fields=[make_field("u", u, Location.Vertex),
                 make_field("du_dx", du_dx, Location.Vertex)],
-        tags=[make_tag("bottom", np.arange(resolution), TagKind.NodalTag),
-              make_tag("top", np.arange(resolution)
-                       + resolution * (resolution - 1), TagKind.NodalTag)])
+        tags=tags)
     tree = build_tree([Base("Base_2_2", 2, 2, (zone,))], time=0.0)
     scalars = {"a": amplitude, "p": load, "u_max": float(np.max(u))}
     return Sample(trees={0.0: tree}, scalars=scalars)
@@ -167,7 +173,8 @@ def generate(config: SynthConfig, threads: int = 1) -> Dataset:
     otherwise ignored.
     """
     config.validate()
-    samples = [build_plate_sample(config, i) for i in range(config.n_samples)]
+    meshes = {}  # one per call: no cache pins a mesh past its dataset
+    samples = [_plate_sample(config, i, meshes) for i in range(config.n_samples)]
     splits, hidden = _make_splits(config.n_samples)
     problem = ProblemDefinition(
         task="Regression",

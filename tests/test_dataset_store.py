@@ -40,6 +40,7 @@ from meshbench import (
 )
 from meshbench.dataset import CONSTANT_MESH_KEY
 from meshbench.cli import main
+from meshbench.codec import ArtifactReader, ArtifactWriter
 from meshbench.errors import (
     DimensionMismatch,
     FormatError,
@@ -377,6 +378,30 @@ def test_validate_constant_mesh_flag():
     assert any("constant mesh" in m for _, m in report.violations)
 
 
+@pytest.mark.parametrize("second, violations", [
+    pytest.param(None, [], id="same_object"),
+    pytest.param([[0, 1, 2], [0, 2, 1]], [
+        ("sample_000000001", "declared constant mesh but differs from sample "
+         "0 (node count or connectivity)")], id="one_index_differs")])
+def test_constant_mesh_compares_connectivity_values(second, violations):
+    first = np.array([[0, 1, 2], [0, 2, 3]])
+
+    def sample(triangles):
+        zone = make_unstructured_zone(
+            "Fluid", [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+            blocks=[(ElementType.TRI_3, triangles)])
+        return Sample(trees={0.0: build_tree([Base("B", 2, 2, (zone,))], 0.0)})
+
+    samples = [sample(first), sample(first if second is None else second)]
+    blocks = [s.get_mesh().bases[0].zones[0].element_blocks[0]
+              for s in samples]
+    assert (blocks[0].connectivity is blocks[1].connectivity) == (
+        second is None)
+    ds = Dataset(samples=samples, infos={CONSTANT_MESH_KEY: True},
+                 problem=ProblemDefinition(splits={"train": [0, 1]}))
+    assert validate_dataset(ds).violations == violations
+
+
 @pytest.mark.parametrize("value", ["no", "false", 1, None])
 def test_constant_mesh_key_is_a_boolean(value):
     ds = generate(SynthConfig(n_samples=6, seed=1, min_nodes_per_side=4,
@@ -539,6 +564,26 @@ def test_whole_dataset_pass_reads_each_sample_once_and_keeps_none(tmp_path,
     counted = CountingLoaders(tmp_path / "src")
     run(counted.dataset(), tmp_path / "out")
     assert counted.calls == [1] * 10
+    assert counted.most_alive <= 2
+
+
+def test_score_reads_each_test_sample_once_and_keeps_none(tmp_path,
+                                                          monkeypatch):
+    _saved_plates(tmp_path / "src", n=20)
+    counted = CountingLoaders(tmp_path / "src")
+    test = counted.source.problem.splits["test"]
+    bundle = PredictionBundle()
+    for sid in test:
+        sample = counted.source.sample_at(sid)
+        for name in ("u", "du_dx"):
+            bundle.set_field(sid, name, sample.get_field(name))
+        bundle.set_scalar(sid, "u_max", sample.get_scalar("u_max"))
+    save_bundle(bundle, tmp_path / "bundle")
+    monkeypatch.setattr("meshbench.cli.load_dataset",
+                        lambda root, lazy: counted.dataset())
+    assert main(["score", "--ref", str(tmp_path / "src"), "--pred",
+                 str(tmp_path / "bundle"), "--hidden"]) == 0
+    assert counted.calls == [int(i in test) for i in range(20)]
     assert counted.most_alive <= 2
 
 
@@ -1122,6 +1167,55 @@ def test_empty_array_loads_only_at_its_written_offset(tmp_path):
     write_artifact(path, doc, payload)
     with pytest.raises(FormatError, match="s.manifest"):
         read_sample(path)
+
+
+@pytest.mark.parametrize("dtype, stored", [
+    ("<f8", "float64"), (">f8", "float64"), ("<i8", "int64"),
+    (">i8", "int64"), ("float32", None), ("int32", None), ("bool", None)])
+def test_writer_stores_each_dtype_as_its_little_endian_64_bit_kind(
+        tmp_path, dtype, stored):
+    array = np.arange(6).reshape(2, 3).astype(dtype)
+    writer = ArtifactWriter(tmp_path / "a.manifest")
+    if stored is None:
+        with pytest.raises(IoFailure, match="unsupported array dtype"):
+            writer.write(array)
+        return
+    entry = writer.write(array)
+    writer.write_manifest({"a": entry})
+    with ArtifactReader(tmp_path / "a.manifest") as reader:
+        loaded = reader.read(reader.doc["a"], stored)
+    assert entry == {"offset": 0, "dtype": stored, "shape": [2, 3]}
+    assert loaded.dtype.str == ("<f8" if stored == "float64" else "<i8")
+    assert np.array_equal(loaded, array)
+
+
+_GRID = np.arange(12.0).reshape(3, 4)
+
+
+@pytest.mark.parametrize("array", [
+    pytest.param(np.asfortranarray(_GRID), id="fortran"),
+    pytest.param(_GRID[:, ::2], id="strided"),
+    pytest.param(_GRID.astype(">f8"), id="big_endian"),
+    pytest.param(np.arange(12).reshape(3, 4).astype(">i8").T,
+                 id="big_endian_int_transposed"),
+    pytest.param(np.array(2.5), id="zero_d"),
+    pytest.param(np.zeros((0, 3), dtype=np.int64), id="empty")])
+def test_writer_packs_any_layout_as_contiguous_little_endian(tmp_path, array):
+    kind = "<f8" if array.dtype.kind == "f" else "<i8"
+    writer = ArtifactWriter(tmp_path / "a.manifest")
+    entry = writer.write(array)
+    writer.write_manifest({"a": entry})
+    doc, payload = read_artifact(tmp_path / "a.manifest")
+    assert payload == np.ascontiguousarray(array, kind).tobytes()
+    assert doc["a"]["shape"] == list(array.shape)
+
+
+def test_writer_packs_a_contiguous_little_endian_array_without_a_copy(
+        tmp_path):
+    writer = ArtifactWriter(tmp_path / "a.manifest")
+    for array in (_GRID, np.arange(5)):
+        writer.write(array)
+        assert np.shares_memory(writer.chunks[-1], array)
 
 
 def _as_format_4(root):

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from meshbench import (
     rrmse_scalar,
     save_bundle,
     score_hidden,
+    score_test_split,
     total_error,
     validate_dataset,
 )
 from meshbench.dataset import SamplePrediction
 from meshbench.errors import (
     DegenerateReference,
+    FormatError,
     IdOutOfRange,
     InvalidDataset,
     InvalidName,
@@ -303,6 +306,71 @@ def test_hidden_partition_covers_test_split():
     priv = {i for i, c in part.items() if c == "Private"}
     assert pub.isdisjoint(priv)
     assert pub | priv == set(test)
+
+
+def test_score_test_split_is_total_error_and_score_hidden():
+    ds = generate(SynthConfig(n_samples=30, seed=2, min_nodes_per_side=3,
+                              max_nodes_per_side=6))
+    rng = np.random.default_rng(0)
+    bundle = PredictionBundle()
+    for sid in ds.problem.splits["test"]:
+        sample = ds.sample_at(sid)
+        for name in ("u", "du_dx"):
+            values = sample.get_field(name)
+            bundle.set_field(sid, name, values + rng.normal(0, 0.01, values.shape))
+        bundle.set_scalar(sid, "u_max", sample.get_scalar("u_max") * 1.01)
+    report, halves = score_test_split(ds.problem, ds, bundle, hidden=True)
+    assert report.as_dict() == total_error(ds.problem, ds, bundle).as_dict()
+    assert [h.as_dict() for h in halves] == \
+        [h.as_dict() for h in score_hidden(ds.problem, ds, bundle)]
+    assert score_test_split(ds.problem, ds, bundle)[1] is None
+    ds.problem.hidden_partition = None
+    with pytest.raises(NoPartition):
+        score_test_split(ds.problem, ds, bundle, hidden=True)
+
+
+def _unreadable(ds, sid):
+    def load(i):
+        if i == sid:
+            raise FormatError(f"sample {i} unreadable")
+        return ds.sample_at(i)
+    return Dataset(loaders=[partial(load, i) for i in range(ds.n_samples)],
+                   problem=ds.problem)
+
+
+@pytest.mark.parametrize("spoil, error, message", [
+    # one output: a missing prediction on any sample comes before a value
+    # that cannot be scored on an earlier one
+    ({0: ("f", math.nan), 3: ("f", None)}, MissingOutput,
+     "bundle lacks field 'f' for sample 3"),
+    # outputs in turn: field 'f' on sample 3 before scalar 's' on sample 0
+    ({0: ("s", None), 3: ("f", math.nan)}, MissingOutput,
+     "field 'f', sample 3: prediction is not finite"),
+    # an unreadable sample is met on the first output, before its values
+    ({0: ("f", math.nan), 2: ("unreadable", None)}, FormatError,
+     "sample 2 unreadable"),
+    ({1: ("f", None), 2: ("unreadable", None)}, MissingOutput,
+     "bundle lacks field 'f' for sample 1"),
+], ids=["missing_after_not_finite", "outputs_in_turn",
+        "unreadable_before_values", "missing_before_unreadable"])
+def test_scoring_raises_the_error_met_first_output_by_output(spoil, error,
+                                                             message):
+    ds = scoring_fixture()
+    bundle = perfect_bundle(ds)
+    for sid, (name, value) in spoil.items():
+        entry = bundle.predictions[sid]
+        outputs = entry.fields if name == "f" else entry.scalars
+        if name == "unreadable":
+            ds = _unreadable(ds, sid)
+        elif value is None:
+            del outputs[name]
+        elif name == "f":
+            outputs[name] = np.full(3, value)
+        else:
+            outputs[name] = value
+    for score in (total_error, lambda *args: score_test_split(*args, True)):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            score(ds.problem, ds, bundle)
 
 
 def test_bundle_round_trip(tmp_path):

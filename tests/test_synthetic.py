@@ -1,12 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from meshbench import SynthConfig, datasets_equal, generate, validate_dataset
+from meshbench import (SynthConfig, datasets_equal, generate, samples_equal,
+                       save_dataset, validate_dataset)
 from meshbench.errors import ConfigInvalid
 from meshbench.morphing import build_surface_mesh, tutte_embed
 from meshbench.mmgp import extract_triangle_geometry
+from meshbench.synthetic import build_plate_sample
+
+#: many samples per resolution, and resolutions down to 2 nodes per side
+SHARING_CONFIG = SynthConfig(n_samples=12, seed=3, min_nodes_per_side=2,
+                             max_nodes_per_side=6)
 
 
 def test_deterministic_regeneration():
@@ -122,3 +129,39 @@ def test_invalid_configs_rejected():
     for lo in (-1.0, -1.5):
         with pytest.raises(ConfigInvalid):
             generate(SynthConfig(amplitude_range=(lo, 0.3)))
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    # the digest of this dataset as written before plates shared their mesh
+    save_dataset(generate(SHARING_CONFIG), tmp_path / "ds")
+    digest = hashlib.sha256()
+    for path in sorted(p for p in (tmp_path / "ds").rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path / "ds").as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == ("52147c375f9b0764065b5c759ea20bba"
+                                  "cd1378eed865a0cff3b0038d9dfe1c48")
+
+
+def test_plates_of_one_resolution_share_their_mesh_and_tags():
+    ds = generate(SHARING_CONFIG)
+    first = {}  # resolution -> (connectivity, tag ids) of its first plate
+    connectivities = set()
+    for sid in range(ds.n_samples):
+        zone = ds.sample_at(sid).get_mesh().bases[0].zones[0]
+        (block,) = zone.element_blocks
+        shared = (block.connectivity, *(tag.ids for tag in zone.tags))
+        assert all(a is b for a, b in zip(
+            shared, first.setdefault(zone.n_vertices, shared), strict=True))
+        connectivities.add(id(block.connectivity))
+        arrays = [zone.coordinates, *shared, *(f.values for f in zone.fields)]
+        assert not any(a.flags.writeable for a in arrays)
+    assert 1 < len(first) < ds.n_samples  # some resolution has several plates
+    assert len(connectivities) == len(first)
+
+
+def test_plate_built_alone_equals_the_generated_one():
+    ds = generate(SHARING_CONFIG)
+    for sid in range(ds.n_samples):
+        assert samples_equal(build_plate_sample(SHARING_CONFIG, sid),
+                             ds.sample_at(sid))
