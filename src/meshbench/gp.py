@@ -22,7 +22,10 @@ A fitted model stores s2 as its variance and g s2 as its (absolute) jitter.
 
 The fit calls LAPACK and BLAS through the function pointers that scipy's
 Cython modules export, by ctypes, which releases the GIL for the length of
-each call; so fits on several threads factorise at the same time.
+each call; so fits on several threads factorise at the same time.  Those
+pointers are resolved on the first factorisation in a process, so that
+importing this module loads no scipy: a process that stores, validates or
+scores data never pays for scipy.linalg.
 
 Kernels (r is the ARD-scaled distance):
 
@@ -33,10 +36,10 @@ Kernels (r is the ARD-scaled distance):
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import ConfigInvalid, DegenerateInputs, ShapeMismatch, SingularKernel
 
@@ -141,14 +144,28 @@ def _exported(module, name: str, *argtypes):
 _CHAR, _INT, _ARRAY = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
                        ctypes.c_void_p)
 _REAL = ctypes.POINTER(ctypes.c_double)
-_dpotrf = _exported(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT)
-_dpotri = _exported(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY, _INT, _INT)
-_dpotrs = _exported(cython_lapack, "dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT,
-                    _ARRAY, _INT, _INT)
-_dtrtrs = _exported(cython_lapack, "dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT,
-                    _ARRAY, _INT, _ARRAY, _INT, _INT)
-_dsyrk = _exported(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _REAL,
-                   _ARRAY, _INT, _REAL, _ARRAY, _INT)
+
+
+@functools.cache
+def _routines() -> dict:
+    """The five LAPACK and BLAS routines the fit calls, by name, resolved on
+    the first call in a process.  Importing scipy.linalg costs about 28 MB
+    of resident memory, which a process that never fits a GP should not
+    pay.  Two threads that race here may both resolve them; each gets the
+    same functions."""
+    from scipy.linalg import cython_blas, cython_lapack
+    return {
+        "dpotrf": _exported(cython_lapack, "dpotrf", _CHAR, _INT, _ARRAY,
+                            _INT, _INT),
+        "dpotri": _exported(cython_lapack, "dpotri", _CHAR, _INT, _ARRAY,
+                            _INT, _INT),
+        "dpotrs": _exported(cython_lapack, "dpotrs", _CHAR, _INT, _INT,
+                            _ARRAY, _INT, _ARRAY, _INT, _INT),
+        "dtrtrs": _exported(cython_lapack, "dtrtrs", _CHAR, _CHAR, _CHAR,
+                            _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT),
+        "dsyrk": _exported(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT,
+                           _REAL, _ARRAY, _INT, _REAL, _ARRAY, _INT),
+    }
 
 
 def _address(a: np.ndarray, shape: tuple) -> int:
@@ -162,11 +179,11 @@ def _address(a: np.ndarray, shape: tuple) -> int:
     return a.ctypes.data
 
 
-def _lapack(routine, *args) -> int:
-    """Call ``routine`` with ``args`` and its trailing ``info``; return
-    ``info``, raising on an illegal argument (info < 0)."""
+def _lapack(routine: str, *args) -> int:
+    """Call LAPACK's ``routine`` with ``args`` and its trailing ``info``;
+    return ``info``, raising on an illegal argument (info < 0)."""
     info = ctypes.c_int()
-    routine(*args, ctypes.byref(info))
+    _routines()[routine](*args, ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"LAPACK argument {-info.value} is illegal")
     return info.value
@@ -184,20 +201,20 @@ def _potrf(a: np.ndarray) -> int:
     """Lower Cholesky factor L of the (n, n) ``a`` in place of its lower
     triangle; info > 0 where ``a`` is not positive definite."""
     n = len(a)
-    return _lapack(_dpotrf, b"L", _int(n), _address(a, (n, n)), _int(n))
+    return _lapack("dpotrf", b"L", _int(n), _address(a, (n, n)), _int(n))
 
 
 def _potri(a: np.ndarray) -> int:
     """(L L^T)^-1 in place of L, the lower triangle of ``a``."""
     n = len(a)
-    return _lapack(_dpotri, b"L", _int(n), _address(a, (n, n)), _int(n))
+    return _lapack("dpotri", b"L", _int(n), _address(a, (n, n)), _int(n))
 
 
 def _potrs(a: np.ndarray, b: np.ndarray) -> int:
     """X = (L L^T)^-1 B in place of ``b`` (n,) or (n, k), with L the lower
     triangle of ``a``."""
     n = len(a)
-    return _lapack(_dpotrs, b"L", _int(n), _int(_columns(b)),
+    return _lapack("dpotrs", b"L", _int(n), _int(_columns(b)),
                    _address(a, (n, n)), _int(n), _address(b, (n,)), _int(n))
 
 
@@ -205,7 +222,7 @@ def _trtrs(a: np.ndarray, b: np.ndarray) -> int:
     """X = L^-1 B in place of ``b`` (n,) or (n, k), with L the lower
     triangle of ``a``; info > 0 where L has a zero on its diagonal."""
     n = len(a)
-    return _lapack(_dtrtrs, b"L", b"N", b"N", _int(n), _int(_columns(b)),
+    return _lapack("dtrtrs", b"L", b"N", b"N", _int(n), _int(_columns(b)),
                    _address(a, (n, n)), _int(n), _address(b, (n,)), _int(n))
 
 
@@ -213,9 +230,10 @@ def _syrk(alpha: float, a: np.ndarray, beta: float, c: np.ndarray) -> None:
     """C = alpha A A^T + beta C in the lower triangle of ``c`` (n, n), for
     ``a`` (n,) or (n, k)."""
     n = len(c)
-    _dsyrk(b"L", b"N", _int(n), _int(_columns(a)),
-           ctypes.byref(ctypes.c_double(alpha)), _address(a, (n,)), _int(n),
-           ctypes.byref(ctypes.c_double(beta)), _address(c, (n, n)), _int(n))
+    _routines()["dsyrk"](
+        b"L", b"N", _int(n), _int(_columns(a)),
+        ctypes.byref(ctypes.c_double(alpha)), _address(a, (n,)), _int(n),
+        ctypes.byref(ctypes.c_double(beta)), _address(c, (n, n)), _int(n))
 
 
 def _standardize_inputs(x: np.ndarray):

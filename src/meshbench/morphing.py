@@ -19,6 +19,10 @@ its Cholesky factor.  Meshes that share their (oriented) triangles, which
 triangular solves in :func:`tutte_embed`, which returns the positions.
 :func:`build_surface_mesh` only orients and validates the arrays; disk
 topology is checked where :func:`tutte_system` extracts the loop.
+
+scipy's banded Cholesky, banded solve and reverse Cuthill-McKee are
+imported where they are first called, so that importing this module loads
+neither scipy.linalg nor scipy.sparse.
 """
 
 from __future__ import annotations
@@ -27,12 +31,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .edges import directed_edges, edge_keys
 from .errors import NotDiskTopology, SolveFailure
+
+
+def cholesky_banded(ab, **options):
+    """:func:`scipy.linalg.cholesky_banded`, imported on the first call; a
+    name of this module, so that a test can count the factorisations."""
+    from scipy.linalg import cholesky_banded
+    return cholesky_banded(ab, **options)
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,7 @@ def tutte_embed(mesh: SurfaceMesh2D,
     positions = np.zeros((len(mesh.nodes), 2))
     positions[loop] = _boundary_circle_positions(mesh.nodes, loop)
     if system.rows.size:
+        from scipy.linalg import cho_solve_banded
         rhs = np.stack([np.bincount(system.rhs_rows,
                                     weights=positions[system.rhs_nodes, k],
                                     minlength=system.rows.size)
@@ -241,7 +250,7 @@ def tutte_system(mesh: SurfaceMesh2D) -> TutteSystem:
                                                      is_boundary)
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"the Tutte system is singular ({exc})") from None
     return TutteSystem(loop, interior[perm], rhs_rows, rhs_nodes, factor)
 
@@ -268,6 +277,9 @@ def _interior_system(mesh: SurfaceMesh2D, interior, is_boundary):
     row, dst = row[inside], dst[inside]
     pinned = is_boundary[dst]
     a, b = row[~pinned], index_of[dst[~pinned]]
+
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     order = np.argsort(a, kind="stable")
     graph = csr_array((np.ones(a.size, dtype=np.int8), b[order],

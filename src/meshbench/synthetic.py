@@ -115,6 +115,7 @@ def _plate_mesh(resolution: int) -> tuple:
     triangles = np.concatenate([
         np.stack([v00, v10, v11], axis=1),
         np.stack([v00, v11, v01], axis=1)], axis=0)
+    triangles.setflags(write=False)  # shared by every plate, never copied
     tags = [make_tag("bottom", np.arange(r), TagKind.NodalTag),  # row j = 0
             make_tag("top", np.arange(r) + r * (r - 1), TagKind.NodalTag)]
     return (xg.ravel(order="F"), tg.ravel(order="F"),
@@ -138,6 +139,8 @@ def _plate_sample(config: SynthConfig, sample_id: int, meshes: dict) -> Sample:
     # the shared sine, then exactly rounded * and +: a lone plate's bits
     coords = np.stack([x, t * (1.0 + amplitude * sin_top)], axis=1)
     u, du_dx = plate_fields(coords, amplitude, load)
+    for a in (coords, u, du_dx):
+        a.setflags(write=False)  # the zone holds them as they are
     zone = make_unstructured_zone(
         "Zone", coords,
         blocks=[(ElementType.TRI_3, triangles)],

@@ -7,7 +7,9 @@ located fields, tags).  Trees are immutable after construction: the
 ``make_*`` helpers normalize arrays to little-endian double (coordinates,
 field values) or int64 (connectivity, tag ids), the only dtypes the store
 holds, and mark them read-only, so a tree can be shared freely across
-threads; validation reports an array of any other dtype.
+threads; validation reports an array of any other dtype.  They hold a
+read-only input array as it is and copy a writable one, which stays the
+caller's.
 
 A tree may leave geometric content (coordinates, element blocks) absent and
 declare a :class:`LinkSpec` pointing at an earlier-time tree that carries the
@@ -79,15 +81,14 @@ _NODES_PER_ELEMENT = {
 }
 
 
-def _freeze_real(values) -> np.ndarray:
-    """Normalize to a read-only contiguous float64 array."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
-def _freeze_int(values) -> np.ndarray:
-    a = np.ascontiguousarray(values, dtype=np.int64)
+def _freeze(values, dtype) -> np.ndarray:
+    """Normalize to a read-only contiguous ``dtype`` array.  Read-only input
+    is kept as it is; writable memory the caller may hold is copied, so the
+    caller's arrays stay writable and later writes to them leave the tree
+    as it was built."""
+    a = np.ascontiguousarray(values, dtype=dtype)
+    if a.flags.writeable and (a is values or not a.flags.owndata):
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -240,7 +241,7 @@ class ValidationReport:
 
 def make_element_block(element_type: ElementType, connectivity,
                        global_start: int = 0) -> ElementBlock:
-    conn = _freeze_int(connectivity)
+    conn = _freeze(connectivity, np.int64)
     if conn.ndim != 2 or conn.shape[1] != element_type.nodes_per_element:
         raise DimensionMismatch(
             f"{element_type.value} connectivity must be (n, "
@@ -250,7 +251,7 @@ def make_element_block(element_type: ElementType, connectivity,
 
 
 def make_field(name: str, values, location: Location = Location.Vertex) -> FieldArray:
-    vals = _freeze_real(values)
+    vals = _freeze(values, np.float64)
     if vals.ndim != 1:
         raise DimensionMismatch(f"field '{name}' values must be 1-D, got {vals.shape}")
     return FieldArray(name, location, vals)
@@ -272,7 +273,7 @@ def make_unstructured_zone(name: str, coordinates,
     ``n_vertices`` must be given explicitly when coordinates are left to a
     link (coordinates=None); field lengths validate against it.
     """
-    coords = None if coordinates is None else _freeze_real(coordinates)
+    coords = None if coordinates is None else _freeze(coordinates, np.float64)
     if n_vertices is None:
         n_vertices = 0 if coords is None else coords.shape[0]
     eb = []
@@ -290,7 +291,7 @@ def make_structured_zone(name: str, coordinates, dims,
                          fields: Sequence[FieldArray] = (),
                          tags: Sequence[TagSet] = ()) -> Zone:
     """Build a structured zone; connectivity stays implicit."""
-    coords = None if coordinates is None else _freeze_real(coordinates)
+    coords = None if coordinates is None else _freeze(coordinates, np.float64)
     dims = tuple(int(d) for d in dims)
     n_vertices = int(np.prod(dims))
     return Zone(name, ZoneType.Structured,
@@ -636,6 +637,7 @@ def implicit_connectivity(zone: Zone) -> list[ElementBlock]:
     conn = (cells[:, None, :] + corners) @ strides
     if conn.shape[0] == 0:
         return []
+    conn.setflags(write=False)  # held as it is, not copied
     etype = ElementType.QUAD_4 if n == 2 else ElementType.HEXA_8
     return [make_element_block(etype, conn, 0)]
 

@@ -40,7 +40,7 @@ from meshbench import (
 )
 from meshbench.dataset import CONSTANT_MESH_KEY
 from meshbench.cli import main
-from meshbench.codec import ArtifactReader, ArtifactWriter
+from meshbench.codec import ArtifactReader, ArtifactWriter, decode_object
 from meshbench.errors import (
     DimensionMismatch,
     FormatError,
@@ -385,6 +385,7 @@ def test_validate_constant_mesh_flag():
          "0 (node count or connectivity)")], id="one_index_differs")])
 def test_constant_mesh_compares_connectivity_values(second, violations):
     first = np.array([[0, 1, 2], [0, 2, 3]])
+    first.setflags(write=False)  # held as it is: both samples share it
 
     def sample(triangles):
         zone = make_unstructured_zone(
@@ -1216,6 +1217,20 @@ def test_writer_packs_a_contiguous_little_endian_array_without_a_copy(
     for array in (_GRID, np.arange(5)):
         writer.write(array)
         assert np.shares_memory(writer.chunks[-1], array)
+
+
+@pytest.mark.parametrize("value, error", [
+    pytest.param({"a": 1, "b": 2}, None, id="the_writers_keys"),
+    pytest.param({"a": 1}, None, id="one_key_left_out"),
+    pytest.param(["a", "b"], TypeError, id="a_list_of_the_keys"),
+    pytest.param({"b": 2, "a": 1}, ValueError, id="reordered"),
+    pytest.param({"a": 1, "b": 2, "c": 3}, ValueError, id="a_key_added")])
+def test_decode_object_keeps_the_writers_object_as_it_is(value, error):
+    if error is None:
+        assert decode_object(value, "a", "b") is value
+    else:
+        with pytest.raises(error):
+            decode_object(value, "a", "b")
 
 
 def _as_format_4(root):

@@ -159,6 +159,35 @@ def linked_pair():
     return tree0, tree1
 
 
+def test_zones_copy_the_callers_writable_arrays_and_hold_read_only_ones():
+    base = np.arange(6.0)
+    given = {"coordinates": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                      [0.0, 1.0]]),
+             "connectivity": np.array([[0, 1, 2], [0, 2, 3]]),
+             "u": base[:4],  # a contiguous view of the caller's array
+             "grid": np.zeros((2, 2, 2))}
+    before = {name: a.copy() for name, a in given.items()}
+    zone = make_unstructured_zone(
+        "Z", given["coordinates"],
+        blocks=[(ElementType.TRI_3, given["connectivity"])],
+        fields=[make_field("u", given["u"])])
+    grid = make_structured_zone("G", given["grid"].reshape(4, 2), (2, 2))
+    held = {"coordinates": zone.coordinates,
+            "connectivity": zone.element_blocks[0].connectivity,
+            "u": zone.fields[0].values, "grid": grid.coordinates}
+    for name, a in given.items():
+        assert a.flags.writeable, name
+        a[...] = 9
+    base[:] = 9
+    for name, a in held.items():
+        assert not a.flags.writeable, name
+        assert np.array_equal(a.reshape(before[name].shape), before[name]), name
+
+    frozen = np.arange(4.0)
+    frozen.setflags(write=False)
+    assert make_field("u", frozen).values is frozen
+
+
 def test_resolve_links_copies_content():
     tree0, tree1 = linked_pair()
     resolved = resolve_links(tree1, {0.0: tree0}.get)
