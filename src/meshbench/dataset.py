@@ -2,12 +2,10 @@
 and predictions for samples (``SamplePrediction``, ``PredictionBundle``).
 
 Samples may be supplied in memory or through per-sample loader callables
-(lazy mode); both behave identically to callers.  ``Dataset.sample_at``
-loads a lazy sample on its first access and keeps it, for callers that
-reuse samples at random; a pass through ``Dataset.iterate`` keeps nothing,
-so a whole-dataset pass (``validate_dataset``, saving) holds one sample at
-a time.  The cache takes no lock, since no pooled stage reads samples:
-threads sharing a lazy dataset may load a sample twice.
+(lazy mode); both behave identically to callers.  A lazy dataset calls a
+sample's loader on every ``Dataset.sample_at`` and keeps nothing, so a
+whole-dataset pass (``validate_dataset``, saving, scoring) holds only the
+sample its caller holds.
 """
 
 from __future__ import annotations
@@ -107,17 +105,11 @@ class Dataset:
                  loaders: Optional[Sequence[Callable[[], Sample]]] = None):
         if (samples is None) == (loaders is None):
             raise ValueError("pass exactly one of samples or loaders")
-        if samples is not None:
-            self._samples: list[Optional[Sample]] = list(samples)
-            self._loaders: Optional[list[Callable[[], Sample]]] = None
-        else:
-            self._samples = [None] * len(loaders)
-            self._loaders = list(loaders)
+        self._lazy = samples is None
+        # the samples held, or in lazy mode their loaders
+        self._samples: list = list(loaders if self._lazy else samples)
         self.infos: dict = dict(infos or {})
         self.problem: ProblemDefinition = problem or ProblemDefinition()
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
     @property
     def n_samples(self) -> int:
@@ -126,17 +118,13 @@ class Dataset:
     @property
     def lazy(self) -> bool:
         """Whether samples come from loaders rather than being held."""
-        return self._loaders is not None
+        return self._lazy
 
     def sample_at(self, sample_id: int) -> Sample:
-        """The sample ``sample_id``; a lazy dataset keeps what it loads."""
-        sample_id = self._index(sample_id)
-        if self._samples[sample_id] is None:
-            self._samples[sample_id] = self._loaders[sample_id]()
-        return self._samples[sample_id]
-
-    def __getitem__(self, sample_id: int) -> Sample:
-        return self.sample_at(sample_id)
+        """The sample ``sample_id``: the one held, or else a fresh load that
+        nothing here keeps."""
+        found = self._samples[self._index(sample_id)]
+        return found() if self._lazy else found
 
     def get_split(self, name: str) -> list[int]:
         try:
@@ -147,13 +135,8 @@ class Dataset:
             ) from None
 
     def iterate(self, ids: Iterable[int]) -> Iterator[Sample]:
-        """Yield samples in the given id order.  A sample ``sample_at`` has
-        not kept is loaded for its yield and kept by nothing here, so a pass
-        holds only the sample its caller holds."""
-        for i in ids:
-            i = self._index(i)
-            found = self._samples[i]
-            yield self._loaders[i]() if found is None else found
+        """``sample_at`` over ``ids``, in their order."""
+        return map(self.sample_at, ids)
 
     def _index(self, sample_id) -> int:
         sample_id = _sample_id(sample_id)

@@ -154,25 +154,21 @@ def score_test_split(problem: ProblemDefinition, reference: Dataset,
                      bundle: PredictionBundle, hidden: bool = False
                      ) -> tuple[ScoreReport, Optional[tuple]]:
     """The test split's report and, with ``hidden``, the public and private
-    halves' reports: what ``total_error`` and ``score_hidden`` return, from
-    one read of each test sample, of which none is kept."""
+    halves' reports, from one read of each test sample, of which none is
+    kept.  With ``hidden``, a missing or unsound partition raises
+    ``NoPartition`` before any sample is read."""
     if "test" not in problem.splits:
         raise NoSuchSplit("problem defines no 'test' split")
     ids = sorted(problem.splits["test"])
     if len(set(ids)) != len(ids):
         raise InvalidDataset("the test split lists an id twice")
+    halves = _hidden_halves(problem) if hidden else None
     outputs, terms = _terms(problem, reference, bundle, ids)
     report = _report(outputs, terms)
-    if not hidden:
+    if halves is None:
         return report, None
     return report, tuple(_report(outputs, terms, np.isin(ids, half))
-                         for half in _hidden_halves(problem))
-
-
-def _score(problem: ProblemDefinition, reference: Dataset,
-           bundle: PredictionBundle, ids: list[int]) -> ScoreReport:
-    """Score a bundle on ``ids``, sorted and distinct."""
-    return _report(*_terms(problem, reference, bundle, ids))
+                         for half in halves)
 
 
 def _terms(problem: ProblemDefinition, reference: Dataset,
@@ -249,10 +245,9 @@ def _hidden_halves(problem: ProblemDefinition) -> tuple[list[int], list[int]]:
 
 def score_hidden(problem: ProblemDefinition, reference: Dataset,
                  bundle: PredictionBundle) -> tuple[ScoreReport, ScoreReport]:
-    """Score the public and private halves of the hidden test partition."""
-    public_ids, private_ids = _hidden_halves(problem)
-    return (_score(problem, reference, bundle, public_ids),
-            _score(problem, reference, bundle, private_ids))
+    """Score the public and private halves of the hidden test partition:
+    the halves ``score_test_split`` returns with ``hidden``."""
+    return score_test_split(problem, reference, bundle, hidden=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,14 @@ def save_dataset(dataset: Dataset, root_path) -> None:
     Refuses a root that already holds files.  The checks that read no
     sample (infos, splits, the hidden partition) run before anything is
     written, and a sample is written only while no violation has been
-    found.  A lazy dataset is checked in the pass that writes it, through
-    ``Dataset.iterate``, so each sample is read once and none is kept; one
-    that holds its samples is checked whole before the first write, which
-    is faster than alternating checks with file writes.  A violation raises
-    ``InvalidDataset`` naming the first one in ``validate_dataset``'s order;
-    on it, or on any other error, everything written is removed, which
-    leaves the root as it was found.
+    found.  A lazy dataset (a loaded one, or a ``participant_export``, whose
+    stripped trees are checked only here) is checked in the pass that
+    writes it, through ``Dataset.iterate``, so each sample is read once and
+    none is kept; one that holds its samples is checked whole before the
+    first write, which is faster than alternating checks with file writes.
+    A violation raises ``InvalidDataset`` naming the first one in
+    ``validate_dataset``'s order; on it, or on any other error, everything
+    written is removed, which leaves the root as it was found.
     """
     root = Path(root_path)
     if root.exists() and not root.is_dir():
@@ -275,7 +276,7 @@ def load_dataset(root_path, lazy: bool = False) -> Dataset:
     """Load a dataset root, eagerly or with per-sample deferred loading.
 
     Both modes are observationally identical; lazy mode reads a sample's
-    files only on first access.
+    file each time the sample is asked for, and keeps none.
     """
     root = Path(root_path)
     infos_path = root / "infos.yaml"
@@ -333,9 +334,10 @@ def participant_export(dataset: Dataset) -> Dataset:
     Test samples keep their meshes, inputs and input fields; output fields
     and output scalars are removed, mirroring benchmarks whose test outputs
     stay hidden.  The export is lazy: each of its samples is read from
-    ``dataset`` through ``Dataset.iterate``, and stripped, only when the
+    ``dataset`` through ``Dataset.sample_at``, and stripped, every time the
     export loads it, so saving the export is one pass that reads each
-    source sample once and keeps none.
+    source sample once and keeps none.  Stripping only drops fields, so it
+    checks nothing; ``save_dataset`` checks what it writes.
     """
     problem = dataset.problem
     test_ids = set(problem.splits.get("test", []))
@@ -343,19 +345,17 @@ def participant_export(dataset: Dataset) -> Dataset:
     out_scalars = set(problem.out_scalars_names)
 
     def load(i: int) -> Sample:
-        sample = next(dataset.iterate([i]))  # not kept by the source
+        sample = dataset.sample_at(i)
         if i not in test_ids:
             return sample
         scalars = {k: v for k, v in sample.scalars.items() if k not in out_scalars}
-        trees = {}
-        for t, tree in sample.trees.items():
-            bases = [
-                Base(b.name, b.cell_dim, b.phys_dim, tuple(
-                    replace(z, fields=tuple(f for f in z.fields
-                                            if f.name not in out_fields))
-                    for z in b.zones))
-                for b in tree.bases]
-            trees[t] = build_tree(bases, tree.time, tree.links)
+        trees = {t: replace(tree, bases=tuple(
+            replace(b, zones=tuple(
+                replace(z, fields=tuple(f for f in z.fields
+                                        if f.name not in out_fields))
+                for z in b.zones))
+            for b in tree.bases))
+            for t, tree in sample.trees.items()}
         return Sample(trees=trees, scalars=scalars,
                       time_series=sample.time_series)
 

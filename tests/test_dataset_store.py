@@ -36,6 +36,7 @@ from meshbench import (
     save_dataset,
     samples_equal,
     save_model,
+    score_hidden,
     validate_dataset,
 )
 from meshbench.dataset import CONSTANT_MESH_KEY
@@ -49,6 +50,7 @@ from meshbench.errors import (
     IoFailure,
     MeshBenchError,
     MissingLinkTarget,
+    NoPartition,
     NoSuchSplit,
     VersionMismatch,
 )
@@ -503,19 +505,6 @@ def test_participant_export_strips_test_outputs(tmp_path, two_base_sample):
         (root / "problem_definition" / "problem_infos.yaml").read_text())
 
 
-def test_lazy_cache_single_population():
-    calls = []
-
-    def loader():
-        calls.append(1)
-        return Sample(scalars={"x": 1.0})
-
-    ds = Dataset(loaders=[loader], problem=ProblemDefinition())
-    first = ds.sample_at(0)
-    assert ds.sample_at(0) is first
-    assert len(calls) == 1
-
-
 # ---------------------------------------------------------------------------
 # whole-dataset passes stream: each sample is read once and none is kept
 
@@ -553,6 +542,19 @@ class CountingLoaders:
                        infos=self.source.infos, problem=self.source.problem)
 
 
+def test_lazy_sample_at_loads_on_every_call_and_keeps_nothing(tmp_path):
+    _saved_plates(tmp_path / "src")
+    counted = CountingLoaders(tmp_path / "src")
+    ds = counted.dataset()
+    first = ds.sample_at(3)
+    second = ds.sample_at(3)
+    assert counted.calls == [0, 0, 0, 2] + [0] * 6
+    assert first is not second and samples_equal(first, second)
+    assert counted.alive == 2
+    del first, second
+    assert counted.alive == 0
+
+
 @pytest.mark.parametrize("run", [
     pytest.param(lambda ds, out: validate_dataset(ds), id="validate"),
     pytest.param(save_dataset, id="save"),
@@ -568,13 +570,13 @@ def test_whole_dataset_pass_reads_each_sample_once_and_keeps_none(tmp_path,
     assert counted.most_alive <= 2
 
 
-def test_score_reads_each_test_sample_once_and_keeps_none(tmp_path,
-                                                          monkeypatch):
+def _counted_scoring(tmp_path, monkeypatch):
+    """Counting loaders over 20 saved plates, a perfect bundle of their test
+    split, saved, and ``meshbench score`` reading the plates through them."""
     _saved_plates(tmp_path / "src", n=20)
     counted = CountingLoaders(tmp_path / "src")
-    test = counted.source.problem.splits["test"]
     bundle = PredictionBundle()
-    for sid in test:
+    for sid in counted.source.problem.splits["test"]:
         sample = counted.source.sample_at(sid)
         for name in ("u", "du_dx"):
             bundle.set_field(sid, name, sample.get_field(name))
@@ -582,10 +584,30 @@ def test_score_reads_each_test_sample_once_and_keeps_none(tmp_path,
     save_bundle(bundle, tmp_path / "bundle")
     monkeypatch.setattr("meshbench.cli.load_dataset",
                         lambda root, lazy: counted.dataset())
+    return counted, bundle
+
+
+def test_score_reads_each_test_sample_once_and_keeps_none(tmp_path,
+                                                          monkeypatch):
+    counted, _ = _counted_scoring(tmp_path, monkeypatch)
+    test = counted.source.problem.splits["test"]
     assert main(["score", "--ref", str(tmp_path / "src"), "--pred",
                  str(tmp_path / "bundle"), "--hidden"]) == 0
     assert counted.calls == [int(i in test) for i in range(20)]
     assert counted.most_alive <= 2
+
+
+def test_unsound_partition_fails_hidden_scoring_before_any_read(
+        tmp_path, monkeypatch, capsys):
+    counted, bundle = _counted_scoring(tmp_path, monkeypatch)
+    problem = counted.source.problem
+    problem.hidden_partition = dict.fromkeys(problem.splits["test"], "Public")
+    with pytest.raises(NoPartition, match="both Public and Private"):
+        score_hidden(problem, counted.dataset(), bundle)
+    assert main(["score", "--ref", str(tmp_path / "src"), "--pred",
+                 str(tmp_path / "bundle"), "--hidden"]) == 1
+    assert "NoPartition" in capsys.readouterr().err
+    assert counted.calls == [0] * 20
 
 
 def _three_faults():
@@ -620,6 +642,22 @@ def test_report_lists_sample_trees_then_splits_then_names(tmp_path):
             "sample_000000007/mesh@0.0/Base_2_2/Zone/7: invalid identifier "
             "'Zone/7' (empty or contains '/') (3 violation(s) total)")
         assert not (tmp_path / name).exists()
+
+
+def test_export_of_an_invalid_test_tree_is_refused_by_save(tmp_path):
+    ds = generate(SynthConfig(n_samples=10, seed=3, min_nodes_per_side=4,
+                              max_nodes_per_side=6))
+    samples = list(ds.iterate(range(ds.n_samples)))
+    zone = samples[8].get_mesh().bases[0].zones[0]
+    bases = (Base("Base_2_2", 2, 2, (replace(zone, name="Zone/8"),)),)
+    samples[8] = Sample(trees={0.0: MeshTree(bases, 0.0)},
+                        scalars=samples[8].scalars)
+    exported = participant_export(Dataset(samples=samples, infos=ds.infos,
+                                          problem=ds.problem))
+    with pytest.raises(InvalidDataset, match=r"^sample_000000008/mesh@0\.0/"
+                       r"Base_2_2/Zone/8: invalid identifier"):
+        save_dataset(exported, tmp_path / "export")
+    assert not (tmp_path / "export").exists()
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
